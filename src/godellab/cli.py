@@ -169,7 +169,7 @@ def cmd_enumerate(args) -> int:
     for index in range(args.start, args.stop + 1):
         text = format_program(decode(index)).replace("\n", "; ") or "(empty)"
         cells = []
-        for n in range(values["window"]):
+        for n in range(values["window"] + 1):
             out = evaluate(index, n, values["cap"])
             cells.append(str(out.value) if not isinstance(out, BudgetExceeded)
                          else "?")

@@ -175,6 +175,10 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # ---------------------------------------------------------------------------
 # Budgeted evaluator.
 #
+# One core serves both `evaluate` and `run_program`: lowering turns an
+# instruction list into tuples over densely renumbered registers, and
+# `_run` is the only machine step loop.
+#
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].  Results of
 # completed evaluations are memoized per (index, input); the memo is
@@ -193,37 +197,39 @@ _DEPTH_LIMIT = 64
 _memo: dict[tuple[int, int], tuple] = {}
 _lower_cache: dict[int, tuple] = {}
 
-_LIST_REG_LIMIT = 100_000
-
 
 def clear_eval_cache() -> None:
     _memo.clear()
     _lower_cache.clear()
 
 
+def _lower(instructions: Sequence[Instruction]) -> tuple:
+    """(code, register count, largest register name) of an instruction list.
+
+    Registers are renumbered densely in name order, so R0 stays slot 0 and
+    the register file has one slot per named register, however large the
+    names are.  Jump targets are kept as they are.
+    """
+    names = {0}
+    for ins in instructions:
+        names.update(ins.args[:2] if ins.op == "J" else ins.args)
+    order = sorted(names)
+    slot = {r: i for i, r in enumerate(order)}
+    code = []
+    for ins in instructions:
+        tag = _OPS.index(ins.op)
+        if tag == 3:
+            a, b, k = ins.args
+            code.append((tag, slot[a], slot[b], k))
+        else:
+            code.append((tag,) + tuple(slot[r] for r in ins.args))
+    return tuple(code), len(order), order[-1]
+
+
 def _lowered(index: int) -> tuple:
     ent = _lower_cache.get(index)
     if ent is None:
-        code = []
-        maxreg = 0
-        for m in decode_list(index):
-            ins = decode_instruction(m)
-            tag = _OPS.index(ins.op)
-            a = ins.args
-            if tag <= 1:
-                maxreg = max(maxreg, a[0])
-                code.append((tag, a[0]))
-            elif tag == 2:
-                maxreg = max(maxreg, a[0], a[1])
-                code.append((tag, a[0], a[1]))
-            elif tag == 3:
-                maxreg = max(maxreg, a[0], a[1])
-                code.append((tag, a[0], a[1], a[2]))
-            else:
-                maxreg = max(maxreg, a[0], a[1], a[2], a[3])
-                code.append((tag, a[0], a[1], a[2], a[3]))
-        ent = (tuple(code), maxreg + 1)
-        _lower_cache[index] = ent
+        ent = _lower_cache[index] = _lower(decode(index).instructions)
     return ent
 
 
@@ -251,19 +257,27 @@ def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutco
             if budget >= ent[2]:
                 return Halted(ent[1], ent[2]), True
             return BudgetExceeded(budget), True
-        if tag == 1:
-            return BudgetExceeded(budget), True
-        if budget <= ent[1]:
+        if tag == 1 or budget <= ent[1]:
             return BudgetExceeded(budget), True
 
-    code, nregs = _lowered(index)
-    if not code:
-        if ent is None:
-            _memo[key] = (0, arg, 0)
-        return Halted(arg, 0), True
-    if nregs > _LIST_REG_LIMIT:
-        return _eval_sparse(index, arg, budget, chain, code)
+    code, nregs, _ = _lowered(index)
+    chain.add(key)
+    try:
+        out, pure, entry = _run(code, nregs, arg, budget, chain)
+    finally:
+        chain.discard(key)
+    if pure:
+        _memo[key] = entry
+    return out, pure
 
+
+def _run(code: tuple, nregs: int, arg: int, budget: int, chain: set) -> tuple:
+    """The machine step loop: (outcome, pure, memo entry).
+
+    `pure` is false once an EVB call was cut or used a cut result; only a
+    pure outcome may be memoized.  A repeated machine state, checked at
+    doubling step counts, proves divergence.
+    """
     regs = [0] * nregs
     regs[0] = arg
     pc = 0
@@ -273,152 +287,63 @@ def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutco
     snap_pc = -1
     snap_regs = None
     next_snap = 8
-
-    chain.add(key)
-    try:
-        while True:
-            if pc >= ncode:
-                if pure:
-                    _memo[key] = (0, regs[0], steps)
-                return Halted(regs[0], steps), pure
-            if steps >= budget:
-                if pure and (ent is None or ent[1] < budget):
-                    _memo[key] = (2, budget)
-                return BudgetExceeded(budget), pure
-            ins = code[pc]
-            tag = ins[0]
-            if tag == 0:
-                regs[ins[1]] = 0
-                pc += 1
-            elif tag == 1:
-                regs[ins[1]] += 1
-                pc += 1
-            elif tag == 2:
-                regs[ins[2]] = regs[ins[1]]
-                pc += 1
-            elif tag == 3:
-                pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
-            else:
-                sub = (regs[ins[1]], regs[ins[2]])
-                if sub in chain or len(chain) >= _DEPTH_LIMIT:
-                    regs[ins[4]] = 0
-                    pure = False
-                else:
-                    out, sub_pure = _eval_impl(sub[0], sub[1], regs[ins[3]], chain)
-                    if not sub_pure:
-                        pure = False
-                    regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
-                pc += 1
-            steps += 1
-            if pc == snap_pc and regs == snap_regs:
-                if pure:
-                    _memo[key] = (1,)
-                return BudgetExceeded(budget), pure
-            if steps == next_snap:
-                snap_pc = pc
-                snap_regs = regs.copy()
-                next_snap <<= 1
-    finally:
-        chain.discard(key)
-
-
-def _eval_sparse(index, arg, budget, chain, code):
-    # fallback for programs naming absurdly large registers
-    from collections import defaultdict
-
-    key = (index, arg)
-    regs = defaultdict(int)
-    regs[0] = arg
-    pc = 0
-    steps = 0
-    ncode = len(code)
-    pure = True
-    chain.add(key)
-    try:
-        while True:
-            if pc >= ncode:
-                if pure:
-                    _memo[key] = (0, regs[0], steps)
-                return Halted(regs[0], steps), pure
-            if steps >= budget:
-                ent = _memo.get(key)
-                if pure and (ent is None or ent[0] != 2 or ent[1] < budget):
-                    _memo[key] = (2, budget)
-                return BudgetExceeded(budget), pure
-            ins = code[pc]
-            tag = ins[0]
-            if tag == 0:
-                regs[ins[1]] = 0
-                pc += 1
-            elif tag == 1:
-                regs[ins[1]] += 1
-                pc += 1
-            elif tag == 2:
-                regs[ins[2]] = regs[ins[1]]
-                pc += 1
-            elif tag == 3:
-                pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
-            else:
-                sub = (regs[ins[1]], regs[ins[2]])
-                if sub in chain or len(chain) >= _DEPTH_LIMIT:
-                    regs[ins[4]] = 0
-                    pure = False
-                else:
-                    out, sub_pure = _eval_impl(sub[0], sub[1], regs[ins[3]], chain)
-                    if not sub_pure:
-                        pure = False
-                    regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
-                pc += 1
-            steps += 1
-    finally:
-        chain.discard(key)
-
-
-def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
-    """Run a Program object directly, without going through its index.
-
-    Semantics agree with evaluate(encode(program), arg, budget); the point
-    is that wide programs (long unary loads) stay cheap because the
-    astronomically large index is never materialized.  No memoization at
-    the top level; EVB subcalls share the evaluator cache as usual.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if arg < 0:
-        raise ValueError("argument must be a natural")
-    code = [(_OPS.index(ins.op),) + ins.args for ins in program.instructions]
-    regs = {0: arg}
-    pc = 0
-    steps = 0
-    ncode = len(code)
-    chain: set = set()
     while True:
         if pc >= ncode:
-            return Halted(regs.get(0, 0), steps)
+            return Halted(regs[0], steps), pure, (0, regs[0], steps)
         if steps >= budget:
-            return BudgetExceeded(budget)
+            return BudgetExceeded(budget), pure, (2, budget)
         ins = code[pc]
         tag = ins[0]
         if tag == 0:
             regs[ins[1]] = 0
             pc += 1
         elif tag == 1:
-            regs[ins[1]] = regs.get(ins[1], 0) + 1
+            regs[ins[1]] += 1
             pc += 1
         elif tag == 2:
-            regs[ins[2]] = regs.get(ins[1], 0)
+            regs[ins[2]] = regs[ins[1]]
             pc += 1
         elif tag == 3:
-            pc = ins[3] if regs.get(ins[1], 0) == regs.get(ins[2], 0) else pc + 1
+            pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
         else:
-            sub = (regs.get(ins[1], 0), regs.get(ins[2], 0))
+            sub = (regs[ins[1]], regs[ins[2]])
             if sub in chain or len(chain) >= _DEPTH_LIMIT:
                 regs[ins[4]] = 0
+                pure = False
             else:
-                out, _ = _eval_impl(sub[0], sub[1], regs.get(ins[3], 0), chain)
+                out, sub_pure = _eval_impl(sub[0], sub[1], regs[ins[3]], chain)
+                if not sub_pure:
+                    pure = False
                 regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
             pc += 1
         steps += 1
+        if pc == snap_pc and regs == snap_regs:
+            return BudgetExceeded(budget), pure, (1,)
+        if steps == next_snap:
+            snap_pc = pc
+            snap_regs = regs.copy()
+            next_snap <<= 1
+
+
+def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
+    """Run a Program object directly, without going through its index.
+
+    Semantics agree with evaluate(encode(program), arg, budget), with one
+    exception: the top-level run is neither memoized nor on the EVB chain,
+    so an EVB call back to (encode(program), arg) is evaluated instead of
+    cut as re-entrant.  decode(11) is the single instruction EVB 0 0 0 0:
+    run_program(decode(11), 11, 100) is Halted(1, 1), while
+    evaluate(11, 11, 100) is Halted(0, 1).  The point is that wide programs
+    (long unary loads) stay cheap because the astronomically large index
+    is never materialized.  EVB subcalls share the evaluator cache as usual.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if arg < 0:
+        raise ValueError("argument must be a natural")
+    code, nregs, _ = _lower(program.instructions)
+    out, _, _ = _run(code, nregs, arg, budget, set())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +433,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     if const < 0:
         raise ValueError("const must be a natural")
     suffix = decode(index)
-    _, nregs = _lowered(index)
-    base = max(nregs, 1)
+    base = _lowered(index)[2] + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
     a = _Asm()
     for _ in range(const + 2):
@@ -535,17 +459,6 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     return _prepend(macro, suffix)
 
 
-def project_component(index: ProgramIndex, component: Nat) -> ProgramIndex:
-    """Component extraction from a pair-tupled sequence.
-
-    If decode(index) computes a tupled stream t with t(pair(n, k)) equal to
-    the n-th member sequence at k, the returned index computes that member.
-    Same transformation as `s_const`, kept under its own name because the
-    call sites mean different things by it.
-    """
-    return s_const(index, component)
-
-
 def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
     """Budget sufficient for evaluate(s_const(i, const), arg, .) given the
     original program halts within `inner` steps on pair(const, arg)."""
@@ -563,8 +476,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
         for _ in range(add):
             a.emit("S", 0)
     else:
-        _, nregs = _lowered(index)
-        base = max(nregs, 1)
+        base = _lowered(index)[2] + 1
         k, acc = base, base + 1
         a.label("lp")
         a.emit("J", k, 0, "done")

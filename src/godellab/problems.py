@@ -32,7 +32,7 @@ Domain conventions, following the source definitions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, FrozenSet, Optional
 
 from .numbering import Nat
@@ -47,6 +47,7 @@ from .spaces import (
     descriptor_get,
     is_convergent,
     literal_is_zero,
+    literal_least_absent,
     literal_limit,
     literal_liminf,
     literal_min,
@@ -151,20 +152,12 @@ def make_b() -> ProblemSpec:
     )
 
 
-def _least_absent(inst: Literal) -> Nat:
-    present = literal_values(inst)
-    n = 0
-    while n in present:
-        n += 1
-    return n
-
-
 def make_inf() -> ProblemSpec:
     # least number problem: the smallest value the sequence never takes
     return _single_valued(
         "inf",
         lambda inst, cfg: _is_literal(inst),
-        lambda inst, cfg: _least_absent(inst),
+        lambda inst, cfg: literal_least_absent(inst),
     )
 
 
@@ -193,7 +186,7 @@ def make_cn() -> ProblemSpec:
         return frozenset(a for a in range(cfg.ceiling + 1) if a not in present)
 
     return ProblemSpec("cn", in_domain, verify, enumerate_answers,
-                       lambda inst, cfg: _least_absent(inst))
+                       lambda inst, cfg: literal_least_absent(inst))
 
 
 def make_kn() -> ProblemSpec:
@@ -242,12 +235,6 @@ def make_cl_n() -> ProblemSpec:
         lambda inst, cfg: cluster_values(inst),
         lambda inst, cfg: literal_liminf(inst),
     )
-
-
-def make_bwt_n() -> ProblemSpec:
-    base = make_cl_n()
-    return ProblemSpec("bwt_n", base.domain_check, base.verify,
-                       base.enumerate_answers, base.solve_ref)
 
 
 def make_liminf_n() -> ProblemSpec:
@@ -365,7 +352,7 @@ def problem_registry() -> dict[str, ProblemSpec]:
         make_cn(),
         make_kn(),
         make_cl_n(),
-        make_bwt_n(),
+        replace(make_cl_n(), name="bwt_n"),
         make_liminf_n(),
         make_g(),
         make_kol(),

@@ -40,8 +40,10 @@ from .spaces import (
     Constant,
     Generated,
     Literal,
+    _word_of,
     descriptor_get,
     literal_is_zero,
+    literal_least_absent,
     literal_limit,
     literal_value,
     literal_values,
@@ -169,16 +171,7 @@ def report_to_json(report: ReductionReport, corpus_name: str) -> str:
 
 
 def _span(x: Literal) -> int:
-    word = x.tail.word if hasattr(x.tail, "word") else (x.tail.value,)
-    return len(x.prefix) + len(word)
-
-
-def _least_absent(x: Literal) -> Nat:
-    present = literal_values(x)
-    m = 0
-    while m in present:
-        m += 1
-    return m
+    return len(x.prefix) + len(_word_of(x.tail))
 
 
 def catalog_cn_limn() -> ReductionPair:
@@ -193,7 +186,7 @@ def catalog_cn_limn() -> ReductionPair:
             while m in seen:
                 m += 1
             guesses.append(m)
-        return Literal(tuple(guesses), Constant(_least_absent(x)))
+        return Literal(tuple(guesses), Constant(literal_least_absent(x)))
 
     return ReductionPair("cn_limn", K, lambda x, a: a)
 
@@ -232,8 +225,7 @@ def catalog_liminf_minhat() -> ReductionPair:
     least cluster point."""
 
     def K(x):
-        word = x.tail.word if hasattr(x.tail, "word") else (x.tail.value,)
-        always = set(word)
+        always = set(_word_of(x.tail))
         counts: dict = {}
         for v in x.prefix:
             counts[v] = counts.get(v, 0) + 1
@@ -367,29 +359,43 @@ def _extract(i: Nat, stride: int, which: int) -> Nat:
         raise ReductionAbort(str(stop))
 
 
-def make_ghat_spec() -> ProblemSpec:
+def _unpack_ghat(x):
+    return (x[0], _GHAT_STRIDE, x[1]) if isinstance(x, tuple) and len(x) == 2 else None
+
+
+def _unpack_gstar(x):
+    return (x[1], x[0], x[2]) if isinstance(x, tuple) and len(x) == 3 else None
+
+
+def _component_spec(name: str, unpack) -> ProblemSpec:
     """Per-component view of the parallelized least-index problem.
 
-    Instances are (tupled Generated descriptor, component); an answer is
-    any index computing that component on the window.
+    `unpack` reads an instance as (tupled Generated descriptor, stride,
+    component), or gives None for a wrong shape; an answer is any index
+    computing that component on the window.
     """
 
     def shaped(x) -> bool:
-        return (isinstance(x, tuple) and len(x) == 2
-                and isinstance(x[0], Generated) and x[1] in range(_GHAT_STRIDE))
+        parts = unpack(x)
+        if parts is None:
+            return False
+        tupled, stride, which = parts
+        return (isinstance(stride, int) and stride >= 1
+                and isinstance(tupled, Generated) and which in range(stride))
 
     def in_domain(x, cfg):
         return shaped(x) and _component_targets(
-            x[0], _GHAT_STRIDE, x[1], cfg.oracle.window) is not None
+            *unpack(x), cfg.oracle.window) is not None
 
     def verify(x, a, cfg):
-        targets = _component_targets(x[0], _GHAT_STRIDE, x[1], cfg.oracle.window)
+        tupled, stride, which = unpack(x)
+        targets = _component_targets(tupled, stride, which, cfg.oracle.window)
         if targets is None:
             return False
         for n, want in enumerate(targets):
             # padded so extraction overhead on top of a cap-verified
             # tupled index cannot masquerade as divergence
-            budget = affine_budget(_GHAT_STRIDE, x[1], n, cfg.oracle.cap)
+            budget = affine_budget(stride, which, n, cfg.oracle.cap)
             out = evaluate(a, n, budget)
             if not isinstance(out, Halted) or out.value != want:
                 return False
@@ -400,42 +406,20 @@ def make_ghat_spec() -> ProblemSpec:
             i for i in range(cfg.oracle.index_bound + 1) if verify(x, i, cfg))
 
     def solve_ref(x, cfg):
-        return precompose_affine(x[0].index, _GHAT_STRIDE, x[1])
+        tupled, stride, which = unpack(x)
+        return precompose_affine(tupled.index, stride, which)
 
-    return ProblemSpec("ghat", in_domain, verify, enumerate_answers, solve_ref)
+    return ProblemSpec(name, in_domain, verify, enumerate_answers, solve_ref)
+
+
+def make_ghat_spec() -> ProblemSpec:
+    """Instances are (tupled, component) at the fixed stride 2."""
+    return _component_spec("ghat", _unpack_ghat)
 
 
 def make_gstar_spec() -> ProblemSpec:
     """Finite-family variant: instances are (width, tupled, component)."""
-
-    def shaped(x) -> bool:
-        return (isinstance(x, tuple) and len(x) == 3
-                and isinstance(x[0], int) and x[0] >= 1
-                and isinstance(x[1], Generated) and x[2] in range(x[0]))
-
-    def in_domain(x, cfg):
-        return shaped(x) and _component_targets(
-            x[1], x[0], x[2], cfg.oracle.window) is not None
-
-    def verify(x, a, cfg):
-        targets = _component_targets(x[1], x[0], x[2], cfg.oracle.window)
-        if targets is None:
-            return False
-        for n, want in enumerate(targets):
-            budget = affine_budget(x[0], x[2], n, cfg.oracle.cap)
-            out = evaluate(a, n, budget)
-            if not isinstance(out, Halted) or out.value != want:
-                return False
-        return True
-
-    def enumerate_answers(x, cfg):
-        return frozenset(
-            i for i in range(cfg.oracle.index_bound + 1) if verify(x, i, cfg))
-
-    def solve_ref(x, cfg):
-        return precompose_affine(x[1].index, x[0], x[2])
-
-    return ProblemSpec("gstar", in_domain, verify, enumerate_answers, solve_ref)
+    return _component_spec("gstar", _unpack_gstar)
 
 
 def make_family_g_spec() -> ProblemSpec:
@@ -472,29 +456,27 @@ def make_family_g_spec() -> ProblemSpec:
     return ProblemSpec("g_family", in_domain, verify, enumerate_answers, solve_ref)
 
 
-def catalog_ghat_g() -> ReductionPair:
+def _component_pair(name: str, unpack) -> ReductionPair:
     """One tupled least-index answer serves every component: extraction
     is precomposition with the stride embedding."""
 
     def K(x):
-        return x[0]
+        return unpack(x)[0]
 
     def H(x, i):
-        return _extract(i, _GHAT_STRIDE, x[1])
+        _, stride, which = unpack(x)
+        return _extract(i, stride, which)
 
-    return ReductionPair("ghat_g", K, H)
+    return ReductionPair(name, K, H)
+
+
+def catalog_ghat_g() -> ReductionPair:
+    return _component_pair("ghat_g", _unpack_ghat)
 
 
 def catalog_gstar_g() -> ReductionPair:
     """Finite variant of ghat_g; the width tag travels in the instance."""
-
-    def K(x):
-        return x[1]
-
-    def H(x, i):
-        return _extract(i, x[0], x[2])
-
-    return ReductionPair("gstar_g", K, H)
+    return _component_pair("gstar_g", _unpack_gstar)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,15 @@ def literal_liminf(d: Literal) -> Nat:
     return min(cluster_values(d))
 
 
+def literal_least_absent(d: Literal) -> Nat:
+    """Least value the sequence never takes."""
+    present = literal_values(d)
+    n = 0
+    while n in present:
+        n += 1
+    return n
+
+
 def prepend_literal(values: Sequence[Nat], d: Literal) -> Literal:
     return Literal(tuple(values) + d.prefix, d.tail)
 

@@ -55,6 +55,12 @@ def test_enumerate_prints_known_rows(capsys):
     assert rows[2].startswith("2\tS 0\t1,2,3")
 
 
+def test_enumerate_window_is_inclusive(capsys):
+    assert run("enumerate", 2, 2, "--window", 3) == 0
+    row = capsys.readouterr().out.strip()
+    assert row == "2\tS 0\t1,2,3,4"
+
+
 def test_corpus_gen_then_learn_enum(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run("corpus-gen", "total-programs", "--size", 6, "--seed", 1,

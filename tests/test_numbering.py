@@ -38,7 +38,6 @@ from godellab.numbering import (
     pair_walk_budget,
     parse_program,
     precompose_affine,
-    project_component,
     run_loop,
     run_program,
     stride_tuple_budget,
@@ -350,6 +349,14 @@ def test_run_program_agrees_with_indexed_evaluation(index, arg, budget):
     assert run_program(decode(index), arg, budget) == evaluate(index, arg, budget)
 
 
+def test_run_program_top_level_is_off_the_evb_chain():
+    # EVB 0 0 0 0 calls (11, 11): evaluate cuts it as re-entrant, while
+    # run_program's top-level run is not on the chain, so the call runs
+    assert decode(11) == _prog("EVB 0 0 0 0")
+    assert run_program(decode(11), 11, 100) == Halted(1, 1)
+    assert evaluate(11, 11, 100) == Halted(0, 1)
+
+
 def test_run_program_handles_wide_unary_programs():
     wide = Program(tuple(Instruction("S", (0,)) for _ in range(500)))
     assert run_program(wide, 3, 500) == Halted(503, 500)
@@ -412,8 +419,30 @@ def test_s_const_rejects_unrepresentable():
         s_const(0, 6)
 
 
-def test_project_component_is_s_const():
-    assert project_component(2, 1) == s_const(2, 1)
+# names {0, 3, 10**9}: the identity while registers start at 0, and 0 on
+# positive inputs once R3 is disturbed, so a scratch base at the dense
+# register count (3) instead of past the largest name shows up
+_HUGE = parse_program("J 1000000000 3 2\nZ 0")
+
+
+def test_huge_register_names_evaluate_like_small_ones():
+    index = encode(_HUGE)
+    for n in range(4):
+        out = evaluate(index, n, 10)
+        assert out == Halted(n, 1)
+        assert run_program(_HUGE, n, 10) == out
+        assert _reference_eval(index, n, 10) == out
+
+
+def test_emitters_put_scratch_past_the_largest_register_name():
+    index = encode(_HUGE)
+    for n in range(4):
+        budget = s_const_budget(0, n, 1)
+        out = evaluate(s_const(index, 0), n, budget)
+        assert isinstance(out, Halted) and out.value == pair(0, n)
+        budget = affine_budget(2, 1, n, 1)
+        out = evaluate(precompose_affine(index, 2, 1), n, budget)
+        assert isinstance(out, Halted) and out.value == 2 * n + 1
 
 
 def test_precompose_affine():
