@@ -27,8 +27,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numbering import Halted, Nat, ProgramIndex, encode, evaluate, first_value_program
-from .oracles import Compatible, OracleConfig, compatible, window_verify
-from .spaces import PARTIAL, SeqDescriptor, descriptor_get
+from .oracles import (
+    Compatible,
+    OracleConfig,
+    compatible,
+    universe,
+    window_targets,
+    window_verify,
+)
+from .spaces import SeqDescriptor
 
 # ---------------------------------------------------------------------------
 # configuration, traces, outcomes
@@ -66,16 +73,6 @@ class PromiseViolation:
     learner: str
     reason: str
     survivors: tuple = ()
-
-
-def _targets(p: SeqDescriptor, window: Nat) -> list[Nat]:
-    out = []
-    for n in range(window + 1):
-        v = descriptor_get(p, n)
-        if v is PARTIAL:
-            raise ValueError(f"instance is partial at {n}; learners need totality")
-        out.append(v)
-    return out
 
 
 def run_to_limit(guesses: Iterable[Nat], stability_window: Nat,
@@ -158,7 +155,7 @@ def enum_learner_audit(p: SeqDescriptor, klass: str, cfg: LearnerConfig):
         candidates = default_loop_compiler.indices()
     else:
         raise ValueError("class must be 'full' or 'total'")
-    targets = _targets(p, cfg.window)
+    targets = window_targets(p, cfg.oracle())
     witnesses: list = []
     trace = run_to_limit(
         _enum_guesses(candidates, targets, cfg, witnesses),
@@ -197,22 +194,23 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> PocketTable:
     if m < 0:
         raise ValueError("universe bound must be a natural")
     oracle = cfg.oracle()
-    verdicts = {}
+    table = universe(oracle)
+    by_row: dict[tuple, list[ProgramIndex]] = {}
     for i in range(m + 1):
-        for j in range(i, m + 1):
-            verdicts[(i, j)] = isinstance(compatible(i, j, oracle), Compatible)
+        by_row.setdefault(table.row(i), []).append(i)
+    # indices with one row share one pocket: compare the least of each
+    classes = {same[0]: same for same in by_row.values()}
+    agree = {(a, b): isinstance(compatible(a, b, oracle), Compatible)
+             for a in classes for b in classes}
 
-    def agree(a, b):
-        return verdicts[(a, b) if a <= b else (b, a)]
-
-    pockets = []
-    for i in range(m + 1):
-        members = frozenset(j for j in range(m + 1) if agree(i, j))
-        internal = all(
-            agree(a, b) for a in members for b in members if a < b
-        )
-        pockets.append(Pocket(i, members, internal))
-    return PocketTable(tuple(pockets), ())
+    shared = {}
+    for a, same in classes.items():
+        mates = [b for b in classes if agree[a, b]]
+        members = frozenset(j for b in mates for j in classes[b])
+        internal = all(agree[b, c] for b in mates for c in mates)
+        for i in same:
+            shared[i] = (members, internal)
+    return PocketTable(tuple(Pocket(i, *shared[i]) for i in range(m + 1)), ())
 
 
 def prune_pockets(table: PocketTable) -> PocketTable:
@@ -229,28 +227,25 @@ def prune_pockets(table: PocketTable) -> PocketTable:
     return PocketTable(table.pockets, tuple(survivors))
 
 
+def _refutes(got: Optional[Nat], want: Nat) -> bool:
+    """A halting disagreement; running out of cap refutes nothing."""
+    return got is not None and got != want
+
+
 def _pocket_scan(targets: Sequence[Nat], survivors: Sequence[Pocket],
-                 cap: Nat) -> tuple[list[Pocket], list[Nat]]:
+                 oracle: OracleConfig) -> tuple[list[Pocket], list[Nat]]:
     """Eliminate p-incompatible pockets along the instance's prefix.
 
     A pocket dies at position n when one of its members halts there with
     a value different from the target.  Emits the leading live anchor
     per stage as the guess stream.
     """
+    value = universe(oracle).value
     alive = list(survivors)
     guesses = []
     for n, want in enumerate(targets):
-        still = []
-        for pocket in alive:
-            dead = False
-            for j in sorted(pocket.members):
-                out = evaluate(j, n, cap)
-                if isinstance(out, Halted) and out.value != want:
-                    dead = True
-                    break
-            if not dead:
-                still.append(pocket)
-        alive = still
+        alive = [pocket for pocket in alive if not any(
+            _refutes(value(j, n), want) for j in sorted(pocket.members))]
         if not alive:
             break
         guesses.append(alive[0].anchor)
@@ -276,9 +271,10 @@ def amalgamation_learn(
     window.  Zero or several survivors are reported as a promise
     violation, not an error.
     """
-    targets = _targets(p, cfg.window)
+    oracle = cfg.oracle()
+    targets = window_targets(p, oracle)
     table = prune_pockets(build_pockets(m, cfg))
-    alive, guesses = _pocket_scan(targets, table.survivors, cfg.cap)
+    alive, guesses = _pocket_scan(targets, table.survivors, oracle)
     trace = run_to_limit(guesses, cfg.stability_window, cfg.max_steps)
     if len(alive) != 1:
         return PromiseViolation(
@@ -289,7 +285,7 @@ def amalgamation_learn(
     final = PocketTable(table.pockets, tuple(alive))
     members = sorted(alive[0].members)
     index = encode(first_value_program(members))
-    verified = window_verify(index, p, cfg.oracle())
+    verified = window_verify(index, p, oracle)
     return AmalgamationResult(index, final, trace, verified)
 
 
@@ -328,15 +324,14 @@ def bounded_min_learner(
     """
     if k < 0:
         raise ValueError("k must be a natural")
-    targets = _targets(p, cfg.window)
+    oracle = cfg.oracle()
+    targets = window_targets(p, oracle)
+    value = universe(oracle).value
     members = set(range(k + 1))
     sets = [frozenset(members)]
     codes = [set_code(members, k)]
     for n, want in enumerate(targets):
-        for j in sorted(members):
-            out = evaluate(j, n, cfg.cap)
-            if isinstance(out, Halted) and out.value != want:
-                members.discard(j)
+        members = {j for j in members if not _refutes(value(j, n), want)}
         sets.append(frozenset(members))
         codes.append(set_code(members, k))
         if not members:
@@ -347,7 +342,7 @@ def bounded_min_learner(
             "bounded_min", "every index of 0..k was refuted; promise k >= Kol(p) fails"
         )
     index = encode(first_value_program(sorted(members)))
-    verified = window_verify(index, p, cfg.oracle())
+    verified = window_verify(index, p, oracle)
     if not verified:
         return PromiseViolation(
             "bounded_min",
@@ -368,16 +363,13 @@ def kol_liminf_enumerator(p: SeqDescriptor, cfg: LearnerConfig) -> tuple[tuple[N
     every late stage are exactly the window-verified ones, so the least
     final-stage emission is the capped Kolmogorov complexity of p.
     """
-    targets = _targets(p, cfg.window)
+    oracle = cfg.oracle()
+    targets = window_targets(p, oracle)
+    value = universe(oracle).value
     stages = []
-    alive = list(range(cfg.index_bound + 1))
-    for t in range(cfg.window + 1):
-        still = []
-        for i in alive:
-            out = evaluate(i, t, cfg.cap)
-            if isinstance(out, Halted) and out.value == targets[t]:
-                still.append(i)
-        alive = still
+    alive = range(cfg.index_bound + 1)
+    for t, want in enumerate(targets):
+        alive = [i for i in alive if value(i, t) == want]
         stages.append(tuple(alive))
     return tuple(stages)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Nat = int
 ProgramIndex = int

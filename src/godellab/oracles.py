@@ -12,12 +12,25 @@ documents which way the approximation errs:
   * min_index: the scan is exact relative to the capped universe; the
     result can only drop when the cap grows.
 
+The brute-force scan of the bounded universe is one table per
+OracleConfig (`Universe`), shared by every scan here and in the problems
+and learners.  Row i holds phi_i on 0..window under the cap, and an
+inverted map sends each row to the indices computing it, so
+`min_index` and `verified_indices` are lookups, and `window_verify` /
+`compatible` read stored cells.  The table is lazy: rows are started in
+index order and each is read only as far as a query needs, so a
+least-index query starts no row past the least index.
+`clear_oracle_cache()` drops every table.  Indices above index_bound
+(emitted programs) are evaluated directly, with early exits, and never
+stored.
+
 All range bounds in this module are inclusive: window w means arguments
 0..w, index_bound b means candidates 0..b.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,6 +68,130 @@ CompatibilityVerdict = Union[Compatible, Incompatible]
 
 
 # ---------------------------------------------------------------------------
+# the universe table
+
+Row = tuple[Optional[Nat], ...]
+
+
+def _value_of(out: EvalOutcome) -> Optional[Nat]:
+    return out.value if isinstance(out, Halted) else None
+
+
+class Universe:
+    """The capped universe 0..index_bound of one config.
+
+    Row i is phi_i on positions 0..window under the cap, None where the
+    cap runs out.  Rows are started in index order and their cells are
+    computed in position order, each only as far as a query needs: a
+    least-index query reads a candidate only until it misses, as a plain
+    scan would, and starts no row past the least index.  A row whose
+    cells are all known goes into `inverted`, which sends it to its
+    indices in increasing order.  `prefixes` keeps the values of each
+    queried descriptor.
+    """
+
+    def __init__(self, cfg: OracleConfig):
+        self.cfg = cfg
+        # per started index: the cells known so far (a list), or the
+        # whole row (a tuple)
+        self.rows: list = []
+        self.done = 0    # rows 0..done-1 are whole
+        self.inverted: dict[Row, list[ProgramIndex]] = {}
+        self.prefixes: dict[SeqDescriptor, tuple[Nat, ...]] = {}
+
+    def value(self, i: ProgramIndex, n: Nat) -> Optional[Nat]:
+        """phi_i(n) under the cap, or None; kept inside the table."""
+        if not (0 <= i <= self.cfg.index_bound and 0 <= n <= self.cfg.window):
+            return _value_of(evaluate(i, n, self.cfg.cap))
+        rows = self.rows
+        while len(rows) <= i:
+            rows.append([])
+        known = rows[i]
+        while len(known) <= n:
+            known.append(_value_of(evaluate(i, len(known), self.cfg.cap)))
+            if len(known) > self.cfg.window:
+                rows[i] = known = tuple(known)
+                insort(self.inverted.setdefault(known, []), i)
+                while self.done < len(rows) and isinstance(rows[self.done], tuple):
+                    self.done += 1
+        return known[n]
+
+    def row(self, i: ProgramIndex) -> Row:
+        """The whole row of i; one above index_bound is not kept."""
+        if not 0 <= i <= self.cfg.index_bound:
+            return tuple(self.value(i, n) for n in range(self.cfg.window + 1))
+        self.value(i, self.cfg.window)
+        return self.rows[i]
+
+    def agrees(self, i: ProgramIndex, values: tuple[Nat, ...]) -> bool:
+        """True iff the row of i starts with values; stops at a miss."""
+        if 0 <= i < len(self.rows) and isinstance(self.rows[i], tuple):
+            return self.rows[i][:len(values)] == values
+        return all(self.value(i, n) == want for n, want in enumerate(values))
+
+    def least(self, targets: tuple[Nat, ...]) -> Optional[ProgramIndex]:
+        """Least index whose row is targets."""
+        hits = self.inverted.get(targets)
+        stop = hits[0] if hits else self.cfg.index_bound + 1
+        # a whole row below stop is not targets; the rest are read until
+        # they miss
+        for i in range(self.done, stop):
+            if self.agrees(i, targets):
+                return i
+        return stop if hits else None
+
+    def verified(self, targets: tuple[Nat, ...]) -> tuple[ProgramIndex, ...]:
+        """Every index whose row is targets; completes the whole table."""
+        for i in range(self.done, self.cfg.index_bound + 1):
+            self.value(i, self.cfg.window)
+        return tuple(self.inverted.get(targets, ()))
+
+    def prefix(self, d: SeqDescriptor) -> tuple[Nat, ...]:
+        """d's values on 0..window before its first PARTIAL position."""
+        out = self.prefixes.get(d)
+        if out is None:
+            values = []
+            for n in range(self.cfg.window + 1):
+                v = descriptor_get(d, n)
+                if v is PARTIAL:
+                    break
+                values.append(v)
+            out = self.prefixes[d] = tuple(values)
+        return out
+
+
+_universes: dict[OracleConfig, Universe] = {}
+
+
+def clear_oracle_cache() -> None:
+    _universes.clear()
+
+
+def universe(cfg: OracleConfig) -> Universe:
+    """The table of cfg, shared by every query until clear_oracle_cache."""
+    table = _universes.get(cfg)
+    if table is None:
+        table = _universes[cfg] = Universe(cfg)
+    return table
+
+
+def _require_total(values: tuple[Nat, ...], cfg: OracleConfig) -> tuple[Nat, ...]:
+    if len(values) <= cfg.window:
+        raise ValueError(f"descriptor is partial at {len(values)}; oracle needs totality")
+    return values
+
+
+def window_targets(d: SeqDescriptor, cfg: OracleConfig) -> tuple[Nat, ...]:
+    """d(0), ..., d(window); ValueError when d is PARTIAL on the window."""
+    return _require_total(universe(cfg).prefix(d), cfg)
+
+
+def total_on_window(d: SeqDescriptor, cfg: OracleConfig) -> bool:
+    """True iff no position of 0..window reads PARTIAL."""
+    return len(universe(cfg).prefix(d)) > cfg.window
+
+
+# ---------------------------------------------------------------------------
 # halting and compatibility
 
 
@@ -70,35 +207,28 @@ def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> Compatibi
     replay identically); Compatible can flip to Incompatible when the
     cap or window grows, never back.
     """
+    table = universe(cfg)
     for n in range(cfg.window + 1):
-        a = halts(i, n, cfg)
-        if not isinstance(a, Halted):
+        a = table.value(i, n)
+        if a is None:
             continue
-        b = halts(j, n, cfg)
-        if isinstance(b, Halted) and a.value != b.value:
-            return Incompatible(n, a.value, b.value)
+        b = table.value(j, n)
+        if b is not None and a != b:
+            return Incompatible(n, a, b)
     return Compatible()
 
 
-def _targets(d: SeqDescriptor, window: Nat) -> list[Nat]:
-    out = []
-    for n in range(window + 1):
-        v = descriptor_get(d, n)
-        if v is PARTIAL:
-            raise ValueError(f"descriptor is partial at {n}; oracle needs totality")
-        out.append(v)
-    return out
-
-
 def window_verify(i: ProgramIndex, d: SeqDescriptor, cfg: OracleConfig) -> bool:
-    """Capped stand-in for phi_i = d: agreement on all of 0..window."""
-    for n in range(cfg.window + 1):
-        v = descriptor_get(d, n)
-        if v is PARTIAL:
-            raise ValueError(f"descriptor is partial at {n}; oracle needs totality")
-        out = halts(i, n, cfg)
-        if not isinstance(out, Halted) or out.value != v:
-            return False
+    """Capped stand-in for phi_i = d: agreement on all of 0..window.
+
+    A candidate that disagrees with d before d's first PARTIAL position
+    is rejected; one that agrees up to it raises ValueError.
+    """
+    table = universe(cfg)
+    values = table.prefix(d)
+    if not table.agrees(i, values):
+        return False
+    _require_total(values, cfg)
     return True
 
 
@@ -136,34 +266,15 @@ def search_R(k: Nat, lower: Nat, cfg: OracleConfig, search_limit: Nat) -> Option
 # ---------------------------------------------------------------------------
 # brute-force least index
 
-_min_cache: dict = {}
-
-
-def clear_oracle_cache() -> None:
-    _min_cache.clear()
-
 
 def min_index(d: SeqDescriptor, cfg: OracleConfig) -> Optional[ProgramIndex]:
     """Least i <= index_bound window-verifying d; None when no index fits.
 
     The ground-truth answer for the whole Godel family at desk scale.
-    Memoized per (descriptor, config); the cache is transparent because
-    both the evaluator and the descriptor reads are deterministic.
     """
-    key = (d, cfg)
-    if key in _min_cache:
-        return _min_cache[key]
-    targets = _targets(d, cfg.window)
-    found = None
-    for i in range(cfg.index_bound + 1):
-        ok = True
-        for n, want in enumerate(targets):
-            out = halts(i, n, cfg)
-            if not isinstance(out, Halted) or out.value != want:
-                ok = False
-                break
-        if ok:
-            found = i
-            break
-    _min_cache[key] = found
-    return found
+    return universe(cfg).least(window_targets(d, cfg))
+
+
+def verified_indices(d: SeqDescriptor, cfg: OracleConfig) -> tuple[ProgramIndex, ...]:
+    """Every i <= index_bound window-verifying d, increasing."""
+    return universe(cfg).verified(window_targets(d, cfg))

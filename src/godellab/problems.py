@@ -33,18 +33,22 @@ Domain conventions, following the source definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, FrozenSet
 
 from .numbering import Nat
-from .oracles import OracleConfig, min_index, window_verify
+from .oracles import (
+    OracleConfig,
+    min_index,
+    total_on_window,
+    verified_indices,
+    window_verify,
+)
 from .spaces import (
-    PARTIAL,
     Generated,
     Literal,
     SeqDescriptor,
     cluster_values,
     component_literal,
-    descriptor_get,
     is_convergent,
     literal_is_zero,
     literal_least_absent,
@@ -250,13 +254,7 @@ def make_liminf_n() -> ProblemSpec:
 
 
 def _total_on_window(d: SeqDescriptor, cfg: ProblemConfig) -> bool:
-    if isinstance(d, Literal):
-        return True
-    if not isinstance(d, Generated):
-        return False
-    return all(
-        descriptor_get(d, n) is not PARTIAL for n in range(cfg.oracle.window + 1)
-    )
+    return isinstance(d, (Literal, Generated)) and total_on_window(d, cfg.oracle)
 
 
 def _g_domain(d, cfg: ProblemConfig) -> bool:
@@ -264,13 +262,7 @@ def _g_domain(d, cfg: ProblemConfig) -> bool:
 
 
 def _verified_indices(d, cfg: ProblemConfig) -> FrozenSet[Nat]:
-    least = min_index(d, cfg.oracle)
-    if least is None:
-        return frozenset()
-    return frozenset(
-        i for i in range(least, cfg.oracle.index_bound + 1)
-        if window_verify(i, d, cfg.oracle)
-    )
+    return frozenset(verified_indices(d, cfg.oracle))
 
 
 def make_g() -> ProblemSpec:

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 from .learners import LearnerConfig, enum_learner
 from .numbering import Halted, Nat, affine_budget, evaluate, precompose_affine
-from .oracles import min_index, search_R, window_verify
+from .oracles import min_index, search_R, total_on_window, verified_indices, window_verify
 from .problems import ProblemConfig, ProblemSpec, problem_registry
 from .spaces import (
     PARTIAL,
@@ -433,19 +433,13 @@ def make_family_g_spec() -> ProblemSpec:
     """
 
     def in_domain(y, cfg):
-        if not isinstance(y, Generated):
-            return False
-        return all(
-            descriptor_get(y, n) is not PARTIAL
-            for n in range(cfg.oracle.window + 1))
+        return isinstance(y, Generated) and total_on_window(y, cfg.oracle)
 
     def verify(y, a, cfg):
         return window_verify(a, y, cfg.oracle)
 
     def enumerate_answers(y, cfg):
-        found = {
-            i for i in range(cfg.oracle.index_bound + 1)
-            if window_verify(i, y, cfg.oracle)}
+        found = set(verified_indices(y, cfg.oracle))
         if window_verify(y.index, y, cfg.oracle):
             found.add(y.index)
         return frozenset(found)

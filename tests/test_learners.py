@@ -227,7 +227,7 @@ def test_pruned_pockets_form_an_antichain(m):
 def test_pocket_scan_keeps_exactly_the_instance_pocket():
     table = prune_pockets(build_pockets(7, CFG))
     targets = [0] * (CFG.window + 1)
-    alive, guesses = _pocket_scan(targets, table.survivors, CFG.cap)
+    alive, guesses = _pocket_scan(targets, table.survivors, CFG.oracle())
     assert [set(p.members) for p in alive] == [{1, 3, 5, 7}]
     assert guesses[0] == 0  # identity pocket still alive at position 0
     assert guesses[-1] == 1
@@ -235,7 +235,7 @@ def test_pocket_scan_keeps_exactly_the_instance_pocket():
 
 def test_pocket_scan_reports_plural_survivors():
     twins = [Pocket(1, frozenset({1}), True), Pocket(3, frozenset({3}), True)]
-    alive, _ = _pocket_scan([0, 0, 0], twins, CFG.cap)
+    alive, _ = _pocket_scan([0, 0, 0], twins, CFG.oracle())
     assert len(alive) == 2
 
 

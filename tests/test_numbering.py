@@ -23,7 +23,6 @@ from godellab.numbering import (
     clear_eval_cache,
     compile_loop,
     decode,
-    decode_instruction,
     decode_list,
     default_loop_compiler,
     diagonal_program,
@@ -225,7 +224,8 @@ def _reference_run(program, arg, budget, chain=frozenset(), depth_limit=64):
             if sub in chain or len(chain) >= depth_limit:
                 regs[a[3]] = 0
             else:
-                inner = _reference_eval(sub[0], sub[1], regs.get(a[2], 0), chain)
+                inner = _reference_eval(sub[0], sub[1], regs.get(a[2], 0), chain,
+                                        depth_limit)
                 if isinstance(inner, Halted):
                     regs[a[3]] = inner.value + 1
                 else:

@@ -6,10 +6,14 @@ the empty program (identity), 1 is [Z 0], 2 is [S 0], 6 is [Z 0, S 0],
 by enumerating the candidate indices i < n by hand.
 """
 
+import random
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from godellab.numbering import BudgetExceeded, Halted, clear_eval_cache
+from godellab.learners import LearnerConfig, kol_liminf_enumerator
+from godellab.numbering import BudgetExceeded, Halted, clear_eval_cache, evaluate
 from godellab.oracles import (
     Compatible,
     Incompatible,
@@ -20,14 +24,17 @@ from godellab.oracles import (
     in_R,
     min_index,
     search_R,
+    universe,
     window_verify,
 )
+from godellab.problems import ProblemConfig, make_g
 from godellab.spaces import (
     Constant,
     Generated,
     Literal,
     Periodic,
     compile_literal,
+    descriptor_get,
     literal_eval_budget,
 )
 
@@ -55,8 +62,6 @@ def test_halts_frozen_examples():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3000), st.integers(0, 8))
 def test_halts_is_eval_under_cap(i, n):
-    from godellab.numbering import evaluate
-
     assert halts(i, n, CFG) == evaluate(i, n, CFG.cap)
 
 
@@ -232,3 +237,112 @@ def test_min_cache_is_transparent():
     clear_eval_cache()
     c = min_index(ZERO, CFG)
     assert a == b == c
+
+
+# ---------------------------------------------------------------------------
+# window verification against a partial descriptor
+
+# [J 0 1 3, S 1, J 0 0 0] counts R1 up to the argument: the identity in
+# 3n + 1 steps, so under budget 7 it settles 0, 1, 2 and is PARTIAL from 3
+COUNT_UP = Generated(193853, 7)
+
+
+@pytest.mark.parametrize("index_bound", [120, 1])
+def test_window_verify_partial_descriptor_direction(index_bound):
+    # the same verdicts inside the table (120) and above it (1)
+    cfg = OracleConfig(cap=200, window=8, index_bound=index_bound)
+    # disagreeing before the first PARTIAL position is a plain False
+    assert window_verify(1, COUNT_UP, cfg) is False   # 0, 0: differs at 1
+    assert window_verify(2, COUNT_UP, cfg) is False   # 1: differs at 0
+    assert window_verify(7, COUNT_UP, cfg) is False   # diverges at 0
+    # agreeing up to it leaves the oracle without a target: an error
+    with pytest.raises(ValueError, match="partial at 3"):
+        window_verify(0, COUNT_UP, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the universe table against plain evaluate loops
+
+SMALL = OracleConfig(cap=60, window=5, index_bound=40)
+ABOVE = 12   # indices past index_bound that the scans also see
+DESCRIPTORS = (
+    ZERO, ONE_HAT, IDENTITY, SUCC, PLUS_TWO,
+    Literal((0,), Constant(1)),
+    Literal((1, 0), Periodic((0, 1))),
+    Literal((5,), Constant(6)),        # nothing in the universe computes it
+    Literal((0, 0, 0, 0, 0), Constant(1)),   # the zero rows miss it at 5 only
+    Generated(55, 40),
+    Generated(65, 40),
+)
+
+
+def _plain_row(i, cfg):
+    outs = [evaluate(i, n, cfg.cap) for n in range(cfg.window + 1)]
+    return tuple(o.value if isinstance(o, Halted) else None for o in outs)
+
+
+def _plain_compatible(i, j, cfg):
+    for n in range(cfg.window + 1):
+        a, b = evaluate(i, n, cfg.cap), evaluate(j, n, cfg.cap)
+        if isinstance(a, Halted) and isinstance(b, Halted) and a.value != b.value:
+            return Incompatible(n, a.value, b.value)
+    return Compatible()
+
+
+def _queries(cfg):
+    """(query, answer) pairs for every scan the table serves; the answers
+    come from plain loops over evaluate."""
+    bound, window = cfg.index_bound, cfg.window
+    rows = {i: _plain_row(i, cfg) for i in range(bound + ABOVE + 1)}
+    lcfg = LearnerConfig(bound, window, cfg.cap, stability_window=2, max_steps=50)
+    pcfg = ProblemConfig(cfg, ceiling=50)
+    g = make_g()
+    out = []
+    for d in DESCRIPTORS:
+        want = tuple(descriptor_get(d, n) for n in range(window + 1))
+        hits = [i for i in range(bound + 1) if rows[i] == want]
+        out.append((partial(min_index, d, cfg), hits[0] if hits else None))
+        out.append((partial(g.enumerate_answers, d, pcfg), frozenset(hits)))
+        stages = tuple(
+            tuple(i for i in range(bound + 1) if rows[i][:t + 1] == want[:t + 1])
+            for t in range(window + 1))
+        out.append((partial(kol_liminf_enumerator, d, lcfg), stages))
+        for i in range(0, bound + ABOVE + 1, 3):
+            out.append((partial(window_verify, i, d, cfg), rows[i] == want))
+    for i in range(0, bound + ABOVE + 1, 4):
+        for j in range(0, bound + ABOVE + 1, 5):
+            out.append((partial(compatible, i, j, cfg), _plain_compatible(i, j, cfg)))
+    return out
+
+
+def test_universe_table_matches_plain_loops():
+    queries = _queries(SMALL)
+    assert any(answer is None for _, answer in queries)
+    assert any(isinstance(answer, frozenset) and len(answer) > 1
+               for _, answer in queries)
+
+    def run(seed):
+        order = list(queries)
+        random.Random(seed).shuffle(order)
+        return [(q, q(), answer) for q, answer in order]
+
+    clear_oracle_cache()
+    clear_eval_cache()
+    first = run(1)
+    second = run(2)          # on the table the first order filled
+    clear_oracle_cache()
+    clear_eval_cache()
+    cold = run(2)
+    alone = []               # each query on a table of its own
+    for q, answer in queries:
+        clear_oracle_cache()
+        alone.append((q, q(), answer))
+    for q, got, answer in first + second + cold + alone:
+        assert got == answer, (q, got, answer)
+
+
+def test_min_index_starts_no_row_past_the_least_index():
+    cfg = OracleConfig(cap=10_000, window=32, index_bound=2000)
+    clear_oracle_cache()
+    assert min_index(ZERO, cfg) == 1
+    assert len(universe(cfg).rows) == 2

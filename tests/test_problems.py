@@ -6,8 +6,6 @@ naively from such a window are exact and independent of the closed-form
 analyses the implementation uses.
 """
 
-import pytest
-
 from godellab.oracles import OracleConfig
 from godellab.problems import (
     ProblemConfig,

@@ -29,7 +29,7 @@ from godellab.numbering import (
     stride_tuple_program,
 )
 from godellab.oracles import OracleConfig, min_index
-from godellab.problems import ProblemConfig, make_cn, make_lim_n, problem_registry
+from godellab.problems import ProblemConfig, make_cn, make_lim_n
 from godellab.reductions import (
     FailureWitness,
     ReductionAbort,
