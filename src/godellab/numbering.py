@@ -181,19 +181,30 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 #
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].  Results of
-# completed evaluations are memoized per (index, input); the memo is
-# transparent, it never changes an outcome.
+# completed evaluations are memoized per (index, input).  The memo is
+# transparent with one known exception: the depth cut below depends on how
+# deep the EVB chain already is, while the memo key does not, so an entry
+# made at a shallow depth can stand in for a run that a deeper chain would
+# have cut (ROADMAP.md, "Make the memo transparent").
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
 # inner calls are treated as divergent, as are chains nested deeper than
 # _DEPTH_LIMIT.  Both cuts are independent of the outer budget, which keeps
 # budget monotonicity intact.
+#
+# Divergence is also proven outright.  The next pc and the next values of
+# the control slots (the registers a comparison can read, directly or
+# through T and EVB writes; see `_lower`) depend on nothing but the pc and
+# the control slots, so a run whose pc and control slots repeat never
+# halts, however the other registers grow.  `_run` looks for such a repeat
+# at doubling step counts.
 
 _DEPTH_LIMIT = 64
 
-# memo entries: (0, value, steps) halted | (1,) proven divergent
-#             | (2, explored) no halt within `explored` steps
+# memo entries: (0, value, steps) halted
+#             | (1,) proven never to halt: BudgetExceeded under any budget
+#             | (2, explored) no halt within `explored` steps, nothing proven
 _memo: dict[tuple[int, int], tuple] = {}
 _lower_cache: dict[int, tuple] = {}
 
@@ -204,11 +215,17 @@ def clear_eval_cache() -> None:
 
 
 def _lower(instructions: Sequence[Instruction]) -> tuple:
-    """(code, register count, largest register name) of an instruction list.
+    """(code, register count, largest register name, control slots).
 
     Registers are renumbered densely in name order, so R0 stays slot 0 and
     the register file has one slot per named register, however large the
     names are.  Jump targets are kept as they are.
+
+    The control slots are the slots whose values can reach a comparison:
+    both operands of every conditional jump (J a b k with a != b), closed
+    backwards through writes, so the source of a T into a control slot and
+    the index, argument and budget registers of an EVB into one are control
+    slots too.  They are a sorted tuple, or None when they are every slot.
     """
     names = {0}
     for ins in instructions:
@@ -216,14 +233,29 @@ def _lower(instructions: Sequence[Instruction]) -> tuple:
     order = sorted(names)
     slot = {r: i for i, r in enumerate(order)}
     code = []
+    control = set()
+    # reads[d]: the slots read by a T or EVB that writes slot d
+    reads = [[] for _ in order]
     for ins in instructions:
         tag = _OPS.index(ins.op)
         if tag == 3:
             a, b, k = ins.args
             code.append((tag, slot[a], slot[b], k))
+            if a != b:
+                control.update((slot[a], slot[b]))
         else:
-            code.append((tag,) + tuple(slot[r] for r in ins.args))
-    return tuple(code), len(order), order[-1]
+            args = tuple(slot[r] for r in ins.args)
+            code.append((tag,) + args)
+            if tag >= 2:
+                reads[args[-1]].extend(args[:-1])
+    work = list(control)
+    while work:
+        for src in reads[work.pop()]:
+            if src not in control:
+                control.add(src)
+                work.append(src)
+    ctrl = None if len(control) == len(order) else tuple(sorted(control))
+    return tuple(code), len(order), order[-1], ctrl
 
 
 def _lowered(index: int) -> tuple:
@@ -260,10 +292,10 @@ def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutco
         if tag == 1 or budget <= ent[1]:
             return BudgetExceeded(budget), True
 
-    code, nregs, _ = _lowered(index)
+    code, nregs, _, ctrl = _lowered(index)
     chain.add(key)
     try:
-        out, pure, entry = _run(code, nregs, arg, budget, chain)
+        out, pure, entry = _run(code, nregs, ctrl, arg, budget, chain)
     finally:
         chain.discard(key)
     if pure:
@@ -271,12 +303,14 @@ def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutco
     return out, pure
 
 
-def _run(code: tuple, nregs: int, arg: int, budget: int, chain: set) -> tuple:
+def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: set) -> tuple:
     """The machine step loop: (outcome, pure, memo entry).
 
     `pure` is false once an EVB call was cut or used a cut result; only a
-    pure outcome may be memoized.  A repeated machine state, checked at
-    doubling step counts, proves divergence.
+    pure outcome may be memoized.  The pc and the control slots `ctrl`
+    (every slot when None) are snapshotted at doubling step counts.  When
+    both repeat, the run provably never halts, whatever the other registers
+    hold: the outcome is BudgetExceeded(budget) with the memo entry (1,).
     """
     regs = [0] * nregs
     regs[0] = arg
@@ -285,7 +319,7 @@ def _run(code: tuple, nregs: int, arg: int, budget: int, chain: set) -> tuple:
     ncode = len(code)
     pure = True
     snap_pc = -1
-    snap_regs = None
+    snap = None
     next_snap = 8
     while True:
         if pc >= ncode:
@@ -317,11 +351,11 @@ def _run(code: tuple, nregs: int, arg: int, budget: int, chain: set) -> tuple:
                 regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
             pc += 1
         steps += 1
-        if pc == snap_pc and regs == snap_regs:
+        if pc == snap_pc and (regs if ctrl is None else [regs[c] for c in ctrl]) == snap:
             return BudgetExceeded(budget), pure, (1,)
         if steps == next_snap:
             snap_pc = pc
-            snap_regs = regs.copy()
+            snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]
             next_snap <<= 1
 
 
@@ -341,8 +375,8 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
         raise ValueError("budget must be >= 1")
     if arg < 0:
         raise ValueError("argument must be a natural")
-    code, nregs, _ = _lower(program.instructions)
-    out, _, _ = _run(code, nregs, arg, budget, set())
+    code, nregs, _, ctrl = _lower(program.instructions)
+    out, _, _ = _run(code, nregs, ctrl, arg, budget, set())
     return out
 
 
@@ -794,64 +828,11 @@ def value_table_budget(prefix: Sequence[Nat], const: Nat | None,
 
 
 # ---------------------------------------------------------------------------
-# Two handmade programs over pair codes, used as tupled-family examples.
-
-
-def unpair_first_program() -> Program:
-    """Computes n -> unpair(n)[0] by walking pair codes in order."""
-    a = _Asm()
-    # R1 probe code, R2 diagonal, R3 offset within diagonal
-    a.label("cell")
-    a.emit("J", 1, 0, "found")
-    a.emit("S", 1)
-    a.emit("J", 3, 2, "newdiag")
-    a.emit("S", 3)
-    a.emit("J", 0, 0, "cell")
-    a.label("newdiag")
-    a.emit("S", 2)
-    a.emit("Z", 3)
-    a.emit("J", 0, 0, "cell")
-    a.label("found")
-    # R0 := R2 - R3
-    a.emit("Z", 4)
-    a.emit("T", 3, 5)
-    a.label("sub")
-    a.emit("J", 5, 2, "out")
-    a.emit("S", 4)
-    a.emit("S", 5)
-    a.emit("J", 0, 0, "sub")
-    a.label("out")
-    a.emit("T", 4, 0)
-    return a.assemble()
-
-
-def diagonal_program() -> Program:
-    """Computes n -> x + y where (x, y) = unpair(n)."""
-    a = _Asm()
-    a.label("cell")
-    a.emit("J", 1, 0, "found")
-    a.emit("S", 1)
-    a.emit("J", 3, 2, "newdiag")
-    a.emit("S", 3)
-    a.emit("J", 0, 0, "cell")
-    a.label("newdiag")
-    a.emit("S", 2)
-    a.emit("Z", 3)
-    a.emit("J", 0, 0, "cell")
-    a.label("found")
-    a.emit("T", 2, 0)
-    return a.assemble()
-
-
-def pair_walk_budget(arg: Nat) -> Nat:
-    return 10 * (arg + 1) + 16
-
-
-# ---------------------------------------------------------------------------
 # Stride tupling: t(s*k + j) = body_j applied to k.  The cheap alternative
 # to pair tupling; component extraction composes with precompose_affine
-# and stays representable, which the pair walker cannot (its 15
-# instructions plus the s_const macro overrun the emission ceiling).
+# and stays representable, while a program that walks pair codes needs
+# about 15 instructions, and those plus the s_const macro overrun the
+# emission ceiling.
 
 
 def stride_tuple_program(bodies: Sequence[Program]) -> Program:

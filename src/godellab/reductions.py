@@ -19,7 +19,7 @@ universe forces a choice:
     comparison against the least zero-program index is unaffected.
   * ghat_g / gstar_g tuple components at fixed stride rather than by
     Cantor pairing: extraction then composes through precompose_affine
-    and stays under the emission ceiling, which the pair walker cannot.
+    and stays under the emission ceiling, which a pair-code walker cannot.
   * b_kolgeq / limn_g search the capped R; the final inequalities are
     re-checked against min_index rather than trusted, so an undersized
     cap surfaces as a recorded failure.

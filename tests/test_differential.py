@@ -1,0 +1,135 @@
+"""The evaluator against the independent reference interpreter.
+
+`godelbench/reference.py` shares no code with godellab: its own
+unpairing, decoding and step loop, EVB with the same cuts, and no memo,
+lowering or divergence proof.  Every outcome of the cached evaluator
+must equal its outcome, whatever the cache held before.  The hand-made
+cases below loop while one register grows and halt only once that
+growth reaches a comparison, through each way a register can feed one;
+a divergence proof that misses any of those ways reports them as
+divergent.
+"""
+
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from godellab import numbering
+from godellab.numbering import (
+    BudgetExceeded,
+    Halted,
+    clear_eval_cache,
+    decode,
+    encode,
+    evaluate,
+    parse_program,
+    run_program,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "godelbench"))
+
+import reference  # noqa: E402
+
+
+def _reference(index, arg, budget):
+    out = reference.run(index, arg, budget)
+    return BudgetExceeded(budget) if out is None else Halted(*out)
+
+
+def _cold(index, arg, budget):
+    """evaluate on an empty cache, and whether no EVB call was cut.
+
+    Only an uncut run is memoized.  When nothing was cut, the top-level
+    run's place on the EVB chain never mattered, so run_program, whose
+    top-level run is off the chain, must agree with evaluate.
+    """
+    clear_eval_cache()
+    out = evaluate(index, arg, budget)
+    return out, (index, arg) in numbering._memo
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: small EVB-heavy programs with backward jumps
+
+_REG = st.integers(0, 3)
+
+
+def _instructions(length):
+    target = st.integers(0, length)
+    evb = st.tuples(_REG, _REG, _REG, _REG).map(lambda a: "EVB %d %d %d %d" % a)
+    return st.one_of(
+        _REG.map("Z {}".format),
+        _REG.map("S {}".format),
+        st.tuples(_REG, _REG).map(lambda a: "T %d %d" % a),
+        st.tuples(_REG, _REG, target).map(lambda a: "J %d %d %d" % a),
+        evb,
+        evb,
+    )
+
+
+_programs = st.integers(1, 7).flatmap(
+    lambda n: st.lists(_instructions(n), min_size=n, max_size=n)
+).map(lambda lines: parse_program("\n".join(lines)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_programs, min_size=1, max_size=3), st.integers(1, 40),
+       st.randoms(use_true_random=False))
+def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng):
+    cells = [(encode(p), arg, budget) for p in programs for arg in range(3)]
+    want = [_reference(*cell) for cell in cells]
+    cold = [_cold(*cell) for cell in cells]
+    assert [out for out, _ in cold] == want
+    for cell, (out, uncut) in zip(cells, cold):
+        if uncut:
+            assert run_program(decode(cell[0]), cell[1], cell[2]) == out
+    order = list(range(len(cells)))
+    rng.shuffle(order)
+    clear_eval_cache()
+    warm = {k: evaluate(*cells[k]) for k in order}
+    assert [warm[k] for k in range(len(cells))] == want
+
+
+# ---------------------------------------------------------------------------
+# growth that reaches a comparison, one case per way of reaching it
+
+# R1 counts up and is copied into R2, which is compared with the input
+# and then cleared, so R2 alone repeats while R1 grows
+_THROUGH_T = parse_program("S 1\nT 1 2\nJ 2 0 5\nZ 2\nJ 0 0 0")
+
+# R0 holds the index of an inner program that halts in 6 steps; the
+# outer loop raises the EVB budget R2 until the inner run halts
+_INNER_SIX_STEPS = encode(parse_program("\n".join(["S 0"] * 6)))
+_THROUGH_EVB_BUDGET = parse_program("S 2\nEVB 0 1 2 3\nJ 3 1 0\nT 3 0")
+
+# the EVB index R1 walks up from the input; under budget 1 on input 0,
+# indices 47..55 do not halt and index 56 ([Z 2]) does
+_THROUGH_EVB_INDEX = parse_program("T 0 1\nS 3\nEVB 1 2 3 4\nS 1\nJ 4 2 2")
+
+# R0 holds the index of an inner program that halts only on input 4,
+# in 5 steps (it loops between its two jumps otherwise); the outer loop
+# raises the EVB argument R2 under budget 5 until it gets there
+_INNER_FOUR_ONLY = encode(parse_program("\n".join(["S 1"] * 4 + ["J 0 1 6", "J 0 0 4"])))
+_THROUGH_EVB_ARGUMENT = parse_program("\n".join(["S 3"] * 5 + ["EVB 0 2 3 4", "S 2", "J 4 1 5", "T 4 0"]))
+
+GROWTH_CASES = [
+    (_THROUGH_T, 10),
+    (_THROUGH_EVB_BUDGET, _INNER_SIX_STEPS),
+    (_THROUGH_EVB_INDEX, 47),
+    (_THROUGH_EVB_ARGUMENT, _INNER_FOUR_ONLY),
+]
+
+
+def test_growth_that_reaches_a_comparison_halts():
+    for program, arg in GROWTH_CASES:
+        index = encode(program)
+        want = _reference(index, arg, 1000)
+        assert isinstance(want, Halted)
+        assert want.steps > 16  # outlives the first snapshot comparisons
+        for budget in (want.steps, 1000, 10**6):
+            clear_eval_cache()
+            assert evaluate(index, arg, budget) == want
+            assert run_program(program, arg, budget) == want
+        assert evaluate(index, arg, want.steps - 1) == BudgetExceeded(want.steps - 1)
+

@@ -25,7 +25,6 @@ from godellab.numbering import (
     decode,
     decode_list,
     default_loop_compiler,
-    diagonal_program,
     encode,
     encode_instruction,
     encode_list,
@@ -34,7 +33,6 @@ from godellab.numbering import (
     first_value_program,
     format_program,
     pair,
-    pair_walk_budget,
     parse_program,
     precompose_affine,
     run_loop,
@@ -44,10 +42,10 @@ from godellab.numbering import (
     s_const,
     s_const_budget,
     unpair,
-    unpair_first_program,
     value_table_budget,
     value_table_program,
 )
+from godellab.numbering import _lower, _memo
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -300,6 +298,44 @@ def test_divergent_program_fast_after_cycle_proof():
     clear_eval_cache()
     assert evaluate(7, 0, 10**9) == BudgetExceeded(10**9)
     assert evaluate(7, 0, 10**12) == BudgetExceeded(10**12)
+
+
+# loops that never halt while a register no comparison reads grows
+_GROWING_LOOPS = [
+    _prog("S 1", "J 0 0 0"),
+    _prog("S 0", "J 0 0 0", "Z 0"),
+    _prog("EVB 1 0 0 0", "J 0 0 0"),
+]
+
+
+def test_control_slots_of_hand_programs():
+    def ctrl(*lines):
+        return _lower(_prog(*lines).instructions)[3]
+
+    for program in _GROWING_LOOPS:
+        assert _lower(program.instructions)[3] == ()
+    # compared slots only; J a a k compares nothing
+    assert ctrl("J 0 2 0", "S 1") == (0, 2)
+    assert ctrl("J 3 3 0", "S 1") == ()
+    # a T chain into a compared slot, and T out of one
+    assert ctrl("T 1 2", "T 2 3", "J 3 4 0", "T 4 5", "S 6") == (1, 2, 3, 4)
+    # EVB into a compared slot pulls in index, argument and budget, and
+    # a T into any of those follows
+    assert ctrl("EVB 1 2 3 4", "T 5 1", "J 4 6 0", "S 7") == (1, 2, 3, 4, 5, 6)
+    assert ctrl("EVB 1 2 3 4", "J 1 5 0") == (1, 5)
+    # slots, not register names; None when every slot is compared
+    assert ctrl("J 10 20 0", "S 30") == (1, 2)
+    assert ctrl("J 0 1 0") is None
+
+
+def test_growing_loops_are_proven_divergent_at_once():
+    for program in _GROWING_LOOPS:
+        index = encode(program)
+        for arg in range(3):
+            clear_eval_cache()
+            assert evaluate(index, arg, 10**9) == BudgetExceeded(10**9)
+            assert _memo[(index, arg)] == (1,)
+            assert run_program(program, arg, 10**9) == BudgetExceeded(10**9)
 
 
 _pool = st.one_of(
@@ -610,27 +646,6 @@ def test_value_table_argument_validation():
         value_table_program([1], const=0, word=[1])
     with pytest.raises(ValueError):
         value_table_program([1], word=[])
-
-
-# ---------------------------------------------------------------------------
-# pair-walk programs
-
-
-def test_unpair_first_program_matches_unpair():
-    idx = encode(unpair_first_program())
-    for n in range(60):
-        out = evaluate(idx, n, pair_walk_budget(n))
-        assert isinstance(out, Halted)
-        assert out.value == unpair(n)[0]
-
-
-def test_diagonal_program_matches_unpair():
-    idx = encode(diagonal_program())
-    for n in range(60):
-        out = evaluate(idx, n, pair_walk_budget(n))
-        assert isinstance(out, Halted)
-        x, y = unpair(n)
-        assert out.value == x + y
 
 
 # ---------------------------------------------------------------------------

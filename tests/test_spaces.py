@@ -14,8 +14,7 @@ from godellab.numbering import (
     encode,
     evaluate,
     pair,
-    pair_walk_budget,
-    unpair_first_program,
+    parse_program,
 )
 from godellab.spaces import (
     PARTIAL,
@@ -233,11 +232,32 @@ def test_tuple_stream_over_finite_family():
     assert stream_get(view, pair(7, 1)) is PARTIAL
 
 
+# computes pair(n, k) -> n by walking the pair codes in order: R1 is the
+# probe code, R2 its diagonal n + k and R3 its offset k; then R0 := R2 - R3
+_UNPAIR_FIRST = parse_program("""
+J 1 0 8
+S 1
+J 3 2 5
+S 3
+J 0 0 0
+S 2
+Z 3
+J 0 0 0
+Z 4
+T 3 5
+J 5 2 14
+S 4
+S 5
+J 0 0 10
+T 4 0
+""")
+
+
 def test_tuple_stream_over_generated_family():
     # family head computes pair(n, k) -> n, so component n is the
     # constant-n sequence
-    head = encode(unpair_first_program())
-    view = tuple_streams(Generated(head, pair_walk_budget(pair(2, 5))))
+    head = encode(_UNPAIR_FIRST)
+    view = tuple_streams(Generated(head, 10 * pair(2, 5) + 26))
     assert stream_get(view, pair(2, 5)) == 2
     assert stream_get(view, pair(1, 3)) == 1
 
