@@ -26,10 +26,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numbering import Halted, Nat, ProgramIndex, encode, evaluate, first_value_program
+from .numbering import Nat, ProgramIndex, encode, first_value_program
 from .oracles import (
     Compatible,
     OracleConfig,
+    Universe,
     compatible,
     universe,
     window_targets,
@@ -116,27 +117,25 @@ def run_to_limit(guesses: Iterable[Nat], stability_window: Nat,
 
 
 def _audit(candidate: ProgramIndex, targets: Sequence[Nat],
-           cap: Nat) -> Optional[tuple[Nat, Nat, Optional[Nat]]]:
+           table: Universe) -> Optional[tuple[Nat, Nat, Optional[Nat]]]:
     """First disagreement of the candidate with the targets, or None.
 
     A disagreement is (n, expected, got) with got=None when the
     candidate exhausted the cap at n.
     """
     for n, want in enumerate(targets):
-        out = evaluate(candidate, n, cap)
-        if isinstance(out, Halted):
-            if out.value != want:
-                return (n, want, out.value)
-        else:
-            return (n, want, None)
+        got = table.value(candidate, n)
+        if got != want:
+            return (n, want, got)
     return None
 
 
 def _enum_guesses(candidates: Iterable[ProgramIndex], targets: Sequence[Nat],
                   cfg: LearnerConfig, witnesses: list) -> Iterator[Nat]:
+    table = universe(cfg.oracle())
     for c in candidates:
         yield c
-        hit = _audit(c, targets, cfg.cap)
+        hit = _audit(c, targets, table)
         if hit is None:
             for _ in range(cfg.stability_window):
                 yield c

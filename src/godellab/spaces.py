@@ -1,4 +1,4 @@
-"""Finitely presented sequences, stream pairing, and converging names.
+"""Finitely presented sequences.
 
 A sequence is given either literally (a finite prefix followed by a
 constant or periodic tail) or as a machine index run under a fixed step
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence, Union
+from typing import Union
 
 from .numbering import (
     EMIT_LENGTH_CEILING,
@@ -22,8 +22,6 @@ from .numbering import (
     ProgramIndex,
     encode,
     evaluate,
-    pair,
-    unpair,
     value_table_budget,
     value_table_program,
 )
@@ -139,18 +137,6 @@ def literal_is_zero(d: Literal) -> bool:
     return literal_values(d) == frozenset({0})
 
 
-def literal_first_nonzero(d: Literal) -> Nat | None:
-    """Least n with d(n) != 0, or None for the zero sequence."""
-    for n, v in enumerate(d.prefix):
-        if v:
-            return n
-    w = _word_of(d.tail)
-    for k, v in enumerate(w):
-        if v:
-            return len(d.prefix) + k
-    return None
-
-
 def is_convergent(d: Literal) -> bool:
     """True iff d(n) is eventually constant."""
     return len(set(_word_of(d.tail))) == 1
@@ -183,31 +169,6 @@ def literal_least_absent(d: Literal) -> Nat:
     return n
 
 
-def prepend_literal(values: Sequence[Nat], d: Literal) -> Literal:
-    return Literal(tuple(values) + d.prefix, d.tail)
-
-
-def interleave_literals(p: Literal, q: Literal) -> Literal:
-    """The pairing <p,q>(2n) = p(n), <p,q>(2n+1) = q(n), again a Literal.
-
-    Past position max(|prefix_p|, |prefix_q|) both inputs are in their
-    tails, so the interleaving is periodic with period twice the lcm of
-    the word lengths.
-    """
-    wp, wq = _word_of(p.tail), _word_of(q.tail)
-    k = max(len(p.prefix), len(q.prefix))
-    prefix = []
-    for n in range(k):
-        prefix.append(literal_value(p, n))
-        prefix.append(literal_value(q, n))
-    span = len(wp) * len(wq) // gcd(len(wp), len(wq))
-    word = []
-    for j in range(span):
-        word.append(literal_value(p, k + j))
-        word.append(literal_value(q, k + j))
-    return Literal(tuple(prefix), Periodic(tuple(word)))
-
-
 def subsample_literal(d: Literal, stride: Nat, offset: Nat) -> Literal:
     """The sequence n -> d(stride*n + offset), again a Literal.
 
@@ -230,117 +191,6 @@ def component_literal(d: Literal, i: int) -> Literal:
     if i not in (0, 1):
         raise ValueError("pair component must be 0 or 1")
     return subsample_literal(d, 2, i)
-
-
-# ---------------------------------------------------------------------------
-# stream views
-
-
-@dataclass(frozen=True)
-class StreamView:
-    """Deterministic query interface over a descriptor or a transform.
-
-    `parts` is the view's provenance: a descriptor, a tuple of component
-    views, or a Generated family head.  `kind` selects the query rule.
-    """
-
-    kind: str
-    parts: tuple
-
-    def at(self, n: Nat):
-        if n < 0:
-            raise ValueError("position must be a natural")
-        if self.kind == "descriptor":
-            return descriptor_get(self.parts[0], n)
-        if self.kind == "pair":
-            return self.parts[n % 2].at(n // 2)
-        if self.kind == "tuple":
-            which, k = unpair(n)
-            if which >= len(self.parts):
-                return PARTIAL
-            return self.parts[which].at(k)
-        # family: component `which` at k is eval(index, pair(which, k))
-        fam = self.parts[0]
-        which, k = unpair(n)
-        out = evaluate(fam.index, pair(which, k), fam.budget)
-        return out.value if isinstance(out, Halted) else PARTIAL
-
-
-def stream(d: SeqDescriptor) -> StreamView:
-    if not isinstance(d, (Literal, Generated)):
-        raise ValueError("need a sequence descriptor")
-    return StreamView("descriptor", (d,))
-
-
-def stream_get(s: StreamView, n: Nat):
-    return s.at(n)
-
-
-def pair_streams(p: StreamView, q: StreamView) -> StreamView:
-    return StreamView("pair", (p, q))
-
-
-def tuple_streams(family) -> StreamView:
-    """Countable tupling <p_0, p_1, ...>(pair(n, k)) = p_n(k).
-
-    Accepts either a finite sequence of StreamViews (queries beyond the
-    family are PARTIAL) or a Generated descriptor f with
-    p_n(k) = phi_{f.index}(pair(n, k)).
-    """
-    if isinstance(family, Generated):
-        return StreamView("family", (family,))
-    views = tuple(family)
-    if not all(isinstance(v, StreamView) for v in views):
-        raise ValueError("family must be StreamViews or a Generated head")
-    return StreamView("tuple", views)
-
-
-# ---------------------------------------------------------------------------
-# converging names (inputs delivered as limits)
-
-
-@dataclass(frozen=True)
-class ConvergingName:
-    """A name that settles after finitely many switches.
-
-    Each stage is (switch_time, descriptor); the descriptor is active
-    from its switch time until the next one, and the final descriptor is
-    the limit.  The first switch time must be 0 so every stage query has
-    an active descriptor.
-    """
-
-    stages: tuple[tuple[Nat, SeqDescriptor], ...]
-
-    def __post_init__(self):
-        stages = tuple((t, d) for t, d in self.stages)
-        object.__setattr__(self, "stages", stages)
-        if not stages:
-            raise ValueError("need at least one stage")
-        if stages[0][0] != 0:
-            raise ValueError("first stage must start at time 0")
-        times = [t for t, _ in stages]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("switch times must be strictly increasing")
-        for _, d in stages:
-            if not isinstance(d, (Literal, Generated)):
-                raise ValueError("stage payloads must be descriptors")
-
-
-def name_at_stage(c: ConvergingName, t: Nat) -> SeqDescriptor:
-    """The descriptor active at time t."""
-    if t < 0:
-        raise ValueError("time must be a natural")
-    active = c.stages[0][1]
-    for when, d in c.stages:
-        if when <= t:
-            active = d
-        else:
-            break
-    return active
-
-
-def limit_descriptor(c: ConvergingName) -> SeqDescriptor:
-    return c.stages[-1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@
 unpairing, decoding and step loop, EVB with the same cuts, and no memo,
 lowering or divergence proof.  Every outcome of the cached evaluator
 must equal its outcome, whatever the cache held before.  The hand-made
-cases below loop while one register grows and halt only once that
+growth cases loop while one register grows and halt only once that
 growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
-divergent.
+divergent.  The hand-made cut cases reach the re-entrance and depth cuts
+of EVB, which the fuzz does not.
 """
 
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from godellab import numbering
@@ -133,3 +135,27 @@ def test_growth_that_reaches_a_comparison_halts():
             assert run_program(program, arg, budget) == want
         assert evaluate(index, arg, want.steps - 1) == BudgetExceeded(want.steps - 1)
 
+
+
+# ---------------------------------------------------------------------------
+# EVB cuts, on a cold cache
+
+
+def test_reentrant_evb_call_is_cut():
+    # index 11 is EVB 0 0 0 0: on input 11 it calls itself on 11
+    assert _reference(11, 11, 100) == Halted(0, 1)
+    assert _cold(11, 11, 100) == (Halted(0, 1), False)
+
+
+# on input 11 the run calls index 11 on 0 under budget 5, which calls
+# index 0 on 0: the third run on the chain, cut when the limit is 2
+_TWO_NESTED_CALLS = encode(parse_program("\n".join(["S 2"] * 5 + ["EVB 0 1 2 0"])))
+
+
+@pytest.mark.parametrize("limit, want", [(2, Halted(1, 6)), (3, Halted(2, 6)),
+                                         (64, Halted(2, 6))])
+def test_depth_cut_matches_reference(monkeypatch, limit, want):
+    monkeypatch.setattr(numbering, "_DEPTH_LIMIT", limit)
+    monkeypatch.setattr(reference, "DEPTH_LIMIT", limit)
+    assert _reference(_TWO_NESTED_CALLS, 11, 100) == want
+    assert _cold(_TWO_NESTED_CALLS, 11, 100) == (want, limit > 2)

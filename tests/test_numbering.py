@@ -2,8 +2,9 @@
 
 Frozen constants below were worked out by hand from the coding equations
 (Cantor pair, list code, tag = code mod 5) before the implementation ran.
-The reference interpreter `_reference_eval` is an independent rewrite used
-to cross-check the cached evaluator.
+The reference interpreter `_reference_eval` has its own step loop and no
+memo, but it decodes through the lab's `decode`; the check against an
+interpreter that shares no code with the lab is tests/test_differential.py.
 """
 
 import pytest
@@ -187,7 +188,7 @@ def test_parse_rejects_garbage():
 
 
 # ---------------------------------------------------------------------------
-# reference interpreter (independent of the cached one)
+# reference interpreter (uncached, decoding through the lab's decode)
 
 
 def _reference_run(program, arg, budget, chain=frozenset(), depth_limit=64):

@@ -22,7 +22,7 @@ from godellab.problems import (
     make_min,
     problem_registry,
 )
-from godellab.spaces import Constant, Generated, Literal, Periodic, interleave_literals
+from godellab.spaces import Constant, Generated, Literal, Periodic
 
 CFG = ProblemConfig(OracleConfig(cap=200, window=12, index_bound=60), ceiling=24)
 
@@ -59,12 +59,12 @@ def test_lpo_frozen():
 
 def test_llpo_frozen():
     llpo = make_llpo()
-    d = Literal((1,), Constant(0))
-    only_right = interleave_literals(ZERO, d)
+    # stride-2 pairs written out: <0^w, 1 0^w> and <1 0^w, 1^w>
+    only_right = Literal((0, 1), Constant(0))
     assert llpo.enumerate_answers(only_right, CFG) == {1}
-    both = interleave_literals(d, ONE_HAT)
+    both = Literal((1, 1), Periodic((0, 1)))
     assert llpo.enumerate_answers(both, CFG) == {0, 1}
-    assert not llpo.domain_check(interleave_literals(ZERO, ZERO), CFG)
+    assert not llpo.domain_check(ZERO, CFG)
     assert not llpo.verify(only_right, 2, CFG)
 
 
@@ -201,9 +201,10 @@ def _instances_for(name):
         return [ZERO, ONE_HAT, Generated(0, 1), Generated(2, 2), Generated(9, 3)]
     if name == "llpo":
         return [
-            interleave_literals(ZERO, Literal((1,), Constant(0))),
-            interleave_literals(Literal((2,), Constant(0)), ONE_HAT),
-            interleave_literals(ONE_HAT, ZERO),
+            # <0^w, 1 0^w>, <2 0^w, 1^w> and <1^w, 0^w>
+            Literal((0, 1), Constant(0)),
+            Literal((2, 1), Periodic((0, 1))),
+            Literal((), Periodic((1, 0))),
         ]
     return _POOL
 

@@ -1,4 +1,4 @@
-"""Descriptor, stream-view, and converging-name tests.
+"""Descriptor tests.
 
 The window oracle `_window` below reads a Literal the slow way (prefix,
 then cycle the tail word) and is the cross-check for every closed-form
@@ -9,17 +9,10 @@ any value or cluster the analysis claims must actually show up.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from godellab.numbering import (
-    Halted,
-    encode,
-    evaluate,
-    pair,
-    parse_program,
-)
+from godellab.numbering import Halted, evaluate
 from godellab.spaces import (
     PARTIAL,
     Constant,
-    ConvergingName,
     Generated,
     Literal,
     Periodic,
@@ -28,11 +21,8 @@ from godellab.spaces import (
     component_literal,
     descriptor_get,
     format_descriptor,
-    interleave_literals,
     is_convergent,
-    limit_descriptor,
     literal_eval_budget,
-    literal_first_nonzero,
     literal_is_zero,
     literal_liminf,
     literal_limit,
@@ -40,14 +30,8 @@ from godellab.spaces import (
     literal_sup,
     literal_value,
     literal_values,
-    name_at_stage,
-    pair_streams,
     parse_descriptor,
-    prepend_literal,
-    stream,
-    stream_get,
     subsample_literal,
-    tuple_streams,
 )
 
 # ---------------------------------------------------------------------------
@@ -136,8 +120,6 @@ def test_value_and_cluster_sets_match_window(d):
 def test_zero_and_first_nonzero_agree(d):
     seq = _window(d, _span(d))
     assert literal_is_zero(d) == all(v == 0 for v in seq)
-    hits = [n for n, v in enumerate(seq) if v]
-    assert literal_first_nonzero(d) == (hits[0] if hits else None)
 
 
 @settings(max_examples=120, deadline=None)
@@ -159,7 +141,6 @@ def test_analysis_frozen_examples():
     assert literal_min(Literal((4, 2), Constant(9))) == 2
     assert literal_is_zero(Literal((), Constant(0)))
     assert not literal_is_zero(Literal((0, 0, 1), Constant(0)))
-    assert literal_first_nonzero(Literal((0, 0, 1), Constant(0))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +148,12 @@ def test_analysis_frozen_examples():
 
 
 @settings(max_examples=80, deadline=None)
-@given(_literals, _literals)
-def test_interleave_hits_both_components(p, q):
-    il = interleave_literals(p, q)
+@given(_literals)
+def test_components_read_even_and_odd_positions(d):
+    left, right = component_literal(d, 0), component_literal(d, 1)
     for n in range(24):
-        assert literal_value(il, 2 * n) == literal_value(p, n)
-        assert literal_value(il, 2 * n + 1) == literal_value(q, n)
-    left, right = component_literal(il, 0), component_literal(il, 1)
-    for n in range(24):
-        assert literal_value(left, n) == literal_value(p, n)
-        assert literal_value(right, n) == literal_value(q, n)
+        assert literal_value(left, n) == literal_value(d, 2 * n)
+        assert literal_value(right, n) == literal_value(d, 2 * n + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -187,122 +164,11 @@ def test_subsample_matches_direct_read(d, stride, offset):
         assert literal_value(sub, n) == literal_value(d, stride * n + offset)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 9), max_size=4), _literals)
-def test_prepend_shifts_positions(values, d):
-    out = prepend_literal(values, d)
-    for n, v in enumerate(values):
-        assert literal_value(out, n) == v
-    for n in range(16):
-        assert literal_value(out, len(values) + n) == literal_value(d, n)
-
-
 def test_subsample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         subsample_literal(Literal((), Constant(0)), 0, 0)
     with pytest.raises(ValueError):
         component_literal(Literal((), Constant(0)), 2)
-
-
-# ---------------------------------------------------------------------------
-# stream views
-
-
-def test_pair_stream_frozen_example():
-    zero = stream(Literal((), Constant(0)))
-    one = stream(Literal((), Constant(1)))
-    assert stream_get(pair_streams(zero, one), 3) == 1
-    assert stream_get(pair_streams(zero, one), 6) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(_literals, _literals)
-def test_pairing_then_projection_round_trips(p, q):
-    paired = pair_streams(stream(p), stream(q))
-    for n in range(16):
-        assert stream_get(paired, 2 * n) == literal_value(p, n)
-        assert stream_get(paired, 2 * n + 1) == literal_value(q, n)
-
-
-def test_tuple_stream_over_finite_family():
-    family = [stream(Literal((), Constant(n))) for n in range(3)]
-    view = tuple_streams(family)
-    assert stream_get(view, pair(2, 5)) == 2
-    assert stream_get(view, pair(0, 0)) == 0
-    assert stream_get(view, pair(7, 1)) is PARTIAL
-
-
-# computes pair(n, k) -> n by walking the pair codes in order: R1 is the
-# probe code, R2 its diagonal n + k and R3 its offset k; then R0 := R2 - R3
-_UNPAIR_FIRST = parse_program("""
-J 1 0 8
-S 1
-J 3 2 5
-S 3
-J 0 0 0
-S 2
-Z 3
-J 0 0 0
-Z 4
-T 3 5
-J 5 2 14
-S 4
-S 5
-J 0 0 10
-T 4 0
-""")
-
-
-def test_tuple_stream_over_generated_family():
-    # family head computes pair(n, k) -> n, so component n is the
-    # constant-n sequence
-    head = encode(_UNPAIR_FIRST)
-    view = tuple_streams(Generated(head, 10 * pair(2, 5) + 26))
-    assert stream_get(view, pair(2, 5)) == 2
-    assert stream_get(view, pair(1, 3)) == 1
-
-
-def test_tuple_stream_rejects_mixed_input():
-    with pytest.raises(ValueError):
-        tuple_streams([stream(Literal((), Constant(0))), 3])
-
-
-def test_interleaved_literal_agrees_with_pair_stream():
-    p = Literal((7,), Periodic((0, 2)))
-    q = Literal((), Constant(5))
-    il = stream(interleave_literals(p, q))
-    ps = pair_streams(stream(p), stream(q))
-    for n in range(30):
-        assert stream_get(il, n) == stream_get(ps, n)
-
-
-# ---------------------------------------------------------------------------
-# converging names
-
-
-def test_name_at_stage_frozen_examples():
-    a = Literal((), Constant(0))
-    b = Literal((), Constant(1))
-    single = ConvergingName(((0, a),))
-    assert name_at_stage(single, 0) is a
-    assert name_at_stage(single, 99) is a
-    two = ConvergingName(((0, a), (5, b)))
-    assert name_at_stage(two, 4) is a
-    assert name_at_stage(two, 5) is b
-    assert name_at_stage(two, 100) is b
-    assert limit_descriptor(two) is b
-
-
-def test_converging_name_validation():
-    a = Literal((), Constant(0))
-    with pytest.raises(ValueError):
-        ConvergingName(())
-    with pytest.raises(ValueError):
-        ConvergingName(((1, a),))
-    with pytest.raises(ValueError):
-        ConvergingName(((0, a), (0, a)))
-    with pytest.raises(ValueError):
-        ConvergingName(((0, a), (3, "x")))
 
 
 # ---------------------------------------------------------------------------
