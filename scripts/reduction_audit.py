@@ -9,7 +9,6 @@ and every mutant must be detected; the script exits 1 otherwise.
 import argparse
 import pathlib
 import random
-import sys
 
 from godellab.cli import DEFAULTS, main, problem_config
 from godellab.corpus import (

@@ -3,12 +3,15 @@ tables, reduction checks, trace export.
 
 Config files are line-oriented key=value over the keys index_bound,
 cap, window, stability_window, max_steps, ceiling.  Flags override the
-file, built-in defaults fill the rest.  Result files never embed
-timing, so identical (command, config, seed, inputs) reproduce them
-byte for byte; wall-clock goes to the manifest only.
+file, built-in defaults fill the rest; each command takes only the
+flags it reads, and `--seed` belongs to corpus-gen alone.  Result files
+never embed timing, so identical (command, config, seed, inputs)
+reproduce them byte for byte; wall-clock goes to the manifest only.
 
-Exit codes: 0 all checks pass, 1 semantic failure with witnesses
-recorded, 2 usage or parse error.
+`main` is the one command path: it resolves the config, runs the
+command, turns a `ValueError` into exit 2 and writes `manifest.json`
+beside the files the command wrote.  Exit codes: 0 all checks pass,
+1 semantic failure with witnesses recorded, 2 usage or parse error.
 
 Learner promises: amalgamation needs a universe bound m and the
 shrinking-set learner a bound k.  Corpus lines may carry them as m= and
@@ -28,7 +31,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .corpus import (
     CORPUS_KINDS,
@@ -125,16 +127,6 @@ def problem_config(values: dict[str, int]) -> ProblemConfig:
     return ProblemConfig(oracle, values["ceiling"])
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None
-    inputs: tuple
-    outputs: tuple
-    elapsed_s: float
-
-
 def _write_text(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -142,30 +134,25 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit_manifest(out_dir: str, manifest: RunManifest) -> None:
-    payload = {
-        "command": manifest.command,
-        "config": manifest.config,
-        "seed": manifest.seed,
-        "inputs": list(manifest.inputs),
-        "outputs": list(manifest.outputs),
-        "elapsed_s": manifest.elapsed_s,
-    }
-    _write_text(os.path.join(out_dir, "manifest.json"),
-                json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _load_corpus(path: str) -> list[CorpusEntry]:
-    with open(path) as fh:
-        return read_corpus(fh)
+def _load_corpus(path: str, reduction: str | None = None) -> list:
+    """The corpus entries, shaped for `reduction`'s outer problem when one
+    is named; any read, parse or shape error names the path."""
+    try:
+        with open(path) as fh:
+            entries = read_corpus(fh)
+        if reduction is None:
+            return entries
+        return [to_reduction_instance(e, reduction) for e in entries]
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed flags and the resolved config and
+# returns its exit code and the files it wrote
 
 
-def cmd_enumerate(args) -> int:
-    values = resolve_config(args)
+def cmd_enumerate(args, values) -> tuple[int, list[str]]:
     for index in range(args.start, args.stop + 1):
         text = format_program(decode(index)).replace("\n", "; ") or "(empty)"
         cells = []
@@ -174,7 +161,7 @@ def cmd_enumerate(args) -> int:
             cells.append(str(out.value) if not isinstance(out, BudgetExceeded)
                          else "?")
         print(f"{index}\t{text}\t{','.join(cells)}")
-    return 0
+    return 0, []
 
 
 # the total class is the compiled loop image, empty in a fresh process;
@@ -212,48 +199,35 @@ def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
         trace = enum_learner(d, learner.split("-")[1], lcfg)
         verified = trace.converged and window_verify(
             trace.guesses[-1], d, oracle)
-        return json.loads(run_summary(name, learner, trace, verified)), trace
+        return run_summary(name, learner, trace, verified), trace
     if learner == "liminf":
         stages = kol_liminf_enumerator(d, lcfg)
         mins = [min(stage) for stage in stages if stage]
         trace = run_to_limit(mins, lcfg.stability_window, max(len(mins), 1))
         verified = bool(mins) and mins[-1] == min_index(d, oracle)
-        return json.loads(run_summary(name, learner, trace, verified)), trace
-    if learner == "amalgamation":
-        bound = entry.m if entry.m is not None else min_index(d, oracle)
-        if bound is None:
-            return _failure_row(name, learner,
-                                "no index inside the universe"), None
-        got = amalgamation_learn(d, bound, lcfg)
-        if isinstance(got, PromiseViolation):
-            return _failure_row(name, learner, got.reason, m=bound), None
-        row = json.loads(run_summary(name, learner, got.trace, got.verified))
-        row["m"] = bound
-        return row, got.trace
-    if learner == "bounded-min":
-        bound = entry.k if entry.k is not None else min_index(d, oracle)
-        if bound is None:
-            return _failure_row(name, learner,
-                                "no index inside the universe"), None
-        got = bounded_min_learner(d, bound, lcfg)
-        if isinstance(got, PromiseViolation):
-            return _failure_row(name, learner, got.reason, k=bound), None
-        row = json.loads(run_summary(name, learner, got.trace, got.verified))
-        row["k"] = bound
-        return row, got.trace
-    raise ValueError(f"unknown learner {learner!r}")
+        return run_summary(name, learner, trace, verified), trace
+    # the promise learners: the bound is the entry's annotation or else
+    # the least index; the table is built per call so that it reads the
+    # module's current bindings, which godelbench's tracer rebinds
+    key, learn = {"amalgamation": ("m", amalgamation_learn),
+                  "bounded-min": ("k", bounded_min_learner)}[learner]
+    bound = getattr(entry, key)
+    if bound is None:
+        bound = min_index(d, oracle)
+    if bound is None:
+        return _failure_row(name, learner, "no index inside the universe"), None
+    got = learn(d, bound, lcfg)
+    if isinstance(got, PromiseViolation):
+        return _failure_row(name, learner, got.reason, **{key: bound}), None
+    row = run_summary(name, learner, got.trace, got.verified)
+    row[key] = bound
+    return row, got.trace
 
 
-def cmd_learn(args) -> int:
-    t0 = time.monotonic()
-    values = resolve_config(args)
+def cmd_learn(args, values) -> tuple[int, list[str]]:
     lcfg = learner_config(values)
     oracle = lcfg.oracle()
-    try:
-        entries = _load_corpus(args.corpus)
-    except (OSError, ValueError) as err:
-        print(f"error: {args.corpus}: {err}", file=sys.stderr)
-        return 2
+    entries = _load_corpus(args.corpus)
     if args.learner == "enum-total":
         _seed_total_class()
     os.makedirs(args.out_dir, exist_ok=True)
@@ -286,23 +260,14 @@ def cmd_learn(args) -> int:
     summary_path = os.path.join(args.out_dir, "summary.json")
     _write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
     outputs.append(summary_path)
-    _emit_manifest(args.out_dir, RunManifest(
-        "learn", values, args.seed, (args.corpus,), tuple(outputs),
-        time.monotonic() - t0))
     ok = rows and all("error" not in r and r["converged"] and r["verified"]
                       for r in rows)
-    return 0 if ok else 1
+    return (0 if ok else 1), outputs
 
 
-def cmd_kolmogorov(args) -> int:
-    t0 = time.monotonic()
-    values = resolve_config(args)
+def cmd_kolmogorov(args, values) -> tuple[int, list[str]]:
     oracle = problem_config(values).oracle
-    try:
-        entries = _load_corpus(args.corpus)
-    except (OSError, ValueError) as err:
-        print(f"error: {args.corpus}: {err}", file=sys.stderr)
-        return 2
+    entries = _load_corpus(args.corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     lines = ["instance,min_index,verified"]
     for entry in entries:
@@ -315,68 +280,52 @@ def cmd_kolmogorov(args) -> int:
     table_path = os.path.join(args.out_dir, "kolmogorov.csv")
     _write_text(table_path, "\n".join(lines) + "\n")
     print(table_path)
-    _emit_manifest(args.out_dir, RunManifest(
-        "kolmogorov", values, args.seed, (args.corpus,), (table_path,),
-        time.monotonic() - t0))
-    return 0
+    return 0, [table_path]
 
 
-def cmd_reduce_check(args) -> int:
-    t0 = time.monotonic()
-    values = resolve_config(args)
+def cmd_reduce_check(args, values) -> tuple[int, list[str]]:
     pcfg = problem_config(values)
     registry = reduction_registry(pcfg)
     if args.reduction not in registry:
-        print(f"error: unknown reduction {args.reduction!r}; have "
-              f"{', '.join(sorted(registry))}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown reduction {args.reduction!r}; have "
+                         f"{', '.join(sorted(registry))}")
     case = registry[args.reduction]
-    pair = case.pair
-    if args.mutant:
-        pair = mutate(pair, args.mutant)
-    try:
-        entries = _load_corpus(args.corpus)
-        instances = [to_reduction_instance(e, args.reduction) for e in entries]
-    except (OSError, ValueError) as err:
-        print(f"error: {args.corpus}: {err}", file=sys.stderr)
-        return 2
+    pair = mutate(case.pair, args.mutant) if args.mutant else case.pair
+    instances = _load_corpus(args.corpus, args.reduction)
     report = check_reduction(case.f, case.g, pair, instances, pcfg)
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
     _write_text(report_path,
                 report_to_json(report, os.path.basename(args.corpus)) + "\n")
     print(report_path)
-    _emit_manifest(args.out_dir, RunManifest(
-        "reduce-check", values, args.seed, (args.corpus,), (report_path,),
-        time.monotonic() - t0))
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), [report_path]
 
 
-def cmd_corpus_gen(args) -> int:
-    t0 = time.monotonic()
-    values = resolve_config(args)
+def cmd_corpus_gen(args, values) -> tuple[int, list[str]]:
     entries = CORPUS_KINDS[args.kind](args.size, args.seed, values["window"])
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.kind}.corpus")
     write_corpus(path, entries)
     print(path)
-    _emit_manifest(args.out_dir, RunManifest(
-        "corpus-gen", values, args.seed, (), (path,), time.monotonic() - t0))
-    return 0
+    return 0, [path]
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
-def _common(sub):
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out-dir", default="runs")
-    sub.add_argument("--index-bound", type=int)
-    sub.add_argument("--cap", type=int)
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--stability-window", type=int)
+_FLAGS = {"config": {"help": "key=value config file"},
+          "seed": {"type": int, "default": 0}, "out-dir": {"default": "runs"},
+          "index-bound": {"type": int}, "cap": {"type": int},
+          "window": {"type": int}, "stability-window": {"type": int}}
+
+# the flags of the commands that scan the bounded universe
+_SCAN_FLAGS = ("config", "out-dir", "index-bound", "cap", "window")
+
+
+def _flags(sub, names) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,31 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enumerate", help="list programs with window behavior")
     p.add_argument("start", type=int)
     p.add_argument("stop", type=int)
-    _common(p)
+    _flags(p, ("config", "cap", "window"))
     p.set_defaults(run=cmd_enumerate)
 
     p = subs.add_parser("learn", help="run a learner over a corpus")
     p.add_argument("--learner", choices=LEARNERS, required=True)
     p.add_argument("--corpus", required=True)
-    _common(p)
+    _flags(p, _SCAN_FLAGS + ("stability-window",))
     p.set_defaults(run=cmd_learn)
 
     p = subs.add_parser("kolmogorov", help="least-index table for a corpus")
     p.add_argument("--corpus", required=True)
-    _common(p)
+    _flags(p, _SCAN_FLAGS)
     p.set_defaults(run=cmd_kolmogorov)
 
     p = subs.add_parser("reduce-check", help="check a catalog reduction")
     p.add_argument("--reduction", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--mutant", choices=MUTATION_MODES)
-    _common(p)
+    _flags(p, _SCAN_FLAGS)
     p.set_defaults(run=cmd_reduce_check)
 
     p = subs.add_parser("corpus-gen", help="generate a deterministic corpus")
     p.add_argument("kind", choices=sorted(CORPUS_KINDS))
     p.add_argument("--size", type=int, default=50)
-    _common(p)
+    _flags(p, ("config", "seed", "out-dir", "window"))
     p.set_defaults(run=cmd_corpus_gen)
 
     return parser
@@ -421,11 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.run(args)
+        values = resolve_config(args)
+        code, outputs = args.run(args, values)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if outputs:
+        manifest = {"command": args.command, "config": values,
+                    "seed": getattr(args, "seed", None),
+                    "inputs": [args.corpus] if "corpus" in args else [],
+                    "outputs": outputs, "elapsed_s": time.monotonic() - t0}
+        _write_text(os.path.join(args.out_dir, "manifest.json"),
+                    json.dumps(manifest, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -22,11 +22,16 @@ dovetailer costs max(members) + 3*len(members) + 10 instructions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numbering import Nat, ProgramIndex, encode, first_value_program
+from .numbering import (
+    Nat,
+    ProgramIndex,
+    default_loop_compiler,
+    encode,
+    first_value_program,
+)
 from .oracles import (
     Compatible,
     OracleConfig,
@@ -149,8 +154,6 @@ def enum_learner_audit(p: SeqDescriptor, klass: str, cfg: LearnerConfig):
     if klass == "full":
         candidates: Iterable[ProgramIndex] = range(cfg.index_bound + 1)
     elif klass == "total":
-        from .numbering import default_loop_compiler
-
         candidates = default_loop_compiler.indices()
     else:
         raise ValueError("class must be 'full' or 'total'")
@@ -388,8 +391,8 @@ def trace_to_csv(trace: GuessTrace) -> str:
 
 
 def run_summary(instance: str, learner: str, trace: GuessTrace,
-                verified: Optional[bool]) -> str:
-    payload = {
+                verified: Optional[bool]) -> dict:
+    return {
         "instance": instance,
         "learner": learner,
         "converged": trace.converged,
@@ -398,4 +401,3 @@ def run_summary(instance: str, learner: str, trace: GuessTrace,
         "final_guess": trace.guesses[-1] if trace.guesses else None,
         "verified": verified,
     }
-    return json.dumps(payload, sort_keys=True)

@@ -174,3 +174,89 @@ def test_unknown_reduction_is_a_usage_error(tmp_path, capsys):
     assert run("reduce-check", "--reduction", "nope", "--corpus", corpus,
                "--out-dir", tmp_path / "r") == 2
     assert "unknown reduction" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the one error path: a ValueError from any command is exit 2 with
+# "error: ..." on stderr, before a run directory is made
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--learner", "enum-full"],
+    ["kolmogorov"],
+    ["reduce-check", "--reduction", "cn_limn"],
+])
+def test_missing_corpus_is_a_usage_error(tmp_path, capsys, argv):
+    corpus, rundir = tmp_path / "absent.corpus", tmp_path / "r"
+    assert run(*argv, "--corpus", corpus, "--out-dir", rundir) == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+    assert not rundir.exists()
+
+
+def test_family_without_which_is_a_usage_error(tmp_path, capsys):
+    corpus, rundir = tmp_path / "fam.corpus", tmp_path / "r"
+    corpus.write_text("gen index=0 budget=4 width=2\n")
+    assert run("reduce-check", "--reduction", "ghat_g", "--corpus", corpus,
+               "--out-dir", rundir) == 2
+    assert capsys.readouterr().err == \
+        f"error: {corpus}: ghat_g instances need which=\n"
+    assert not rundir.exists()
+
+
+# ---------------------------------------------------------------------------
+# each command takes only the flags it reads, and its manifest lists
+# exactly the files it wrote
+
+SHARED_FLAGS = ("config", "seed", "out-dir", "index-bound", "cap", "window",
+                "stability-window")
+READS = {
+    "enumerate": ("config", "cap", "window"),
+    "learn": ("config", "out-dir", "index-bound", "cap", "window",
+              "stability-window"),
+    "kolmogorov": ("config", "out-dir", "index-bound", "cap", "window"),
+    "reduce-check": ("config", "out-dir", "index-bound", "cap", "window"),
+    "corpus-gen": ("config", "seed", "out-dir", "window"),
+}
+BASE_ARGV = {
+    "enumerate": ["enumerate", "0", "0"],
+    "learn": ["learn", "--learner", "enum-full", "--corpus", "c"],
+    "kolmogorov": ["kolmogorov", "--corpus", "c"],
+    "reduce-check": ["reduce-check", "--reduction", "cn_limn", "--corpus", "c"],
+    "corpus-gen": ["corpus-gen", "families"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_rejects_the_flags_it_does_not_read(command, capsys):
+    for flag in SHARED_FLAGS:
+        argv = BASE_ARGV[command] + [f"--{flag}", "1"]
+        if flag in READS[command]:
+            build_parser().parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_each_manifest_lists_exactly_the_files_written(tmp_path, capsys):
+    corpus = tmp_path / "mix.corpus"
+    # the second line's amalgamation run refuses, so it writes no trace
+    corpus.write_text("lit tail=const:0\ngen index=9 budget=30\n")
+    runs = {
+        "corpus-gen": ["corpus-gen", "families", "--size", 2],
+        "learn": ["learn", "--learner", "amalgamation", "--corpus", corpus],
+        "kolmogorov": ["kolmogorov", "--corpus", corpus],
+        "reduce-check": ["reduce-check", "--reduction", "cn_limn",
+                         "--corpus", corpus],
+    }
+    for command, argv in runs.items():
+        rundir = tmp_path / command
+        run(*argv, "--out-dir", rundir)
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["command"] == command
+        written = sorted(str(p) for p in rundir.iterdir()
+                         if p.name != "manifest.json")
+        assert sorted(manifest["outputs"]) == written
+    assert sorted(p.name for p in (tmp_path / "learn").iterdir()) == [
+        "manifest.json", "summary.json", "trace_0000.csv"]

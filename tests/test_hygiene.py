@@ -1,22 +1,26 @@
 """Source hygiene: every imported name is used, and every public
 definition under src/ has a user outside the tests.
 
-Walks the syntax tree of each module under src/ and tests/ with the
-standard library alone.  An imported name counts as used when it is read
-anywhere in the module or listed in its `__all__`.  A public top-level
-function or class counts as used when its name occurs as a word more
-than once across the Python files of src/, scripts/ and godelbench/.
+Walks the syntax tree of each module under src/, scripts/ and tests/
+with the standard library alone.  An imported name counts as used when
+it is read anywhere in the module or listed in its `__all__`.  A public
+top-level function or class counts as used when code outside its own
+body refers to it across the Python files of src/, scripts/ and
+godelbench/: as a name, as an attribute, or as one of the string
+constants naming the functions that godelbench/tracer.py wraps.
+Docstrings and comments name nothing.
 """
 
 import ast
 import collections
 import pathlib
-import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "scripts", "tests")
+               for p in (ROOT / d).rglob("*.py"))
+TRACER = "godelbench/tracer.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -59,27 +63,45 @@ TEST_ONLY_ALLOWED = {
     # the loop language's reference interpreter, against which the tests
     # check the compiled machine code
     "run_loop",
+    # runs a decoded program without an index: criterion 1's EVB probe
+    # runs programs too wide to encode
+    "run_program",
 }
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    return [node.name for node in tree.body
+def public_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
 
 
+def references(node: ast.AST, path: str):
+    """The names that the code under `node` refers to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif path == TRACER and isinstance(sub, ast.Constant) \
+                and isinstance(sub.value, str):
+            yield sub.value
+
+
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:
-    """Public top-level definitions in the src/ sources named nowhere else.
+    """Public top-level definitions in the src/ sources that no code
+    outside their own bodies refers to.
 
     `sources` maps a path relative to the repository root to its text.
     """
-    words = collections.Counter(
-        w for text in sources.values() for w in re.findall(r"\w+", text))
+    trees = {path: ast.parse(text, path) for path, text in sources.items()}
+    refs = collections.Counter(
+        name for path, tree in trees.items() for name in references(tree, path))
     return sorted(
-        name
-        for path, text in sources.items() if path.startswith("src/")
-        for name in public_definitions(ast.parse(text, path))
-        if words[name] <= 1)
+        node.name
+        for path, tree in trees.items() if path.startswith("src/")
+        for node in public_definitions(tree)
+        if refs[node.name] == sum(name == node.name
+                                  for name in references(node, path)))
 
 
 def test_every_public_definition_has_a_user_outside_the_tests():
@@ -100,3 +122,19 @@ def test_the_check_sees_an_unnamed_definition():
         "scripts/s.py": "from m import used\nused()\n",
     }
     assert unnamed_definitions(sources) == ["lonely"]
+
+
+def test_words_outside_code_are_not_users():
+    sources = {
+        "src/m.py": "def documented():\n"
+                    "    \"\"\"documented() names itself here.\"\"\"\n\n"
+                    "def recursive(n):\n"
+                    "    return recursive(n - 1) if n else 0\n\n"
+                    "def traced():\n    pass\n\n"
+                    "def attribute():\n    pass\n",
+        # a comment or a string outside the tracer names nothing
+        "scripts/s.py": "import m\n# documented, recursive\n"
+                        "print('documented')\nm.attribute()\n",
+        TRACER: "SPANS = (('m', 'traced'),)\n",
+    }
+    assert unnamed_definitions(sources) == ["documented", "recursive"]

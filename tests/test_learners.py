@@ -9,8 +9,6 @@ derived by hand from the known behavior of the first few indices:
     3 [Z 0, Z 0] zero    7 [J 0 0 0] diverges everywhere
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -378,8 +376,7 @@ def test_trace_csv_shape():
 
 def test_run_summary_fields():
     t = run_to_limit([0, 1, 1, 1, 1], 3, 50)
-    blob = json.loads(run_summary("lit tail=const:0", "enum", t, True))
-    assert blob == {
+    assert run_summary("lit tail=const:0", "enum", t, True) == {
         "instance": "lit tail=const:0",
         "learner": "enum",
         "converged": True,
