@@ -19,9 +19,10 @@ k= annotations; for lines without one the driver fills in the least
 index itself, which satisfies the promise by definition and is echoed
 in the summary row.
 
-The enum-total learner searches the compiled loop image, which is empty
-in a fresh process; the driver seeds a small standard library (identity,
-constants 0..2, add one to three, doubling) before the run.
+The enum-total learner's class is a small standard library of loop
+programs (identity, constants 0..2, add one to three, doubling): `learn`
+compiles it and passes its indices in, so loops compiled earlier in the
+process never join the class.
 """
 
 from __future__ import annotations
@@ -85,18 +86,22 @@ LEARNERS = ("enum-full", "enum-total", "amalgamation", "bounded-min", "liminf")
 
 
 def read_config(path: str) -> dict[str, int]:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
     values: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in DEFAULTS or not val.isdigit():
-                raise ValueError(f"{path}:{lineno}: expected <known key>=<nat>, "
-                                 f"got {line!r}")
-            values[key] = int(val)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or key not in DEFAULTS or not val.isdigit():
+            raise ValueError(f"{path}:{lineno}: expected <known key>=<nat>, "
+                             f"got {line!r}")
+        values[key] = int(val)
     return values
 
 
@@ -111,20 +116,18 @@ def resolve_config(args) -> dict[str, int]:
     return values
 
 
+def _oracle_config(values: dict[str, int]) -> OracleConfig:
+    return OracleConfig(cap=values["cap"], window=values["window"],
+                        index_bound=values["index_bound"])
+
+
 def learner_config(values: dict[str, int]) -> LearnerConfig:
-    return LearnerConfig(
-        index_bound=values["index_bound"],
-        window=values["window"],
-        cap=values["cap"],
-        stability_window=values["stability_window"],
-        max_steps=values["max_steps"],
-    )
+    return LearnerConfig(_oracle_config(values), values["stability_window"],
+                         values["max_steps"])
 
 
 def problem_config(values: dict[str, int]) -> ProblemConfig:
-    oracle = OracleConfig(cap=values["cap"], window=values["window"],
-                          index_bound=values["index_bound"])
-    return ProblemConfig(oracle, values["ceiling"])
+    return ProblemConfig(_oracle_config(values), values["ceiling"])
 
 
 def _write_text(path: str, text: str) -> None:
@@ -164,8 +167,7 @@ def cmd_enumerate(args, values) -> tuple[int, list[str]]:
     return 0, []
 
 
-# the total class is the compiled loop image, empty in a fresh process;
-# the driver seeds a small standard library so enum-total has a universe
+# enum-total's class: the indices of these loops, compiled and passed in
 _STANDARD_LOOPS = (
     (),
     (Inc(0),),
@@ -178,11 +180,6 @@ _STANDARD_LOOPS = (
 )
 
 
-def _seed_total_class() -> None:
-    for stmts in _STANDARD_LOOPS:
-        compile_loop(stmts)
-
-
 def _failure_row(name: str, learner: str, reason: str, **extra) -> dict:
     row = {"instance": name, "learner": learner, "converged": False,
            "verified": False, "error": reason}
@@ -191,12 +188,14 @@ def _failure_row(name: str, learner: str, reason: str, **extra) -> dict:
 
 
 def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
-               oracle: OracleConfig):
-    """One corpus run: (summary row, trace or None)."""
+               candidates):
+    """One corpus run: (summary row, trace or None); candidates is the
+    enumeration learners' class."""
     d = entry.descriptor
     name = format_entry(entry)
+    oracle = lcfg.oracle
     if learner in ("enum-full", "enum-total"):
-        trace = enum_learner(d, learner.split("-")[1], lcfg)
+        trace = enum_learner(d, candidates, lcfg)
         verified = trace.converged and window_verify(
             trace.guesses[-1], d, oracle)
         return run_summary(name, learner, trace, verified), trace
@@ -226,16 +225,16 @@ def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
 
 def cmd_learn(args, values) -> tuple[int, list[str]]:
     lcfg = learner_config(values)
-    oracle = lcfg.oracle()
     entries = _load_corpus(args.corpus)
-    if args.learner == "enum-total":
-        _seed_total_class()
+    candidates = (sorted(compile_loop(stmts) for stmts in _STANDARD_LOOPS)
+                  if args.learner == "enum-total"
+                  else range(lcfg.oracle.index_bound + 1))
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
     for idx, entry in enumerate(entries):
         try:
-            row, trace = _learn_one(entry, args.learner, lcfg, oracle)
+            row, trace = _learn_one(entry, args.learner, lcfg, candidates)
         except ValueError as err:
             # emitters refuse unrepresentable programs; record and move on
             row, trace = _failure_row(format_entry(entry), args.learner,

@@ -25,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numbering import (
-    Nat,
-    ProgramIndex,
-    default_loop_compiler,
-    encode,
-    first_value_program,
-)
+from .numbering import Nat, ProgramIndex, encode, first_value_program
 from .oracles import (
     Compatible,
     OracleConfig,
@@ -49,19 +43,14 @@ from .spaces import SeqDescriptor
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    index_bound: Nat
-    window: Nat
-    cap: Nat
+    oracle: OracleConfig
     stability_window: Nat
     max_steps: Nat
 
     def __post_init__(self):
-        for name in ("index_bound", "window", "cap", "stability_window", "max_steps"):
+        for name in ("stability_window", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-    def oracle(self) -> OracleConfig:
-        return OracleConfig(self.cap, self.window, self.index_bound)
 
 
 @dataclass(frozen=True)
@@ -137,7 +126,7 @@ def _audit(candidate: ProgramIndex, targets: Sequence[Nat],
 
 def _enum_guesses(candidates: Iterable[ProgramIndex], targets: Sequence[Nat],
                   cfg: LearnerConfig, witnesses: list) -> Iterator[Nat]:
-    table = universe(cfg.oracle())
+    table = universe(cfg.oracle)
     for c in candidates:
         yield c
         hit = _audit(c, targets, table)
@@ -149,15 +138,10 @@ def _enum_guesses(candidates: Iterable[ProgramIndex], targets: Sequence[Nat],
     # universe exhausted without a verified candidate: end uncommitted
 
 
-def enum_learner_audit(p: SeqDescriptor, klass: str, cfg: LearnerConfig):
+def enum_learner_audit(p: SeqDescriptor, candidates: Iterable[ProgramIndex],
+                       cfg: LearnerConfig):
     """enum_learner plus the disagreement witnesses justifying each skip."""
-    if klass == "full":
-        candidates: Iterable[ProgramIndex] = range(cfg.index_bound + 1)
-    elif klass == "total":
-        candidates = default_loop_compiler.indices()
-    else:
-        raise ValueError("class must be 'full' or 'total'")
-    targets = window_targets(p, cfg.oracle())
+    targets = window_targets(p, cfg.oracle)
     witnesses: list = []
     trace = run_to_limit(
         _enum_guesses(candidates, targets, cfg, witnesses),
@@ -167,10 +151,11 @@ def enum_learner_audit(p: SeqDescriptor, klass: str, cfg: LearnerConfig):
     return trace, tuple(witnesses)
 
 
-def enum_learner(p: SeqDescriptor, klass: str, cfg: LearnerConfig) -> GuessTrace:
-    """Gold-style identification: walk the universe, keep the first
-    candidate that survives a full window audit."""
-    trace, _ = enum_learner_audit(p, klass, cfg)
+def enum_learner(p: SeqDescriptor, candidates: Iterable[ProgramIndex],
+                 cfg: LearnerConfig) -> GuessTrace:
+    """Gold-style identification: walk the candidates in order, keep the
+    first that survives a full window audit."""
+    trace, _ = enum_learner_audit(p, candidates, cfg)
     return trace
 
 
@@ -195,7 +180,7 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> PocketTable:
     """Pocket P_i = {j <= m : phi_i compatible with phi_j}, for i <= m."""
     if m < 0:
         raise ValueError("universe bound must be a natural")
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     table = universe(oracle)
     by_row: dict[tuple, list[ProgramIndex]] = {}
     for i in range(m + 1):
@@ -273,7 +258,7 @@ def amalgamation_learn(
     window.  Zero or several survivors are reported as a promise
     violation, not an error.
     """
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     targets = window_targets(p, oracle)
     table = prune_pockets(build_pockets(m, cfg))
     alive, guesses = _pocket_scan(targets, table.survivors, oracle)
@@ -326,7 +311,7 @@ def bounded_min_learner(
     """
     if k < 0:
         raise ValueError("k must be a natural")
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     targets = window_targets(p, oracle)
     value = universe(oracle).value
     members = set(range(k + 1))
@@ -365,11 +350,11 @@ def kol_liminf_enumerator(p: SeqDescriptor, cfg: LearnerConfig) -> tuple[tuple[N
     every late stage are exactly the window-verified ones, so the least
     final-stage emission is the capped Kolmogorov complexity of p.
     """
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     targets = window_targets(p, oracle)
     value = universe(oracle).value
     stages = []
-    alive = range(cfg.index_bound + 1)
+    alive = range(oracle.index_bound + 1)
     for t, want in enumerate(targets):
         alive = [i for i in alive if value(i, t) == want]
         stages.append(tuple(alive))

@@ -467,6 +467,8 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     if const < 0:
         raise ValueError("const must be a natural")
     suffix = decode(index)
+    _check_emit_length((const + 2) + const * (const + 1) // 2 + 10 + len(suffix),
+                       f"s_const(..., {const})")
     base = _lowered(index)[2] + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
     a = _Asm()
@@ -488,9 +490,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     a.emit("J", 0, 0, "lp")
     a.label("fin")
     a.emit("T", acc, 0)
-    macro = a.assemble()
-    _check_emit_length(len(macro) + len(suffix), f"s_const(..., {const})")
-    return _prepend(macro, suffix)
+    return _prepend(a.assemble(), suffix)
 
 
 def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
@@ -505,6 +505,8 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
     if mul < 0 or add < 0:
         raise ValueError("mul and add must be naturals")
     suffix = decode(index)
+    _check_emit_length((add if mul == 1 else mul + add + 4) + len(suffix),
+                       f"precompose_affine(..., {mul}, {add})")
     a = _Asm()
     if mul == 1:
         for _ in range(add):
@@ -522,9 +524,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
         for _ in range(add):
             a.emit("S", acc)
         a.emit("T", acc, 0)
-    macro = a.assemble()
-    _check_emit_length(len(macro) + len(suffix), f"precompose_affine(..., {mul}, {add})")
-    return _prepend(macro, suffix)
+    return _prepend(a.assemble(), suffix)
 
 
 def affine_budget(mul: Nat, add: Nat, arg: Nat, inner: Nat) -> Nat:

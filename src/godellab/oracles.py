@@ -3,8 +3,6 @@
 Every oracle here replaces an undecidable query by a step-capped one and
 documents which way the approximation errs:
 
-  * halts: budget exhaustion is reported, never silently treated as
-    divergence by callers that care about the direction.
   * compatible: a disagreement witness is definitive; `Compatible` only
     means "no witness below the cap and window".
   * in_R: capping can only remove witnesses i, so a capped True may be a
@@ -16,13 +14,13 @@ The brute-force scan of the bounded universe is one table per
 OracleConfig (`Universe`), shared by every scan here and in the problems
 and learners.  Row i holds phi_i on 0..window under the cap, and an
 inverted map sends each row to the indices computing it, so
-`min_index` and `verified_indices` are lookups, and `window_verify` /
-`compatible` read stored cells.  The table is lazy: rows are started in
+`min_index` and `verified_indices` are lookups, and `window_verify`,
+`compatible` and `in_R` read stored cells.  The table is lazy: rows are started in
 index order and each is read only as far as a query needs, so a
 least-index query starts no row past the least index.
-`clear_oracle_cache()` drops every table.  Indices above index_bound
-(emitted programs) are evaluated directly, with early exits, and never
-stored.
+`clear_oracle_cache()` drops every table.  Cells outside it, at indices
+above index_bound (emitted programs) or positions above the window
+(`in_R` at a large k), are evaluated directly and never stored.
 
 All range bounds in this module are inclusive: window w means arguments
 0..w, index_bound b means candidates 0..b.
@@ -192,12 +190,7 @@ def total_on_window(d: SeqDescriptor, cfg: OracleConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# halting and compatibility
-
-
-def halts(i: ProgramIndex, n: Nat, cfg: OracleConfig) -> EvalOutcome:
-    """The capped halting query: eval under cfg.cap."""
-    return evaluate(i, n, cfg.cap)
+# compatibility
 
 
 def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> CompatibilityVerdict:
@@ -240,15 +233,13 @@ def in_R(k: Nat, n: Nat, cfg: OracleConfig) -> bool:
     """True iff no candidate i < n (within the universe) maps k to n.
 
     Exact relative to true halting whenever n <= cfg.index_bound, since
-    the defining condition only quantifies over i < n.
+    the defining condition only quantifies over i < n.  phi_i(k) is a
+    table cell when k lies inside the window.
     """
     if k < 0 or n < 0:
         raise ValueError("R is indexed by naturals")
-    for i in range(min(n, cfg.index_bound + 1)):
-        out = halts(i, k, cfg)
-        if isinstance(out, Halted) and out.value == n:
-            return False
-    return True
+    value = universe(cfg).value
+    return all(value(i, k) != n for i in range(min(n, cfg.index_bound + 1)))
 
 
 def search_R(k: Nat, lower: Nat, cfg: OracleConfig, search_limit: Nat) -> Optional[Nat]:

@@ -42,11 +42,11 @@ from .spaces import (
     Literal,
     _word_of,
     descriptor_get,
+    least_absent,
     literal_is_zero,
     literal_least_absent,
     literal_limit,
     literal_value,
-    literal_values,
 )
 
 # ---------------------------------------------------------------------------
@@ -182,10 +182,7 @@ def catalog_cn_limn() -> ReductionPair:
         seen: set = set()
         for n in range(_span(x)):
             seen.add(literal_value(x, n))
-            m = 0
-            while m in seen:
-                m += 1
-            guesses.append(m)
+            guesses.append(least_absent(seen))
         return Literal(tuple(guesses), Constant(literal_least_absent(x)))
 
     return ReductionPair("cn_limn", K, lambda x, a: a)
@@ -210,11 +207,7 @@ def catalog_inf_cn() -> ReductionPair:
     """Least absent value from any absent value: scan below the answer."""
 
     def H(x, a):
-        present = literal_values(x)
-        for m in range(a + 1):
-            if m not in present:
-                return m
-        return a
+        return min(literal_least_absent(x), a)
 
     return ReductionPair("inf_cn", lambda x: x, H)
 
@@ -294,10 +287,9 @@ def catalog_limn_g(cfg: ProblemConfig) -> ReductionPair:
 
 
 def _trace_literal(p, cfg: ProblemConfig) -> Literal:
-    o = cfg.oracle
-    lcfg = LearnerConfig(index_bound=o.index_bound, window=o.window, cap=o.cap,
-                         stability_window=2, max_steps=4 * o.index_bound + 16)
-    trace = enum_learner(p, "full", lcfg)
+    bound = cfg.oracle.index_bound
+    lcfg = LearnerConfig(cfg.oracle, stability_window=2, max_steps=4 * bound + 16)
+    trace = enum_learner(p, range(bound + 1), lcfg)
     if not trace.converged:
         raise ReductionAbort("enumeration learner did not stabilize")
     return Literal(trace.guesses, Constant(trace.guesses[-1]))

@@ -160,13 +160,17 @@ def literal_liminf(d: Literal) -> Nat:
     return min(cluster_values(d))
 
 
-def literal_least_absent(d: Literal) -> Nat:
-    """Least value the sequence never takes."""
-    present = literal_values(d)
+def least_absent(present) -> Nat:
+    """Least natural not in present."""
     n = 0
     while n in present:
         n += 1
     return n
+
+
+def literal_least_absent(d: Literal) -> Nat:
+    """Least value the sequence never takes."""
+    return least_absent(literal_values(d))
 
 
 def subsample_literal(d: Literal, stride: Nat, offset: Nat) -> Literal:

@@ -113,13 +113,13 @@ def test_criterion_1_numbering_laws():
 
 def test_criterion_2_identification_in_the_limit():
     t0 = time.time()
-    cfg = LearnerConfig(index_bound=2000, window=32, cap=10_000,
+    cfg = LearnerConfig(OracleConfig(cap=10_000, window=32, index_bound=2000),
                         stability_window=2, max_steps=9000)
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     entries = gen_total_programs(500, seed=11)
     misses = []
     for e in entries:
-        trace = enum_learner(e.descriptor, "full", cfg)
+        trace = enum_learner(e.descriptor, range(oracle.index_bound + 1), cfg)
         want = min_index(e.descriptor, oracle)
         if not (trace.converged and want is not None
                 and trace.guesses[-1] == want):
@@ -139,9 +139,9 @@ def test_criterion_2_identification_in_the_limit():
 
 def test_criterion_3_pocket_amalgamation():
     t0 = time.time()
-    cfg = LearnerConfig(index_bound=120, window=8, cap=400,
+    cfg = LearnerConfig(OracleConfig(cap=400, window=8, index_bound=120),
                         stability_window=2, max_steps=200)
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     instances = (
         [Generated(0, b) for b in range(3, 37)]
         + [Generated(1, b) for b in range(3, 37)]
@@ -165,8 +165,8 @@ def test_criterion_3_pocket_amalgamation():
             construction_misses.append((d, res))
         partial = sum(
             1 for j in range(m + 1)
-            if any(not isinstance(evaluate(j, n, cfg.cap), Halted)
-                   for n in range(cfg.window + 1))
+            if any(not isinstance(evaluate(j, n, oracle.cap), Halted)
+                   for n in range(oracle.window + 1))
         )
         fractions.append(partial / (m + 1))
 
@@ -192,7 +192,7 @@ def test_criterion_3_pocket_amalgamation():
 
 def test_criterion_4_shrinking_sets():
     t0 = time.time()
-    cfg = LearnerConfig(index_bound=120, window=8, cap=400,
+    cfg = LearnerConfig(OracleConfig(cap=400, window=8, index_bound=120),
                         stability_window=2, max_steps=200)
     runs = (
         [(Generated(0, b), k) for k in range(0, 4) for b in (3, 4, 5)]
@@ -229,9 +229,9 @@ def test_criterion_4_shrinking_sets():
 
 def test_criterion_5_liminf_enumeration():
     t0 = time.time()
-    cfg = LearnerConfig(index_bound=120, window=8, cap=400,
+    cfg = LearnerConfig(OracleConfig(cap=400, window=8, index_bound=120),
                         stability_window=2, max_steps=100)
-    oracle = cfg.oracle()
+    oracle = cfg.oracle
     entries = gen_total_programs(50, seed=21)
     misses = []
     for e in entries:

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from godellab.cli import DEFAULTS, build_parser, main, read_config, resolve_config
+from godellab.numbering import Copy, Inc, Loop, compile_loop
 
 
 def run(*argv):
@@ -93,6 +94,20 @@ def test_learn_enum_total_seeds_the_loop_library(tmp_path):
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["convergence_rate"] == 1.0
     assert summary["verification_rate"] == 1.0
+
+
+def test_enum_total_ignores_loops_compiled_earlier(tmp_path):
+    doubling = compile_loop([Loop(0, (Inc(1), Inc(1))), Copy(1, 0)])
+    corpus = tmp_path / "dbl.corpus"
+    corpus.write_text(f"gen index={doubling} budget=400\n")
+    argv = ("learn", "--learner", "enum-total", "--corpus", corpus, "--out-dir")
+    assert run(*argv, tmp_path / "before") == 0
+    # a second doubling loop, whose index sorts below the standard one,
+    # must not join enum-total's class
+    assert compile_loop([Loop(0, (Inc(0),))]) < doubling
+    assert run(*argv, tmp_path / "after") == 0
+    assert (tmp_path / "before" / "summary.json").read_bytes() == \
+        (tmp_path / "after" / "summary.json").read_bytes()
 
 
 def test_learn_is_reproducible(tmp_path):
@@ -191,6 +206,29 @@ def test_missing_corpus_is_a_usage_error(tmp_path, capsys, argv):
     assert run(*argv, "--corpus", corpus, "--out-dir", rundir) == 2
     assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
     assert not rundir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "0", "0"],
+    ["learn", "--learner", "enum-full", "--corpus", "c.corpus"],
+    ["kolmogorov", "--corpus", "c.corpus"],
+    ["reduce-check", "--reduction", "cn_limn", "--corpus", "c.corpus"],
+    ["corpus-gen", "families"],
+])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "c.corpus").write_text("lit tail=const:0\n")
+    rundir = tmp_path / "r"
+    argv = [str(tmp_path / a) if a.endswith(".corpus") else a for a in argv]
+    if argv[0] != "enumerate":
+        argv += ["--out-dir", rundir]
+    undecodable = tmp_path / "binary.cfg"
+    undecodable.write_bytes(b"\xff\xfe=1\n")
+    # under a non-UTF-8 locale the bytes decode and fail to parse, which
+    # names the path as "<path>:1: "
+    for config in (tmp_path / "absent.cfg", undecodable):
+        assert run(*argv, "--config", config) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}:")
+        assert not rundir.exists()
 
 
 def test_family_without_which_is_a_usage_error(tmp_path, capsys):

@@ -34,17 +34,19 @@ from godellab.learners import (
     run_summary,
 )
 from godellab.numbering import Copy, Halted, Inc, Loop, compile_loop, evaluate
-from godellab.oracles import min_index
+from godellab.oracles import OracleConfig, min_index
 from godellab.spaces import Constant, Generated, Literal
 
-CFG = LearnerConfig(index_bound=60, window=12, cap=200, stability_window=4,
-                    max_steps=500)
+CFG = LearnerConfig(OracleConfig(cap=200, window=12, index_bound=60),
+                    stability_window=4, max_steps=500)
 
 ZERO = Literal((), Constant(0))
 ONE = Literal((), Constant(1))
 IDENT = Generated(0, 1)
 SUCC = Generated(2, 2)
 PLUS2 = Generated(9, 3)
+
+FULL = range(CFG.oracle.index_bound + 1)   # the whole universe 0..60
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +117,19 @@ def test_trace_invariants(stream, window):
 
 
 def test_enum_learner_identifies_zero():
-    t = enum_learner(ZERO, "full", CFG)
+    t = enum_learner(ZERO, FULL, CFG)
     assert t.converged
-    assert t.guesses[-1] == 1 == min_index(ZERO, CFG.oracle())
+    assert t.guesses[-1] == 1 == min_index(ZERO, CFG.oracle)
     assert t.mind_changes == 1
     assert t.stabilized_at == 1
 
 
 def test_enum_learner_witnesses_justify_every_skip():
-    t, wits = enum_learner_audit(PLUS2, "full", CFG)
+    t, wits = enum_learner_audit(PLUS2, FULL, CFG)
     assert t.converged and t.guesses[-1] == 9
     assert [w[0] for w in wits] == list(range(9))
     for cand, n, want, got in wits:
-        out = evaluate(cand, n, CFG.cap)
+        out = evaluate(cand, n, CFG.oracle.cap)
         if got is None:
             assert not isinstance(out, Halted)
         else:
@@ -135,24 +137,24 @@ def test_enum_learner_witnesses_justify_every_skip():
 
 
 def test_enum_learner_reads_budget_exhaustion_as_divergence():
-    _, wits = enum_learner_audit(PLUS2, "full", CFG)
+    _, wits = enum_learner_audit(PLUS2, FULL, CFG)
     assert (7, 0, 2, None) in wits
 
 
 def test_enum_learner_gives_up_when_universe_exhausted():
     # nothing below 60 computes n+4
     p = Literal(tuple(range(4, 30)), Constant(30))
-    small = LearnerConfig(index_bound=60, window=8, cap=200,
+    small = LearnerConfig(OracleConfig(cap=200, window=8, index_bound=60),
                           stability_window=4, max_steps=500)
-    t = enum_learner(p, "full", small)
+    t = enum_learner(p, FULL, small)
     assert not t.converged
 
 
 @pytest.mark.parametrize("p", [ZERO, ONE, IDENT, SUCC, PLUS2])
 def test_enum_learner_limit_is_least_index(p):
-    t = enum_learner(p, "full", CFG)
+    t = enum_learner(p, FULL, CFG)
     assert t.converged
-    assert t.guesses[-1] == min_index(p, CFG.oracle())
+    assert t.guesses[-1] == min_index(p, CFG.oracle)
 
 
 def test_enum_learner_total_class_searches_compiled_image():
@@ -160,24 +162,20 @@ def test_enum_learner_total_class_searches_compiled_image():
     inc = compile_loop([Inc(0)])
     dbl = compile_loop([Loop(0, (Inc(1), Inc(1))), Copy(1, 0)])
     assert (ident, inc) == (0, 2)
-    t = enum_learner(SUCC, "total", CFG)
+    total = sorted((ident, inc, dbl))
+    t = enum_learner(SUCC, total, CFG)
     assert t.converged and t.guesses[-1] == 2
 
     doubling = Generated(dbl, 200)
-    t = enum_learner(doubling, "total", CFG)
+    t = enum_learner(doubling, total, CFG)
     assert t.converged and t.guesses[-1] == dbl
     # the full class misses it: no index below 60 doubles
-    assert not enum_learner(doubling, "full", CFG).converged
-
-
-def test_enum_learner_rejects_unknown_class():
-    with pytest.raises(ValueError):
-        enum_learner(ZERO, "recursive", CFG)
+    assert not enum_learner(doubling, FULL, CFG).converged
 
 
 def test_enum_learner_rejects_partial_instances():
     with pytest.raises(ValueError):
-        enum_learner(Generated(7, 50), "full", CFG)
+        enum_learner(Generated(7, 50), FULL, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +222,8 @@ def test_pruned_pockets_form_an_antichain(m):
 
 def test_pocket_scan_keeps_exactly_the_instance_pocket():
     table = prune_pockets(build_pockets(7, CFG))
-    targets = [0] * (CFG.window + 1)
-    alive, guesses = _pocket_scan(targets, table.survivors, CFG.oracle())
+    targets = [0] * (CFG.oracle.window + 1)
+    alive, guesses = _pocket_scan(targets, table.survivors, CFG.oracle)
     assert [set(p.members) for p in alive] == [{1, 3, 5, 7}]
     assert guesses[0] == 0  # identity pocket still alive at position 0
     assert guesses[-1] == 1
@@ -233,7 +231,7 @@ def test_pocket_scan_keeps_exactly_the_instance_pocket():
 
 def test_pocket_scan_reports_plural_survivors():
     twins = [Pocket(1, frozenset({1}), True), Pocket(3, frozenset({3}), True)]
-    alive, _ = _pocket_scan([0, 0, 0], twins, CFG.oracle())
+    alive, _ = _pocket_scan([0, 0, 0], twins, CFG.oracle)
     assert len(alive) == 2
 
 
@@ -262,7 +260,7 @@ def test_amalgamation_promise_violation_when_universe_too_small():
 @pytest.mark.parametrize("p,m", [(IDENT, 0), (IDENT, 2), (ZERO, 1),
                                  (ZERO, 2), (SUCC, 2)])
 def test_amalgamation_verifies_under_the_promise(p, m):
-    assert min_index(p, CFG.oracle()) <= m
+    assert min_index(p, CFG.oracle) <= m
     got = amalgamation_learn(p, m, CFG)
     assert isinstance(got, AmalgamationResult)
     assert got.verified
@@ -318,7 +316,7 @@ def test_bounded_min_reports_emptied_set():
 def test_bounded_min_reports_unverifiable_survivor():
     # cap 1 hides every two-instruction program, so index 3 survives a
     # constant-5 instance it cannot actually compute
-    starved = LearnerConfig(index_bound=60, window=3, cap=1,
+    starved = LearnerConfig(OracleConfig(cap=1, window=3, index_bound=60),
                             stability_window=2, max_steps=100)
     got = bounded_min_learner(Literal((), Constant(5)), 3, starved)
     assert isinstance(got, PromiseViolation)
@@ -328,7 +326,7 @@ def test_bounded_min_reports_unverifiable_survivor():
 @pytest.mark.parametrize("p,k", [(IDENT, 0), (IDENT, 2), (ZERO, 1),
                                  (ZERO, 2), (SUCC, 2)])
 def test_bounded_min_finds_least_index_under_promise(p, k):
-    least = min_index(p, CFG.oracle())
+    least = min_index(p, CFG.oracle)
     assert least <= k
     got = bounded_min_learner(p, k, CFG)
     assert isinstance(got, BoundedMinResult)
@@ -343,19 +341,19 @@ def test_bounded_min_finds_least_index_under_promise(p, k):
 
 
 def test_liminf_stages_shrink_onto_zero_indices():
-    cfg = LearnerConfig(index_bound=8, window=6, cap=200,
+    cfg = LearnerConfig(OracleConfig(cap=200, window=6, index_bound=8),
                         stability_window=4, max_steps=500)
     stages = kol_liminf_enumerator(ZERO, cfg)
     assert stages[0] == (0, 1, 3, 4, 5, 8)
     assert stages[1] == (1, 3, 5, 8)
     assert stages[-1] == (1, 3, 5, 8)
-    assert len(stages) == cfg.window + 1
+    assert len(stages) == cfg.oracle.window + 1
 
 
 @pytest.mark.parametrize("p", [ZERO, ONE, IDENT, SUCC, PLUS2])
 def test_liminf_final_stage_minimum_is_kolmogorov(p):
     stages = kol_liminf_enumerator(p, CFG)
-    least = min_index(p, CFG.oracle())
+    least = min_index(p, CFG.oracle)
     mins = [min(s) for s in stages if s]
     assert len(mins) == len(stages)
     assert min(stages[-1]) == least

@@ -456,6 +456,35 @@ def test_s_const_rejects_unrepresentable():
         s_const(0, 6)
 
 
+def test_emitters_refuse_before_building():
+    # a macro of 10**12 instructions is never built
+    with pytest.raises(ValueError, match="needs 1000000000004 instructions"):
+        precompose_affine(0, 10**12, 0)
+    with pytest.raises(ValueError, match=r"s_const\(\.\.\., 3000\) needs 4504512 "):
+        s_const(0, 3000)
+
+
+def _emitted_length(emit, *args):
+    """Instructions emit(*args) builds, or the count its refusal names."""
+    try:
+        return len(decode(emit(*args)))
+    except ValueError as err:
+        return int(str(err).split(" needs ")[1].split()[0])
+
+
+def test_emitter_length_checks_count_what_is_emitted():
+    # the up-front counts equal the emitted lengths, built or refused
+    for index in (0, 9, 140192):
+        suffix = len(decode(index))
+        for mul, add in [(m, a) for m in range(4) for a in range(4)] + [
+                (1, 23), (0, 19), (3, 16), (16, 4), (40, 0)]:
+            assert _emitted_length(precompose_affine, index, mul, add) == \
+                (add if mul == 1 else mul + add + 4) + suffix
+        for const in (0, 1, 4, 7):
+            assert _emitted_length(s_const, index, const) == \
+                const + 2 + const * (const + 1) // 2 + 10 + suffix
+
+
 # names {0, 3, 10**9}: the identity while registers start at 0, and 0 on
 # positive inputs once R3 is disturbed, so a scratch base at the dense
 # register count (3) instead of past the largest name shows up

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from godellab.learners import LearnerConfig, kol_liminf_enumerator
-from godellab.numbering import BudgetExceeded, Halted, clear_eval_cache, evaluate
+from godellab.numbering import Halted, clear_eval_cache, evaluate
 from godellab.oracles import (
     Compatible,
     Incompatible,
     OracleConfig,
     clear_oracle_cache,
     compatible,
-    halts,
     in_R,
     min_index,
     search_R,
@@ -48,21 +47,6 @@ def test_oracle_config_validation():
         OracleConfig(1, 0, 1)
     with pytest.raises(ValueError):
         OracleConfig(1, 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# halting
-
-
-def test_halts_frozen_examples():
-    assert halts(2, 0, OracleConfig(10, 1, 1)) == Halted(1, 1)
-    assert halts(7, 0, OracleConfig(50, 1, 1)) == BudgetExceeded(50)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3000), st.integers(0, 8))
-def test_halts_is_eval_under_cap(i, n):
-    assert halts(i, n, CFG) == evaluate(i, n, CFG.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +82,8 @@ def test_incompatibility_witness_persists_under_larger_cap(i, j, cap):
         grown = compatible(i, j, big)
         assert isinstance(grown, Incompatible)
         # the original witness still disagrees under the larger cap
-        a = halts(i, verdict.witness_n, big)
-        b = halts(j, verdict.witness_n, big)
+        a = evaluate(i, verdict.witness_n, big.cap)
+        b = evaluate(j, verdict.witness_n, big.cap)
         assert a == Halted(verdict.v1, a.steps)
         assert b == Halted(verdict.v2, b.steps)
 
@@ -289,12 +273,27 @@ def _plain_compatible(i, j, cfg):
     return Compatible()
 
 
+def _plain_in_R(k, n, cfg):
+    for i in range(min(n, cfg.index_bound + 1)):
+        out = evaluate(i, k, cfg.cap)
+        if isinstance(out, Halted) and out.value == n:
+            return False
+    return True
+
+
+def _plain_search_R(k, lower, cfg, limit):
+    for n in range(lower, limit + 1):
+        if _plain_in_R(k, n, cfg):
+            return n
+    return None
+
+
 def _queries(cfg):
     """(query, answer) pairs for every scan the table serves; the answers
     come from plain loops over evaluate."""
     bound, window = cfg.index_bound, cfg.window
     rows = {i: _plain_row(i, cfg) for i in range(bound + ABOVE + 1)}
-    lcfg = LearnerConfig(bound, window, cfg.cap, stability_window=2, max_steps=50)
+    lcfg = LearnerConfig(cfg, stability_window=2, max_steps=50)
     pcfg = ProblemConfig(cfg, ceiling=50)
     g = make_g()
     out = []
@@ -312,6 +311,14 @@ def _queries(cfg):
     for i in range(0, bound + ABOVE + 1, 4):
         for j in range(0, bound + ABOVE + 1, 5):
             out.append((partial(compatible, i, j, cfg), _plain_compatible(i, j, cfg)))
+    # positions inside the window read the table, those above it do not
+    for k in (0, 3, window, window + 1, window + 4):
+        for n in range(0, bound + ABOVE + 1, 3):
+            out.append((partial(in_R, k, n, cfg), _plain_in_R(k, n, cfg)))
+        for lower in (0, 1, 7):
+            for limit in (lower, lower + bound):
+                out.append((partial(search_R, k, lower, cfg, limit),
+                            _plain_search_R(k, lower, cfg, limit)))
     return out
 
 
@@ -320,6 +327,8 @@ def test_universe_table_matches_plain_loops():
     assert any(answer is None for _, answer in queries)
     assert any(isinstance(answer, frozenset) and len(answer) > 1
                for _, answer in queries)
+    assert {answer for q, answer in queries if q.func is in_R} == {True, False}
+    assert None in {answer for q, answer in queries if q.func is search_R}
 
     def run(seed):
         order = list(queries)
