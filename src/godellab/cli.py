@@ -156,6 +156,11 @@ def _load_corpus(path: str, reduction: str | None = None) -> list:
 
 
 def cmd_enumerate(args, values) -> tuple[int, list[str]]:
+    for name, value, least in (("start", args.start, 0),
+                               ("window", values["window"], 0),
+                               ("cap", values["cap"], 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     for index in range(args.start, args.stop + 1):
         text = format_program(decode(index)).replace("\n", "; ") or "(empty)"
         cells = []

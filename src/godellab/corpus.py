@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .numbering import (
     Nat,
     Program,
-    encode,
+    index_of,
     parse_program,
     stride_tuple_budget,
     stride_tuple_program,
@@ -212,7 +212,7 @@ _BODIES = (
 def _tupled(bodies: Sequence[Program], window: Nat) -> Generated:
     width = len(bodies)
     budget = stride_tuple_budget(width, window, 6) + 2
-    return Generated(encode(stride_tuple_program(list(bodies))), budget)
+    return Generated(index_of(stride_tuple_program(list(bodies))), budget)
 
 
 def gen_families(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:

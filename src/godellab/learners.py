@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numbering import Nat, ProgramIndex, encode, first_value_program
+from .numbering import Nat, ProgramIndex, first_value_program, index_of
 from .oracles import (
     Compatible,
     OracleConfig,
@@ -271,7 +271,7 @@ def amalgamation_learn(
         )
     final = PocketTable(table.pockets, tuple(alive))
     members = sorted(alive[0].members)
-    index = encode(first_value_program(members))
+    index = index_of(first_value_program(members))
     verified = window_verify(index, p, oracle)
     return AmalgamationResult(index, final, trace, verified)
 
@@ -328,7 +328,7 @@ def bounded_min_learner(
         return PromiseViolation(
             "bounded_min", "every index of 0..k was refuted; promise k >= Kol(p) fails"
         )
-    index = encode(first_value_program(sorted(members)))
+    index = index_of(first_value_program(sorted(members)))
     verified = window_verify(index, p, oracle)
     if not verified:
         return PromiseViolation(

@@ -199,6 +199,16 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # the control slots, so a run whose pc and control slots repeat never
 # halts, however the other registers grow.  `_run` looks for such a repeat
 # at doubling step counts.
+#
+# Indices the lab builds itself arrive lowered.  Every emitter (the macros
+# of `s_const` and `precompose_affine`, `LoopCompiler.compile`, and the
+# learners', corpus' and literal compiler's encodings) goes through
+# `index_of`, which stores the lowering of the program it already holds.
+# That is exact: decode(encode(p)) == p for every Program, so the stored
+# entry is the one a cache miss would compute by decoding, and no outcome
+# or memo tag can change; only the unpairing of a number of up to half a
+# million bits is skipped.  Indices the lab did not build (corpus files,
+# universe scans, command-line arguments) are still decoded on first use.
 
 _DEPTH_LIMIT = 64
 
@@ -206,6 +216,8 @@ _DEPTH_LIMIT = 64
 #             | (1,) proven never to halt: BudgetExceeded under any budget
 #             | (2, explored) no halt within `explored` steps, nothing proven
 _memo: dict[tuple[int, int], tuple] = {}
+# index -> _lower(decode(index).instructions); filled on a miss by decoding,
+# and by `index_of` for emitted indices, with the same entry either way
 _lower_cache: dict[int, tuple] = {}
 
 
@@ -263,6 +275,14 @@ def _lowered(index: int) -> tuple:
     if ent is None:
         ent = _lower_cache[index] = _lower(decode(index).instructions)
     return ent
+
+
+def index_of(program: Program) -> ProgramIndex:
+    """encode(program), with its lowering stored for the evaluator, so an
+    index the lab emits is never decoded again."""
+    index = encode(program)
+    _lower_cache[index] = _lower(program.instructions)
+    return index
 
 
 def evaluate(index: ProgramIndex, arg: Nat, budget: Nat) -> EvalOutcome:
@@ -455,7 +475,7 @@ def _check_emit_length(n: int, what: str) -> None:
 
 def _prepend(macro: Program, suffix: Program) -> ProgramIndex:
     shifted = shift_jump_targets(suffix, len(macro))
-    return encode(Program(macro.instructions + shifted.instructions))
+    return index_of(Program(macro.instructions + shifted.instructions))
 
 
 def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
@@ -717,7 +737,7 @@ class LoopCompiler:
         a = _Asm()
         self._emit(a, stmts, base, 0)
         program = a.assemble()
-        index = encode(program)
+        index = index_of(program)
         compiled = CompiledLoop(stmts, program, index)
         self._image[index] = compiled
         return compiled

@@ -20,8 +20,8 @@ from .numbering import (
     Halted,
     Nat,
     ProgramIndex,
-    encode,
     evaluate,
+    index_of,
     value_table_budget,
     value_table_program,
 )
@@ -221,7 +221,7 @@ def compile_literal(d: SeqDescriptor) -> ProgramIndex:
             f"literal needs a {len(prog)}-instruction table; indices are only "
             f"affordable up to {EMIT_LENGTH_CEILING} instructions"
         )
-    return encode(prog)
+    return index_of(prog)
 
 
 def literal_eval_budget(d: Literal, n: Nat) -> Nat:

@@ -62,6 +62,23 @@ def test_enumerate_window_is_inclusive(capsys):
     assert row == "2\tS 0\t1,2,3,4"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("enumerate", -1, 0), "error: start must be at least 0, got -1"),
+    (("enumerate", 0, 1, "--window", -1), "error: window must be at least 0, got -1"),
+    (("enumerate", 0, 1, "--cap", 0), "error: cap must be at least 1, got 0"),
+])
+def test_enumerate_refuses_bad_bounds(argv, message, capsys):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
+def test_enumerate_window_zero_prints_one_cell(capsys):
+    assert run("enumerate", 0, 1, "--window", 0) == 0
+    assert capsys.readouterr().out.splitlines() == ["0\t(empty)\t0", "1\tZ 0\t0"]
+
+
 def test_corpus_gen_then_learn_enum(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run("corpus-gen", "total-programs", "--size", 6, "--seed", 1,

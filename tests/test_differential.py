@@ -8,7 +8,9 @@ growth cases loop while one register grows and halt only once that
 growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
 divergent.  The hand-made cut cases reach the re-entrance and depth cuts
-of EVB, which the fuzz does not.
+of EVB, which the fuzz does not.  The emitted cases check that an index
+the lab builds arrives with the lowering its decoding would give, and is
+never decoded again.
 """
 
 import sys
@@ -18,16 +20,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from godellab import numbering
+from godellab.corpus import gen_families
+from godellab.learners import LearnerConfig, amalgamation_learn, bounded_min_learner
 from godellab.numbering import (
     BudgetExceeded,
+    Copy,
     Halted,
+    Inc,
+    Loop,
     clear_eval_cache,
+    compile_loop,
     decode,
     encode,
     evaluate,
     parse_program,
+    precompose_affine,
     run_program,
+    s_const,
 )
+from godellab.oracles import OracleConfig
+from godellab.spaces import Constant, Generated, Literal, Periodic, compile_literal
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "godelbench"))
 
@@ -159,3 +171,70 @@ def test_depth_cut_matches_reference(monkeypatch, limit, want):
     monkeypatch.setattr(reference, "DEPTH_LIMIT", limit)
     assert _reference(_TWO_NESTED_CALLS, 11, 100) == want
     assert _cold(_TWO_NESTED_CALLS, 11, 100) == (want, limit > 2)
+
+
+# ---------------------------------------------------------------------------
+# emitted indices arrive lowered
+
+_LEARN = LearnerConfig(OracleConfig(cap=200, window=12, index_bound=60),
+                       stability_window=4, max_steps=500)
+_ZERO = Literal((), Constant(0))
+
+
+def _stride_tuples():
+    """The 9-instruction stride tuples of two components (3,051-3,058 bits)."""
+    return [e.descriptor.index for e in gen_families(36, 3)
+            if e.width == 2 and len(decode(e.descriptor.index)) == 9]
+
+
+EMITTERS = {
+    "s_const": lambda: [s_const(2, 1), s_const(encode(parse_program("T 0 1\nS 1\nT 1 0")), 0)],
+    "precompose_affine": lambda: [precompose_affine(2, 1, 3),
+                                  precompose_affine(_stride_tuples()[0], 2, 1)],
+    "dovetailer": lambda: [amalgamation_learn(_ZERO, 1, _LEARN).index,
+                           bounded_min_learner(Generated(0, 1), 2, _LEARN).index],
+    "gen_families": lambda: [e.descriptor.index for e in gen_families(8, 5)],
+    "compile_literal": lambda: [compile_literal(Literal((1,), Constant(0))),
+                                compile_literal(Literal((), Periodic((0, 1))))],
+    "compile_loop": lambda: [compile_loop([Loop(0, (Inc(1), Inc(1))), Copy(1, 0)])],
+}
+
+
+@pytest.mark.parametrize("emitter", sorted(EMITTERS))
+def test_emitted_lowering_is_the_decoded_one(emitter):
+    clear_eval_cache()
+    indices = EMITTERS[emitter]()
+    seeded = {i: numbering._lower_cache[i] for i in indices}
+    numbering._memo.clear()
+    warm = {i: [evaluate(i, n, 5000) for n in range(9)] for i in indices}
+    clear_eval_cache()
+    for i in indices:
+        assert i not in numbering._lower_cache
+        assert [evaluate(i, n, 5000) for n in range(9)] == warm[i]
+        assert numbering._lower_cache[i] == seeded[i]
+        assert seeded[i] == numbering._lower(decode(i).instructions)
+        if len(decode(i)) <= 9:
+            assert warm[i] == [_reference(i, n, 5000) for n in range(9)]
+    assert any(isinstance(out, Halted) for outs in warm.values() for out in outs)
+
+
+def test_emitted_indices_are_not_decoded(monkeypatch):
+    clear_eval_cache()
+    tupled = _stride_tuples()[0]
+    decoded = []
+    real = numbering.decode_list
+
+    def recording(n):
+        decoded.append(n.bit_length())
+        return real(n)
+
+    monkeypatch.setattr(numbering, "decode_list", recording)
+    composed = precompose_affine(tupled, 2, 1)
+    outs = [evaluate(composed, n, 5000) for n in range(9)]
+    assert all(isinstance(out, Halted) for out in outs)
+    assert decoded and max(decoded) < composed.bit_length()
+
+    decoded.clear()
+    learned = amalgamation_learn(_ZERO, 1, _LEARN)
+    assert learned.verified and learned.index > _LEARN.oracle.index_bound
+    assert max(decoded, default=0) < learned.index.bit_length()
