@@ -372,8 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first `main` call and reused by the later ones
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     t0 = time.monotonic()
     try:
         values = resolve_config(args)

@@ -99,7 +99,31 @@ def write_corpus(path, entries: Sequence[CorpusEntry]) -> None:
 #
 # Each generator is deterministic under its seed and emits only
 # instances inside the target problem's domain.  Sizes are reached by
-# drawing variants until `size` distinct entries accumulate.
+# drawing variants until `size` distinct entries accumulate; each draw
+# space is finite, so a size past its count of distinct entries is
+# refused up front instead of drawing forever.
+
+
+def _distinct(size: int, most: int, draw: Callable[[int], object],
+              entry: Callable[[object], CorpusEntry] = CorpusEntry
+              ) -> list[CorpusEntry]:
+    """The entries of the first `size` distinct draws; `draw(n)` makes
+    one draw once n entries are accepted, and no more than `most`
+    entries can be drawn distinct."""
+    if size < 0:
+        raise ValueError(f"size must be at least 0, got {size}")
+    if size > most:
+        raise ValueError(f"size must be at most {most}, got {size}: there "
+                         f"are no more distinct entries to draw")
+    seen = set()
+    out: list[CorpusEntry] = []
+    while len(out) < size:
+        key = draw(len(out))
+        if key not in seen:
+            seen.add(key)
+            out.append(entry(key))
+    return out
+
 
 # total functions with least index inside an affordable universe,
 # written as (base index, constant value or None, straight-line cost)
@@ -119,27 +143,22 @@ def gen_total_programs(size: int, seed: int, window: Nat = 8) -> list[CorpusEntr
     name: generated forms under varied budgets plus literal paddings of
     the constant members."""
     rng = random.Random(seed)
-    seen = set()
-    out: list[CorpusEntry] = []
-    while len(out) < size:
+
+    def draw(_):
         base, const, cost = _TOTAL_POOL[rng.randrange(len(_TOTAL_POOL))]
         if const is not None and rng.random() < 0.4:
             pad = rng.randrange(0, 7)
-            d: SeqDescriptor = Literal((const,) * pad, Constant(const))
-        else:
-            d = Generated(base, cost + rng.randrange(0, 160))
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append(CorpusEntry(d))
-    return out
+            return Literal((const,) * pad, Constant(const))
+        return Generated(base, cost + rng.randrange(0, 160))
+
+    # 7 bases x 160 budgets, plus 3 constants x 7 paddings
+    return _distinct(size, 7 * 160 + 3 * 7, draw)
 
 
 def gen_literal_sequences(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     rng = random.Random(seed)
-    seen = set()
-    out: list[CorpusEntry] = []
-    while len(out) < size:
+
+    def draw(_):
         prefix = tuple(rng.randrange(0, 10) for _ in range(rng.randrange(0, 6)))
         if rng.random() < 0.5:
             tail = Constant(rng.randrange(0, 10))
@@ -147,57 +166,48 @@ def gen_literal_sequences(size: int, seed: int, window: Nat = 8) -> list[CorpusE
             word = tuple(rng.randrange(0, 10)
                          for _ in range(rng.randrange(1, 4)))
             tail = Periodic(word)
-        d = Literal(prefix, tail)
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append(CorpusEntry(d))
-    return out
+        return Literal(prefix, tail)
+
+    # prefixes of 0..5 digits, times 10 constant and 1110 periodic tails
+    return _distinct(size, 111111 * 1120, draw)
 
 
 def gen_bounded_monotone(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     rng = random.Random(seed)
-    seen = set()
-    out: list[CorpusEntry] = []
-    while len(out) < size:
+
+    def draw(_):
         v = rng.randrange(0, 3)
         prefix = []
         for _ in range(rng.randrange(0, 5)):
             prefix.append(v)
             v += rng.randrange(0, 2)
-        d = Literal(tuple(prefix), Constant(v))
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append(CorpusEntry(d))
-    return out
+        return Literal(tuple(prefix), Constant(v))
+
+    # 3 starts times 2^n steps for a prefix of n = 0..4 values
+    return _distinct(size, 3 * (1 + 2 + 4 + 8 + 16), draw)
 
 
 def gen_lpo_mixed(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     """Zero and non-zero sequences in roughly equal measure; always
     contains at least one of each once size >= 2."""
     rng = random.Random(seed)
-    seen = set()
-    out: list[CorpusEntry] = []
-    while len(out) < size:
-        make_zero = (len(out) % 2 == 0)
-        if make_zero:
+
+    def draw(count):
+        if count % 2 == 0:
             # distinct zero names differ only in prefix length, so the
             # pad bound has to grow with size or the draw loop starves
-            d = Literal((0,) * rng.randrange(0, max(6, size // 2 + 2)),
-                        Constant(0))
-        else:
-            hot = rng.randrange(1, 10)
-            prefix = [0] * rng.randrange(0, 4)
-            prefix.insert(rng.randrange(0, len(prefix) + 1), hot)
-            tail = Constant(rng.randrange(0, 10)) if rng.random() < 0.7 \
-                else Periodic((hot,))
-            d = Literal(tuple(prefix), tail)
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append(CorpusEntry(d))
-    return out
+            return Literal((0,) * rng.randrange(0, max(6, size // 2 + 2)),
+                           Constant(0))
+        hot = rng.randrange(1, 10)
+        prefix = [0] * rng.randrange(0, 4)
+        prefix.insert(rng.randrange(0, len(prefix) + 1), hot)
+        tail = Constant(rng.randrange(0, 10)) if rng.random() < 0.7 \
+            else Periodic((hot,))
+        return Literal(tuple(prefix), tail)
+
+    # every odd draw is one of 9 values x 10 placements x 11 tails, and
+    # size // 2 of them are needed
+    return _distinct(size, 2 * 9 * 10 * 11 + 1, draw)
 
 
 # component bodies read the cell index from R2 and write R0
@@ -219,18 +229,19 @@ def gen_families(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     """Stride-tupled descriptors with component selectors, for the
     parallelized least-index problems."""
     rng = random.Random(seed)
-    seen = set()
-    out: list[CorpusEntry] = []
-    while len(out) < size:
+
+    def draw(_):
         width = rng.choice((1, 2))
         bodies = tuple(rng.choice(_BODIES) for _ in range(width))
-        which = rng.randrange(width)
-        key = (bodies, which)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(CorpusEntry(_tupled(bodies, window), width=width, which=which))
-    return out
+        return bodies, rng.randrange(width)
+
+    def entry(key):
+        bodies, which = key
+        return CorpusEntry(_tupled(bodies, window), width=len(bodies),
+                           which=which)
+
+    # 4 bodies at width 1, and 16 pairs x 2 components at width 2
+    return _distinct(size, 4 + 16 * 2, draw, entry)
 
 
 CORPUS_KINDS: dict[str, Callable[[int, int, Nat], list[CorpusEntry]]] = {

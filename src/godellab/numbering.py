@@ -207,8 +207,14 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # That is exact: decode(encode(p)) == p for every Program, so the stored
 # entry is the one a cache miss would compute by decoding, and no outcome
 # or memo tag can change; only the unpairing of a number of up to half a
-# million bits is skipped.  Indices the lab did not build (corpus files,
-# universe scans, command-line arguments) are still decoded on first use.
+# million bits is skipped.  `index_of` also memoizes the index by program
+# value, so a program emitted twice (a pocket's dovetailer, emitted for each
+# instance of its function; a composed catalog index, built by each
+# `_extract` call) is encoded once; encode is a function of the program, so
+# that is exact too.
+# `encode` itself stays a pure codec and fills no cache.  Indices the lab
+# did not build (corpus files, universe scans, command-line arguments) are
+# still decoded on first use.
 
 _DEPTH_LIMIT = 64
 
@@ -217,13 +223,17 @@ _DEPTH_LIMIT = 64
 #             | (2, explored) no halt within `explored` steps, nothing proven
 _memo: dict[tuple[int, int], tuple] = {}
 # index -> _lower(decode(index).instructions); filled on a miss by decoding,
-# and by `index_of` for emitted indices, with the same entry either way
+# and by `index_of` for emitted indices, with the same entry either way;
+# `index_of` leaves an entry that is already there in place
 _lower_cache: dict[int, tuple] = {}
+# emitted program -> encode(program): the index memo of `index_of`
+_index_cache: dict[Program, ProgramIndex] = {}
 
 
 def clear_eval_cache() -> None:
     _memo.clear()
     _lower_cache.clear()
+    _index_cache.clear()
 
 
 def _lower(instructions: Sequence[Instruction]) -> tuple:
@@ -279,9 +289,13 @@ def _lowered(index: int) -> tuple:
 
 def index_of(program: Program) -> ProgramIndex:
     """encode(program), with its lowering stored for the evaluator, so an
-    index the lab emits is never decoded again."""
-    index = encode(program)
-    _lower_cache[index] = _lower(program.instructions)
+    index the lab emits is never decoded again, and memoized by program
+    value, so a program the lab emits twice is encoded once."""
+    index = _index_cache.get(program)
+    if index is None:
+        index = _index_cache[program] = encode(program)
+    if index not in _lower_cache:
+        _lower_cache[index] = _lower(program.instructions)
     return index
 
 

@@ -5,9 +5,11 @@ the outputs, 2 usage or parse error.
 """
 
 import json
+import time
 
 import pytest
 
+from godellab import cli
 from godellab.cli import DEFAULTS, build_parser, main, read_config, resolve_config
 from godellab.numbering import Copy, Inc, Loop, compile_loop
 
@@ -77,6 +79,48 @@ def test_enumerate_refuses_bad_bounds(argv, message, capsys):
 def test_enumerate_window_zero_prints_one_cell(capsys):
     assert run("enumerate", 0, 1, "--window", 0) == 0
     assert capsys.readouterr().out.splitlines() == ["0\t(empty)\t0", "1\tZ 0\t0"]
+
+
+def _past(most):
+    return (most + 1, f"error: size must be at most {most}, got {most + 1}: "
+                      f"there are no more distinct entries to draw")
+
+
+@pytest.mark.parametrize("kind,size,message", [
+    ("families", -1, "error: size must be at least 0, got -1"),
+    ("families", *_past(36)),
+    ("bounded-monotone", *_past(93)),
+    ("total-programs", *_past(1141)),
+    ("lpo-mixed", *_past(1981)),
+    ("literal-sequences", *_past(124444320)),
+])
+def test_corpus_gen_refuses_sizes_it_cannot_draw(tmp_path, capsys, kind, size,
+                                                 message):
+    rundir = tmp_path / "r"
+    t0 = time.monotonic()
+    assert run("corpus-gen", kind, "--size", size, "--out-dir", rundir) == 2
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert not rundir.exists()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run("enumerate", 2, 2) == 0
+    assert run("enumerate", 2, 2, "--window", 3) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.splitlines() == ["2\tS 0\t1,2,3,4,5,6,7,8,9",
+                                                    "2\tS 0\t1,2,3,4"]
+    assert built[0].format_help() == build_parser().format_help()
 
 
 def test_corpus_gen_then_learn_enum(tmp_path, capsys):

@@ -9,8 +9,8 @@ growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
 divergent.  The hand-made cut cases reach the re-entrance and depth cuts
 of EVB, which the fuzz does not.  The emitted cases check that an index
-the lab builds arrives with the lowering its decoding would give, and is
-never decoded again.
+the lab builds arrives with the lowering its decoding would give, is
+never decoded again, and is encoded once however often it is emitted.
 """
 
 import sys
@@ -33,6 +33,7 @@ from godellab.numbering import (
     decode,
     encode,
     evaluate,
+    index_of,
     parse_program,
     precompose_affine,
     run_program,
@@ -238,3 +239,78 @@ def test_emitted_indices_are_not_decoded(monkeypatch):
     learned = amalgamation_learn(_ZERO, 1, _LEARN)
     assert learned.verified and learned.index > _LEARN.oracle.index_bound
     assert max(decoded, default=0) < learned.index.bit_length()
+
+
+# ---------------------------------------------------------------------------
+# emitted programs are encoded once
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The indices `numbering.encode` returns, in call order."""
+    made = []
+    real = numbering.encode
+
+    def counting(program):
+        made.append(real(program))
+        return made[-1]
+
+    monkeypatch.setattr(numbering, "encode", counting)
+    return made
+
+
+@pytest.mark.parametrize("emitter", sorted(EMITTERS))
+def test_index_memo_holds_encode_and_is_read_on_a_second_emission(emitter, encodes):
+    clear_eval_cache()
+    first = EMITTERS[emitter]()
+    assert numbering._index_cache
+    for program, index in numbering._index_cache.items():
+        assert index == encode(program)
+    encodes.clear()
+    assert EMITTERS[emitter]() == first
+    assert encodes == []
+
+
+def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
+    clear_eval_cache()
+    # the successor's least index is 2: both learners dovetail the same set
+    succ = Generated(2, 40)
+    amalgamated = amalgamation_learn(succ, 2, _LEARN)
+    shrunk = bounded_min_learner(succ, 2, _LEARN)
+    assert amalgamated.verified and shrunk.verified
+    assert amalgamated.index == shrunk.index
+    assert encodes.count(shrunk.index) == 1
+    clear_eval_cache()
+    assert bounded_min_learner(succ, 2, _LEARN).index == shrunk.index
+    assert encodes.count(shrunk.index) == 2
+
+
+def test_precompose_affine_twice_encodes_once(encodes):
+    clear_eval_cache()
+    tupled = _stride_tuples()[0]
+    composed = precompose_affine(tupled, 2, 1)
+    assert precompose_affine(tupled, 2, 1) == composed
+    assert encodes.count(composed) == 1
+
+
+def test_an_equal_program_hits_the_memo_and_keeps_the_lowering(encodes):
+    clear_eval_cache()
+    text = "T 2 0\nS 0\nJ 0 1 4\nS 0"
+    first, second = parse_program(text), parse_program(text)
+    assert first is not second
+    index = index_of(first)
+    lowered = numbering._lower_cache[index]
+    assert index_of(second) == index == encode(second)
+    assert encodes == [index]
+    assert numbering._lower_cache[index] is lowered
+
+
+def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
+    clear_eval_cache()
+    program = parse_program("S 0\nS 0")
+    index = encode(program)
+    evaluate(index, 0, 10)
+    lowered = numbering._lower_cache[index]
+    assert index_of(program) == index
+    assert encodes == [index]
+    assert numbering._lower_cache[index] is lowered

@@ -10,6 +10,7 @@ interpreter that shares no code with the lab is tests/test_differential.py.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from godellab import numbering
 from godellab.numbering import (
     BudgetExceeded,
     Copy,
@@ -412,6 +413,20 @@ def test_run_program_evb_probe_matches_host_evaluator():
         inner = evaluate(i, n, s)
         want = inner.value + 1 if isinstance(inner, Halted) else 0
         assert out.value == want
+
+
+def test_clear_eval_cache_empties_every_cache_of_numbering():
+    # every module-level dict of numbering but a CONSTANT is a cache, and
+    # a cache left out of the clear would carry one run into the next
+    caches = {name: value for name, value in vars(numbering).items()
+              if isinstance(value, dict) and not name.startswith("__")
+              and not name.isupper()}
+    assert {"_memo", "_lower_cache", "_index_cache"} <= set(caches)
+    clear_eval_cache()
+    evaluate(s_const(2, 1), 0, 100)
+    assert all(caches.values())
+    clear_eval_cache()
+    assert not any(caches.values())
 
 
 # ---------------------------------------------------------------------------
