@@ -12,7 +12,7 @@ import random
 
 from godellab.cli import DEFAULTS, main, problem_config
 from godellab.corpus import (
-    CorpusEntry,
+    _distinct,
     gen_families,
     gen_literal_sequences,
     gen_lpo_mixed,
@@ -25,14 +25,13 @@ from godellab.spaces import Constant, Literal
 
 def _constants(n, seed, values):
     rng = random.Random(seed)
-    out, seen = [], set()
-    while len(out) < n:
+
+    def draw(_):
         c = values[rng.randrange(len(values))]
-        d = Literal((c,) * rng.randrange(8), Constant(c))
-        if d not in seen:
-            seen.add(d)
-            out.append(CorpusEntry(d))
-    return out
+        return Literal((c,) * rng.randrange(8), Constant(c))
+
+    # each value after a prefix of 0..7 copies of itself
+    return _distinct(n, len(values) * 8, draw)
 
 
 def _write(path: pathlib.Path, entries) -> str:

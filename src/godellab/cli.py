@@ -155,12 +155,15 @@ def _load_corpus(path: str, reduction: str | None = None) -> list:
 # returns its exit code and the files it wrote
 
 
-def cmd_enumerate(args, values) -> tuple[int, list[str]]:
-    for name, value, least in (("start", args.start, 0),
-                               ("window", values["window"], 0),
-                               ("cap", values["cap"], 1)):
+def _at_least(*bounds: tuple[str, int, int]) -> None:
+    for name, value, least in bounds:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def cmd_enumerate(args, values) -> tuple[int, list[str]]:
+    _at_least(("start", args.start, 0), ("window", values["window"], 0),
+              ("cap", values["cap"], 1))
     for index in range(args.start, args.stop + 1):
         text = format_program(decode(index)).replace("\n", "; ") or "(empty)"
         cells = []
@@ -306,6 +309,7 @@ def cmd_reduce_check(args, values) -> tuple[int, list[str]]:
 
 
 def cmd_corpus_gen(args, values) -> tuple[int, list[str]]:
+    _at_least(("window", values["window"], 0))
     entries = CORPUS_KINDS[args.kind](args.size, args.seed, values["window"])
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{args.kind}.corpus")

@@ -34,7 +34,8 @@ def pair(x: Nat, y: Nat) -> Nat:
     if x < 0 or y < 0:
         raise ValueError("pair needs naturals")
     s = x + y
-    return s * (s + 1) // 2 + y
+    # s * s squares one object, which CPython does faster than s * (s + 1)
+    return (s * s + s >> 1) + y
 
 
 def unpair(n: Nat) -> tuple[Nat, Nat]:
@@ -105,21 +106,23 @@ def encode_instruction(ins: Instruction) -> Nat:
     return 5 * payload + tag
 
 
-def decode_instruction(m: Nat) -> Instruction:
-    tag = m % 5
-    payload = m // 5
+def _fields(m: Nat) -> tuple[int, tuple[Nat, ...]]:
+    """(op tag, args) of the instruction with code m; the tag indexes _OPS."""
+    payload, tag = divmod(m, 5)
     if tag <= 1:
-        return Instruction(_OPS[tag], (payload,))
+        return tag, (payload,)
     if tag == 2:
-        return Instruction("T", unpair(payload))
-    if tag == 3:
-        a, rest = unpair(payload)
-        b, k = unpair(rest)
-        return Instruction("J", (a, b, k))
+        return tag, unpair(payload)
     a, rest = unpair(payload)
+    if tag == 3:
+        return tag, (a,) + unpair(rest)
     b, rest = unpair(rest)
-    c, d = unpair(rest)
-    return Instruction("EVB", (a, b, c, d))
+    return tag, (a, b) + unpair(rest)
+
+
+def decode_instruction(m: Nat) -> Instruction:
+    tag, args = _fields(m)
+    return Instruction(_OPS[tag], args)
 
 
 def encode(program: Program) -> ProgramIndex:
@@ -159,13 +162,13 @@ def parse_program(text: str) -> Program:
 # Evaluation outcomes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halted:
     value: Nat
     steps: Nat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetExceeded:
     budget: Nat
 
@@ -175,17 +178,20 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # ---------------------------------------------------------------------------
 # Budgeted evaluator.
 #
-# One core serves both `evaluate` and `run_program`: lowering turns an
-# instruction list into tuples over densely renumbered registers, and
+# One core serves both `evaluate` and `run_program`: lowering turns a list
+# of instruction codes into tuples over densely renumbered registers, and
 # `_run` is the only machine step loop.
 #
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].  Results of
-# completed evaluations are memoized per (index, input).  The memo is
-# transparent with one known exception: the depth cut below depends on how
-# deep the EVB chain already is, while the memo key does not, so an entry
-# made at a shallow depth can stand in for a run that a deeper chain would
-# have cut (ROADMAP.md, "Make the memo transparent").
+# completed evaluations are memoized per (index, input).  A halted entry
+# holds the `Halted` that `_run` built, and a hit within its steps returns
+# that object itself: outcomes are immutable, so sharing one changes no
+# value, and no outcome is built twice.  The memo is transparent with one
+# known exception: the depth cut below depends on how deep the EVB chain
+# already is, while the memo key does not, so an entry made at a shallow
+# depth can stand in for a run that a deeper chain would have cut
+# (ROADMAP.md, "Make the memo transparent").
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
@@ -218,11 +224,11 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 
 _DEPTH_LIMIT = 64
 
-# memo entries: (0, value, steps) halted
+# memo entries: (0, halted) halted, holding the outcome _run returned
 #             | (1,) proven never to halt: BudgetExceeded under any budget
 #             | (2, explored) no halt within `explored` steps, nothing proven
 _memo: dict[tuple[int, int], tuple] = {}
-# index -> _lower(decode(index).instructions); filled on a miss by decoding,
+# index -> _lower(decode_list(index)); filled on a miss by decoding,
 # and by `index_of` for emitted indices, with the same entry either way;
 # `index_of` leaves an entry that is already there in place
 _lower_cache: dict[int, tuple] = {}
@@ -236,8 +242,9 @@ def clear_eval_cache() -> None:
     _index_cache.clear()
 
 
-def _lower(instructions: Sequence[Instruction]) -> tuple:
-    """(code, register count, largest register name, control slots).
+def _lower(codes: Sequence[Nat]) -> tuple:
+    """(code, register count, largest register name, control slots) of the
+    program with instruction codes `codes`.
 
     Registers are renumbered densely in name order, so R0 stays slot 0 and
     the register file has one slot per named register, however large the
@@ -249,24 +256,24 @@ def _lower(instructions: Sequence[Instruction]) -> tuple:
     the index, argument and budget registers of an EVB into one are control
     slots too.  They are a sorted tuple, or None when they are every slot.
     """
+    fields = [_fields(m) for m in codes]
     names = {0}
-    for ins in instructions:
-        names.update(ins.args[:2] if ins.op == "J" else ins.args)
+    for tag, args in fields:
+        names.update(args[:2] if tag == 3 else args)
     order = sorted(names)
     slot = {r: i for i, r in enumerate(order)}
     code = []
     control = set()
     # reads[d]: the slots read by a T or EVB that writes slot d
     reads = [[] for _ in order]
-    for ins in instructions:
-        tag = _OPS.index(ins.op)
+    for tag, args in fields:
         if tag == 3:
-            a, b, k = ins.args
+            a, b, k = args
             code.append((tag, slot[a], slot[b], k))
             if a != b:
                 control.update((slot[a], slot[b]))
         else:
-            args = tuple(slot[r] for r in ins.args)
+            args = tuple(slot[r] for r in args)
             code.append((tag,) + args)
             if tag >= 2:
                 reads[args[-1]].extend(args[:-1])
@@ -283,7 +290,7 @@ def _lower(instructions: Sequence[Instruction]) -> tuple:
 def _lowered(index: int) -> tuple:
     ent = _lower_cache.get(index)
     if ent is None:
-        ent = _lower_cache[index] = _lower(decode(index).instructions)
+        ent = _lower_cache[index] = _lower(decode_list(index))
     return ent
 
 
@@ -295,7 +302,7 @@ def index_of(program: Program) -> ProgramIndex:
     if index is None:
         index = _index_cache[program] = encode(program)
     if index not in _lower_cache:
-        _lower_cache[index] = _lower(program.instructions)
+        _lower_cache[index] = _lower([encode_instruction(i) for i in program.instructions])
     return index
 
 
@@ -320,8 +327,8 @@ def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutco
     if ent is not None:
         tag = ent[0]
         if tag == 0:
-            if budget >= ent[2]:
-                return Halted(ent[1], ent[2]), True
+            if budget >= ent[1].steps:
+                return ent[1], True
             return BudgetExceeded(budget), True
         if tag == 1 or budget <= ent[1]:
             return BudgetExceeded(budget), True
@@ -357,7 +364,8 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: set) -> tu
     next_snap = 8
     while True:
         if pc >= ncode:
-            return Halted(regs[0], steps), pure, (0, regs[0], steps)
+            out = Halted(regs[0], steps)
+            return out, pure, (0, out)
         if steps >= budget:
             return BudgetExceeded(budget), pure, (2, budget)
         ins = code[pc]
@@ -409,7 +417,7 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
         raise ValueError("budget must be >= 1")
     if arg < 0:
         raise ValueError("argument must be a natural")
-    code, nregs, _, ctrl = _lower(program.instructions)
+    code, nregs, _, ctrl = _lower([encode_instruction(i) for i in program.instructions])
     out, _, _ = _run(code, nregs, ctrl, arg, budget, set())
     return out
 

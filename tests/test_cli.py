@@ -106,6 +106,17 @@ def test_corpus_gen_refuses_sizes_it_cannot_draw(tmp_path, capsys, kind, size,
     assert not rundir.exists()
 
 
+@pytest.mark.parametrize("kind", ["families", "total-programs"])
+def test_corpus_gen_refuses_a_negative_window(tmp_path, capsys, kind):
+    rundir = tmp_path / "r"
+    assert run("corpus-gen", kind, "--size", 2, "--window", -3,
+               "--out-dir", rundir) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window must be at least 0, got -3\n"
+    assert not rundir.exists()
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built = []
 

@@ -1,5 +1,9 @@
 """Corpus file grammar and generator contracts."""
 
+import runpy
+import time
+from pathlib import Path
+
 import pytest
 
 from godellab.corpus import (
@@ -115,3 +119,14 @@ def test_reduction_instance_shaping():
     assert to_reduction_instance(e, "cn_limn") == Generated(9, 20)
     with pytest.raises(ValueError):
         to_reduction_instance(CorpusEntry(Generated(9, 20)), "gstar_g")
+
+
+def test_audit_constants_refuse_past_their_draw_space():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reduction_audit.py"
+    constants = runpy.run_path(str(script))["_constants"]
+    # two values, each after a prefix of 0..7 copies: 16 distinct literals
+    assert len({e.descriptor for e in constants(16, 0, (0, 1))}) == 16
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="size must be at most 16, got 17"):
+        constants(17, 0, (0, 1))
+    assert time.monotonic() - t0 < 1.0

@@ -106,6 +106,17 @@ def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng)
     assert [warm[k] for k in range(len(cells))] == want
 
 
+@pytest.mark.parametrize("cap", [200, 10**4])
+def test_universe_cells_match_reference_cold_and_warm(cap):
+    # a warm pass reads the memo's stored outcomes where the cold one built
+    # them; both must equal the reference, cell by cell
+    cells = [(i, n) for i in range(2001) for n in range(5)]
+    want = [_reference(i, n, cap) for i, n in cells]
+    clear_eval_cache()
+    assert [evaluate(i, n, cap) for i, n in cells] == want
+    assert [evaluate(i, n, cap) for i, n in cells] == want
+
+
 # ---------------------------------------------------------------------------
 # growth that reaches a comparison, one case per way of reaching it
 
@@ -213,7 +224,7 @@ def test_emitted_lowering_is_the_decoded_one(emitter):
         assert i not in numbering._lower_cache
         assert [evaluate(i, n, 5000) for n in range(9)] == warm[i]
         assert numbering._lower_cache[i] == seeded[i]
-        assert seeded[i] == numbering._lower(decode(i).instructions)
+        assert seeded[i] == numbering._lower(numbering.decode_list(i))
         if len(decode(i)) <= 9:
             assert warm[i] == [_reference(i, n, 5000) for n in range(9)]
     assert any(isinstance(out, Halted) for outs in warm.values() for out in outs)

@@ -7,6 +7,9 @@ memo, but it decodes through the lab's `decode`; the check against an
 interpreter that shares no code with the lab is tests/test_differential.py.
 """
 
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +75,21 @@ def test_pair_roundtrip(x, y):
 def test_unpair_roundtrip(n):
     x, y = unpair(n)
     assert pair(x, y) == n
+
+
+def _textbook_pair(x, y):
+    return (x + y) * (x + y + 1) // 2 + y
+
+
+def test_pair_equals_the_textbook_formula():
+    for x in range(301):
+        for y in range(301):
+            assert pair(x, y) == _textbook_pair(x, y)
+    rng = random.Random(12)
+    for bits in (64, 1000, 10**4, 10**5, 10**6):
+        x, y = rng.getrandbits(bits), rng.getrandbits(rng.randrange(1, bits + 1))
+        assert pair(x, y) == _textbook_pair(x, y)
+        assert pair(y, x) == _textbook_pair(y, x)
 
 
 def test_pair_rejects_negatives():
@@ -287,6 +305,34 @@ def test_evb_self_reference_is_cut():
     assert out2 == Halted(0, 1)
 
 
+def test_memo_hit_returns_the_stored_outcome():
+    clear_eval_cache()
+    index = encode(_prog("S 0", "S 0", "S 0"))
+    first = evaluate(index, 4, 10)
+    assert first == Halted(7, 3)
+    assert _memo[(index, 4)] == (0, first)
+    assert evaluate(index, 4, 10) is first
+    assert evaluate(index, 4, 3) is first
+    assert evaluate(index, 4, 2) == BudgetExceeded(2)
+    clear_eval_cache()
+    again = evaluate(index, 4, 10)
+    assert again == first and again is not first
+
+
+def test_outcomes_are_slotted_frozen_values():
+    halted, exceeded = Halted(1, 6), BudgetExceeded(3)
+    assert not hasattr(halted, "__dict__") and not hasattr(exceeded, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        halted.steps = 7
+    with pytest.raises(FrozenInstanceError):
+        exceeded.budget = 4
+    assert repr(Halted(1, 6)) == "Halted(value=1, steps=6)"
+    assert repr(BudgetExceeded(3)) == "BudgetExceeded(budget=3)"
+    assert Halted(1, 6) == Halted(1, 6) and hash(Halted(1, 6)) == hash(Halted(1, 6))
+    assert Halted(1, 6) != (1, 6)
+    assert Halted(3, 3) != BudgetExceeded(3)
+
+
 def test_evaluate_argument_validation():
     with pytest.raises(ValueError):
         evaluate(0, 0, 0)
@@ -302,6 +348,10 @@ def test_divergent_program_fast_after_cycle_proof():
     assert evaluate(7, 0, 10**12) == BudgetExceeded(10**12)
 
 
+def _codes(program):
+    return [encode_instruction(i) for i in program.instructions]
+
+
 # loops that never halt while a register no comparison reads grows
 _GROWING_LOOPS = [
     _prog("S 1", "J 0 0 0"),
@@ -312,10 +362,10 @@ _GROWING_LOOPS = [
 
 def test_control_slots_of_hand_programs():
     def ctrl(*lines):
-        return _lower(_prog(*lines).instructions)[3]
+        return _lower(_codes(_prog(*lines)))[3]
 
     for program in _GROWING_LOOPS:
-        assert _lower(program.instructions)[3] == ()
+        assert _lower(_codes(program))[3] == ()
     # compared slots only; J a a k compares nothing
     assert ctrl("J 0 2 0", "S 1") == (0, 2)
     assert ctrl("J 3 3 0", "S 1") == ()
