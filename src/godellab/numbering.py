@@ -84,25 +84,11 @@ class Instruction:
             raise ValueError("instruction args must be naturals")
 
 
-@dataclass(frozen=True)
-class Program:
-    instructions: tuple[Instruction, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-
-def encode_instruction(ins: Instruction) -> Nat:
-    tag = _OPS.index(ins.op)
-    a = ins.args
-    if tag <= 1:
-        payload = a[0]
-    elif tag == 2:
-        payload = pair(a[0], a[1])
-    elif tag == 3:
-        payload = pair(a[0], pair(a[1], a[2]))
-    else:
-        payload = pair(a[0], pair(a[1], pair(a[2], a[3])))
+def _code(tag: int, args: Sequence[Nat]) -> Nat:
+    """Inverse of `_fields`: the code of the instruction _OPS[tag] args."""
+    payload = args[-1]
+    for a in reversed(args[:-1]):
+        payload = pair(a, payload)
     return 5 * payload + tag
 
 
@@ -120,17 +106,39 @@ def _fields(m: Nat) -> tuple[int, tuple[Nat, ...]]:
     return tag, (a, b) + unpair(rest)
 
 
-def decode_instruction(m: Nat) -> Instruction:
-    tag, args = _fields(m)
-    return Instruction(_OPS[tag], args)
+def encode_instruction(ins: Instruction) -> Nat:
+    return _code(_OPS.index(ins.op), ins.args)
+
+
+@dataclass(frozen=True, slots=True)
+class Program:
+    """Its instruction codes, whose list code is its index; `of` and
+    `instructions` convert from and to validated `Instruction`s."""
+
+    codes: tuple[Nat, ...] = ()
+
+    def __post_init__(self):
+        if self.codes and min(self.codes) < 0:
+            raise ValueError("instruction codes must be naturals")
+
+    @classmethod
+    def of(cls, instructions: Iterable[Instruction]) -> Program:
+        return cls(tuple(encode_instruction(i) for i in instructions))
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        return tuple(Instruction(_OPS[tag], args) for tag, args in map(_fields, self.codes))
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 def encode(program: Program) -> ProgramIndex:
-    return encode_list([encode_instruction(i) for i in program.instructions])
+    return encode_list(program.codes)
 
 
 def decode(index: ProgramIndex) -> Program:
-    return Program(tuple(decode_instruction(m) for m in decode_list(index)))
+    return Program(tuple(decode_list(index)))
 
 
 def format_program(program: Program) -> str:
@@ -141,21 +149,14 @@ def format_program(program: Program) -> str:
 def parse_program(text: str) -> Program:
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
-        op = parts[0].upper()
-        if op not in _ARITY:
-            raise ValueError(f"line {lineno}: unknown op {parts[0]!r}")
+        if not parts or parts[0].startswith("#"):
+            continue
         try:
-            args = tuple(int(p) for p in parts[1:])
+            out.append(Instruction(parts[0].upper(), tuple(map(int, parts[1:]))))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad argument in {line!r}") from exc
-        if len(args) != _ARITY[op] or any(a < 0 for a in args):
-            raise ValueError(f"line {lineno}: {op} takes {_ARITY[op]} natural args")
-        out.append(Instruction(op, args))
-    return Program(tuple(out))
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return Program.of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +210,10 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # Indices the lab builds itself arrive lowered.  Every emitter (the macros
 # of `s_const` and `precompose_affine`, `LoopCompiler.compile`, and the
 # learners', corpus' and literal compiler's encodings) goes through
-# `index_of`, which stores the lowering of the program it already holds.
-# That is exact: decode(encode(p)) == p for every Program, so the stored
-# entry is the one a cache miss would compute by decoding, and no outcome
-# or memo tag can change; only the unpairing of a number of up to half a
+# `index_of`, which lowers the instruction codes the Program holds.  That
+# is exact: the index is the list code of those codes, so the stored entry
+# is the one a cache miss would compute by decoding, and no outcome or
+# memo tag can change; only the unpairing of a number of up to half a
 # million bits is skipped.  `index_of` also memoizes the index by program
 # value, so a program emitted twice (a pocket's dovetailer, emitted for each
 # instance of its function; a composed catalog index, built by each
@@ -302,7 +303,7 @@ def index_of(program: Program) -> ProgramIndex:
     if index is None:
         index = _index_cache[program] = encode(program)
     if index not in _lower_cache:
-        _lower_cache[index] = _lower([encode_instruction(i) for i in program.instructions])
+        _lower_cache[index] = _lower(program.codes)
     return index
 
 
@@ -417,7 +418,7 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
         raise ValueError("budget must be >= 1")
     if arg < 0:
         raise ValueError("argument must be a natural")
-    code, nregs, _, ctrl = _lower([encode_instruction(i) for i in program.instructions])
+    code, nregs, _, ctrl = _lower(program.codes)
     out, _, _ = _run(code, nregs, ctrl, arg, budget, set())
     return out
 
@@ -429,7 +430,8 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
 
 class _Asm:
     def __init__(self):
-        self._items: list[tuple] = []
+        # instruction codes, and (a, b, label) for a jump to a label
+        self._items: list = []
         self._labels: dict[str, int] = {}
 
     def label(self, name: str) -> None:
@@ -438,33 +440,24 @@ class _Asm:
         self._labels[name] = len(self._items)
 
     def emit(self, op: str, *args) -> None:
-        self._items.append((op, args))
+        if op == "J" and isinstance(args[2], str):
+            self._items.append(args)
+        else:
+            self._items.append(_code(_OPS.index(op), args))
+
+    def copy(self, program: Program) -> None:
+        self._items.extend(program.codes)
 
     def assemble(self) -> Program:
         out = []
-        for op, args in self._items:
-            if op == "J":
-                a, b, k = args
-                if isinstance(k, str):
-                    if k not in self._labels:
-                        raise ValueError(f"unknown label {k}")
-                    k = self._labels[k]
-                out.append(Instruction("J", (a, b, k)))
-            else:
-                out.append(Instruction(op, tuple(args)))
+        for m in self._items:
+            if type(m) is tuple:
+                a, b, k = m
+                if k not in self._labels:
+                    raise ValueError(f"unknown label {k}")
+                m = _code(3, (a, b, self._labels[k]))
+            out.append(m)
         return Program(tuple(out))
-
-
-def shift_jump_targets(program: Program, offset: int) -> Program:
-    """Shift every jump target by `offset` (used when prefixing a macro)."""
-    out = []
-    for ins in program.instructions:
-        if ins.op == "J":
-            a, b, k = ins.args
-            out.append(Instruction("J", (a, b, k + offset)))
-        else:
-            out.append(ins)
-    return Program(tuple(out))
 
 
 _label_counter = itertools.count()
@@ -496,8 +489,13 @@ def _check_emit_length(n: int, what: str) -> None:
 
 
 def _prepend(macro: Program, suffix: Program) -> ProgramIndex:
-    shifted = shift_jump_targets(suffix, len(macro))
-    return index_of(Program(macro.instructions + shifted.instructions))
+    codes = list(macro.codes)
+    for m in suffix.codes:
+        if m % 5 == 3:
+            a, b, k = _fields(m)[1]
+            m = _code(3, (a, b, k + len(macro)))
+        codes.append(m)
+    return index_of(Program(tuple(codes)))
 
 
 def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
@@ -740,7 +738,6 @@ def _cost_stmts(stmts, regs) -> int:
 @dataclass(frozen=True)
 class CompiledLoop:
     stmts: tuple
-    program: Program
     index: ProgramIndex
 
     def step_bound(self, arg: Nat) -> Nat:
@@ -758,9 +755,8 @@ class LoopCompiler:
         base = max(_loop_regs(stmts), default=-1) + 1
         a = _Asm()
         self._emit(a, stmts, base, 0)
-        program = a.assemble()
-        index = index_of(program)
-        compiled = CompiledLoop(stmts, program, index)
+        index = index_of(a.assemble())
+        compiled = CompiledLoop(stmts, index)
         self._image[index] = compiled
         return compiled
 
@@ -815,6 +811,12 @@ def value_table_program(prefix: Sequence[Nat], const: Nat | None = None,
         raise ValueError("word must be nonempty")
     if word is not None and len(word) == 1:
         const, word = word[0], None
+    # a block of value v: Z, v S's and (but the last) a jump out; a prefix
+    # value: J, S; a word of length w: w loads, 7 walking, 2w - 3 dispatching
+    values = list(prefix) + ([const] if word is None else list(word))
+    _check_emit_length(sum(values) + 2 * len(values) - 1 + 2 * len(prefix)
+                       + (0 if word is None else 3 * len(word) + 4),
+                       f"table over {len(prefix)} prefix values")
     a = _Asm()
 
     def block(values: Nat, last: bool) -> None:
@@ -888,20 +890,19 @@ def stride_tuple_program(bodies: Sequence[Program]) -> Program:
     s = len(bodies)
     if s < 1:
         raise ValueError("need at least one component body")
-    written = {"Z": 0, "S": 0, "T": 1, "EVB": 3}
     for b in bodies:
         for ins in b.instructions:
             if ins.op == "J":
                 raise ValueError("component bodies must be straight-line")
-            if ins.args[written[ins.op]] in (1, 2):
+            # every op but J writes its last argument
+            if ins.args[-1] in (1, 2):
                 raise ValueError("component bodies must not write R1 or R2")
     length = (1 if s == 1 else 2 * s + 2) + sum(len(b) for b in bodies) + (s - 1)
     _check_emit_length(length, f"stride tuple over {s} components")
     a = _Asm()
     if s == 1:
         a.emit("T", 0, 2)
-        for ins in bodies[0].instructions:
-            a.emit(ins.op, *ins.args)
+        a.copy(bodies[0])
         return a.assemble()
     a.label("cell")
     for j in range(s):
@@ -911,8 +912,7 @@ def stride_tuple_program(bodies: Sequence[Program]) -> Program:
     a.emit("J", 0, 0, "cell")
     for j, b in enumerate(bodies):
         a.label(f"b{j}")
-        for ins in b.instructions:
-            a.emit(ins.op, *ins.args)
+        a.copy(b)
         if j < s - 1:
             a.emit("J", 0, 0, "end")
     a.label("end")

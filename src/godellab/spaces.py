@@ -16,7 +16,6 @@ from math import gcd
 from typing import Union
 
 from .numbering import (
-    EMIT_LENGTH_CEILING,
     Halted,
     Nat,
     ProgramIndex,
@@ -216,11 +215,6 @@ def compile_literal(d: SeqDescriptor) -> ProgramIndex:
         prog = value_table_program(d.prefix, const=d.tail.value)
     else:
         prog = value_table_program(d.prefix, word=d.tail.word)
-    if len(prog) > EMIT_LENGTH_CEILING:
-        raise ValueError(
-            f"literal needs a {len(prog)}-instruction table; indices are only "
-            f"affordable up to {EMIT_LENGTH_CEILING} instructions"
-        )
     return index_of(prog)
 
 

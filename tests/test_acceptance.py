@@ -89,7 +89,7 @@ def test_criterion_1_numbering_laws():
             for s in (6, 60):
                 body = [Instruction("S", (1,))] * n + [Instruction("S", (2,))] * s
                 body += [Instruction("EVB", (0, 1, 2, 3)), Instruction("T", (3, 0))]
-                out = run_program(Program(tuple(body)), i, len(body) + 1)
+                out = run_program(Program.of(body), i, len(body) + 1)
                 inner = evaluate(i, n, s)
                 want = inner.value + 1 if isinstance(inner, Halted) else 0
                 probes += 1

@@ -199,8 +199,13 @@ def _stride_tuples():
             if e.width == 2 and len(decode(e.descriptor.index)) == 9]
 
 
+# a backward jump and a jump past the end, both moved past the s_const
+# macro: R1 counts up until it meets the input, which halts unchanged
+_JUMPS = encode(parse_program("J 0 1 4\nS 1\nJ 0 0 0"))
+
 EMITTERS = {
-    "s_const": lambda: [s_const(2, 1), s_const(encode(parse_program("T 0 1\nS 1\nT 1 0")), 0)],
+    "s_const": lambda: [s_const(2, 1), s_const(encode(parse_program("T 0 1\nS 1\nT 1 0")), 0),
+                        s_const(_JUMPS, 0)],
     "precompose_affine": lambda: [precompose_affine(2, 1, 3),
                                   precompose_affine(_stride_tuples()[0], 2, 1)],
     "dovetailer": lambda: [amalgamation_learn(_ZERO, 1, _LEARN).index,
@@ -228,6 +233,18 @@ def test_emitted_lowering_is_the_decoded_one(emitter):
         if len(decode(i)) <= 9:
             assert warm[i] == [_reference(i, n, 5000) for n in range(9)]
     assert any(isinstance(out, Halted) for outs in warm.values() for out in outs)
+
+
+def test_s_const_moves_suffix_jumps_as_the_reference_reads_them():
+    # the check above runs the reference on up to 9 instructions; this
+    # index has 15 (437,559 bits)
+    index = s_const(_JUMPS, 0)
+    clear_eval_cache()
+    for n in range(4):
+        want = _reference(_JUMPS, numbering.pair(0, n), 5000)
+        out = evaluate(index, n, 5000)
+        assert out == _reference(index, n, 5000)
+        assert isinstance(out, Halted) and out.value == want.value
 
 
 def test_emitted_indices_are_not_decoded(monkeypatch):

@@ -169,7 +169,7 @@ _instr = st.one_of(
 
 @given(st.lists(_instr, max_size=8))
 def test_program_roundtrip_from_instructions(instrs):
-    p = Program(tuple(instrs))
+    p = Program.of(instrs)
     assert decode(encode(p)) == p
 
 
@@ -188,7 +188,7 @@ def test_instruction_validation():
 
 @given(st.lists(_instr, max_size=8))
 def test_format_parse_roundtrip(instrs):
-    p = Program(tuple(instrs))
+    p = Program.of(instrs)
     assert parse_program(format_program(p)) == p
 
 
@@ -348,10 +348,6 @@ def test_divergent_program_fast_after_cycle_proof():
     assert evaluate(7, 0, 10**12) == BudgetExceeded(10**12)
 
 
-def _codes(program):
-    return [encode_instruction(i) for i in program.instructions]
-
-
 # loops that never halt while a register no comparison reads grows
 _GROWING_LOOPS = [
     _prog("S 1", "J 0 0 0"),
@@ -362,10 +358,10 @@ _GROWING_LOOPS = [
 
 def test_control_slots_of_hand_programs():
     def ctrl(*lines):
-        return _lower(_codes(_prog(*lines)))[3]
+        return _lower(_prog(*lines).codes)[3]
 
     for program in _GROWING_LOOPS:
-        assert _lower(_codes(program))[3] == ()
+        assert _lower(program.codes)[3] == ()
     # compared slots only; J a a k compares nothing
     assert ctrl("J 0 2 0", "S 1") == (0, 2)
     assert ctrl("J 3 3 0", "S 1") == ()
@@ -445,8 +441,19 @@ def test_run_program_top_level_is_off_the_evb_chain():
     assert evaluate(11, 11, 100) == Halted(0, 1)
 
 
+def test_programs_hold_natural_codes_only():
+    # _fields(-5) would read Z -1, and lowering would move R0 off slot 0
+    with pytest.raises(ValueError, match="naturals"):
+        run_program(Program((-5,)), 0, 5)
+    with pytest.raises(ValueError, match="naturals"):
+        Program((1, 6, -1))
+    p = _prog("J 0 1 3", "Z 0", "S 0")
+    assert p.codes == (523, 0, 1)
+    assert Program.of(p.instructions) == p
+
+
 def test_run_program_handles_wide_unary_programs():
-    wide = Program(tuple(Instruction("S", (0,)) for _ in range(500)))
+    wide = Program.of(Instruction("S", (0,)) for _ in range(500))
     assert run_program(wide, 3, 500) == Halted(503, 500)
     assert run_program(wide, 3, 499) == BudgetExceeded(499)
 
@@ -457,7 +464,7 @@ def test_run_program_evb_probe_matches_host_evaluator():
     for i, n, s in [(0, 3, 5), (2, 7, 2), (7, 0, 40), (11, 4, 9), (140192, 1, 64)]:
         body = [Instruction("S", (1,))] * n + [Instruction("S", (2,))] * s
         body += [Instruction("EVB", (0, 1, 2, 3)), Instruction("T", (3, 0))]
-        probe = Program(tuple(body))
+        probe = Program.of(body)
         out = run_program(probe, i, len(body) + 1)
         assert isinstance(out, Halted)
         inner = evaluate(i, n, s)
@@ -529,15 +536,17 @@ def test_emitters_refuse_before_building():
         s_const(0, 3000)
 
 
-def _emitted_length(emit, *args):
-    """Instructions emit(*args) builds, or the count its refusal names."""
+def _emitted_length(emit, *args, **kwargs):
+    """Instructions emit(...) builds, a Program or an index, or the count
+    its refusal names."""
     try:
-        return len(decode(emit(*args)))
+        out = emit(*args, **kwargs)
     except ValueError as err:
         return int(str(err).split(" needs ")[1].split()[0])
+    return len(out if isinstance(out, Program) else decode(out))
 
 
-def test_emitter_length_checks_count_what_is_emitted():
+def test_emitter_length_checks_count_what_is_emitted(monkeypatch):
     # the up-front counts equal the emitted lengths, built or refused
     for index in (0, 9, 140192):
         suffix = len(decode(index))
@@ -548,6 +557,16 @@ def test_emitter_length_checks_count_what_is_emitted():
         for const in (0, 1, 4, 7):
             assert _emitted_length(s_const, index, const) == \
                 const + 2 + const * (const + 1) // 2 + 10 + suffix
+    # a table's count equals the length it builds under no ceiling
+    for prefix, tail in [
+            ((), {"const": 0}), ((), {"const": 21}), ((3, 0), {"const": 2}),
+            ((4,), {"word": (5,)}), ((1,), {"word": (0, 2)}),
+            ((), {"word": (1, 0, 2)}), ((9, 9), {"const": 9}),
+            ((0,) * 8, {"word": (1, 2, 3)}), ((), {"word": (0,) * 6})]:
+        counted = _emitted_length(value_table_program, prefix, **tail)
+        with monkeypatch.context() as m:
+            m.setattr(numbering, "EMIT_LENGTH_CEILING", 10**6)
+            assert counted == len(value_table_program(prefix, **tail))
 
 
 # names {0, 3, 10**9}: the identity while registers start at 0, and 0 on
@@ -726,7 +745,9 @@ def test_value_table_empty_prefix():
         assert isinstance(out, Halted) and out.value == 0
 
 
-def test_value_table_longer_word_on_reference_interpreter():
+def test_value_table_longer_word_on_reference_interpreter(monkeypatch):
+    # 30 instructions, past the emission ceiling: built with it lifted
+    monkeypatch.setattr(numbering, "EMIT_LENGTH_CEILING", 30)
     prog = value_table_program([5], word=[2, 0, 1])
     want = [5, 2, 0, 1, 2, 0, 1, 2]
     for n, v in enumerate(want):

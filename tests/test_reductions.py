@@ -67,7 +67,7 @@ TWO_HAT = Literal((), Constant(2))
 
 
 def _prog(*ins):
-    return Program(tuple(Instruction(op, tuple(args)) for op, *args in ins))
+    return Program.of(Instruction(op, tuple(args)) for op, *args in ins)
 
 
 # component bodies read the cell index from R2 and write R0

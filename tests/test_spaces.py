@@ -6,6 +6,8 @@ analysis.  Window lengths cover the prefix plus several tail periods, so
 any value or cluster the analysis claims must actually show up.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,19 @@ def test_compile_literal_rejections():
         compile_literal(Generated(4, 100))
     with pytest.raises(ValueError):
         compile_literal(Literal((1, 2, 3, 4, 5, 6, 7, 8), Constant(9)))
+
+
+@pytest.mark.parametrize("d, needs", [
+    (Literal((10**9,), Constant(0)), 10**9 + 5),
+    (Literal((), Constant(10**9)), 10**9 + 1),
+    (Literal((), Periodic((0,) * 10**6)), 5 * 10**6 + 3),
+])
+def test_compile_literal_refuses_a_wide_table_before_building_it(d, needs):
+    # the table is counted, not built: 10**9 instructions are never emitted
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"needs {needs} instructions"):
+        compile_literal(d)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
