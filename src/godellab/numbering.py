@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterable, Sequence, Union
 
 Nat = int
@@ -184,15 +184,20 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # `_run` is the only machine step loop.
 #
 # Every instruction costs one step, EVB included: the inner evaluation is
-# free for the caller and runs under the budget read from R[s].  Results of
-# completed evaluations are memoized per (index, input).  A halted entry
-# holds the `Halted` that `_run` built, and a hit within its steps returns
-# that object itself: outcomes are immutable, so sharing one changes no
-# value, and no outcome is built twice.  The memo is transparent with one
-# known exception: the depth cut below depends on how deep the EVB chain
-# already is, while the memo key does not, so an entry made at a shallow
-# depth can stand in for a run that a deeper chain would have cut
-# (ROADMAP.md, "Make the memo transparent").
+# free for the caller and runs under the budget read from R[s].
+#
+# Each index has one record (`_Record`): its lowering, whether its code
+# holds an EVB, and an entry per input whose evaluation completed: the
+# `Halted` that `_run` built, which a hit within its steps returns itself
+# (outcomes are immutable); `_NEVER` (infinity) for a run proven never to
+# halt; or the int count of steps explored without a halt.  A miss on a
+# stored record hashes the index once, and an EVB program's run once more
+# for its place on the EVB chain, which an EVB-free run never reads.  The
+# memo is transparent with one known exception: the depth cut below
+# depends on how deep the chain already is, while an entry does not record
+# it, so an entry made at a shallow depth can stand in for a run that a
+# deeper chain would have cut (ROADMAP.md, "A transparent memo").  Only an
+# EVB program's entries can depend on the chain, so only they need a depth.
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
@@ -211,10 +216,10 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # of `s_const` and `precompose_affine`, `LoopCompiler.compile`, and the
 # learners', corpus' and literal compiler's encodings) goes through
 # `index_of`, which lowers the instruction codes the Program holds.  That
-# is exact: the index is the list code of those codes, so the stored entry
-# is the one a cache miss would compute by decoding, and no outcome or
-# memo tag can change; only the unpairing of a number of up to half a
-# million bits is skipped.  `index_of` also memoizes the index by program
+# is exact: the index is the list code of those codes, so the stored
+# lowering is the one a cache miss would compute by decoding, and no
+# outcome or entry can change; only the unpairing of a number of up to
+# half a million bits is skipped.  `index_of` also memoizes the index by program
 # value, so a program emitted twice (a pocket's dovetailer, emitted for each
 # instance of its function; a composed catalog index, built by each
 # `_extract` call) is encoded once; encode is a function of the program, so
@@ -224,22 +229,30 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # still decoded on first use.
 
 _DEPTH_LIMIT = 64
+_NEVER = inf
 
-# memo entries: (0, halted) halted, holding the outcome _run returned
-#             | (1,) proven never to halt: BudgetExceeded under any budget
-#             | (2, explored) no halt within `explored` steps, nothing proven
-_memo: dict[tuple[int, int], tuple] = {}
-# index -> _lower(decode_list(index)); filled on a miss by decoding,
-# and by `index_of` for emitted indices, with the same entry either way;
-# `index_of` leaves an entry that is already there in place
-_lower_cache: dict[int, tuple] = {}
+
+class _Record:
+    """`_lower`'s four fields, whether the code holds an EVB, entries by input."""
+
+    __slots__ = ("code", "nregs", "top", "ctrl", "evb", "outcomes")
+
+    def __init__(self, lowered: tuple):
+        self.code, self.nregs, self.top, self.ctrl = lowered
+        self.evb = any(ins[0] == 4 for ins in self.code)
+        self.outcomes: dict[int, Halted | int | float] = {}
+
+
+# index -> its record; lowered on first use by decoding, and by `index_of`
+# for emitted indices, with the same lowering either way; `index_of` leaves
+# a record that is already there in place
+_records: dict[int, _Record] = {}
 # emitted program -> encode(program): the index memo of `index_of`
 _index_cache: dict[Program, ProgramIndex] = {}
 
 
 def clear_eval_cache() -> None:
-    _memo.clear()
-    _lower_cache.clear()
+    _records.clear()
     _index_cache.clear()
 
 
@@ -288,11 +301,11 @@ def _lower(codes: Sequence[Nat]) -> tuple:
     return tuple(code), len(order), order[-1], ctrl
 
 
-def _lowered(index: int) -> tuple:
-    ent = _lower_cache.get(index)
-    if ent is None:
-        ent = _lower_cache[index] = _lower(decode_list(index))
-    return ent
+def _record(index: int) -> _Record:
+    rec = _records.get(index)
+    if rec is None:
+        rec = _records[index] = _Record(_lower(decode_list(index)))
+    return rec
 
 
 def index_of(program: Program) -> ProgramIndex:
@@ -302,8 +315,8 @@ def index_of(program: Program) -> ProgramIndex:
     index = _index_cache.get(program)
     if index is None:
         index = _index_cache[program] = encode(program)
-    if index not in _lower_cache:
-        _lower_cache[index] = _lower(program.codes)
+    if index not in _records:
+        _records[index] = _Record(_lower(program.codes))
     return index
 
 
@@ -313,46 +326,42 @@ def evaluate(index: ProgramIndex, arg: Nat, budget: Nat) -> EvalOutcome:
     Returns Halted(value, steps) with steps <= budget, or
     BudgetExceeded(budget).  Deterministic and monotone in the budget:
     a Halted outcome is reproduced unchanged under any larger budget.
+    One hash of `index` fetches its record; its entry for `arg` (the Halted,
+    never-halts, or the steps explored) answers a hit, and an uncut miss
+    stores one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if index < 0 or arg < 0:
         raise ValueError("index and argument must be naturals")
-    out, _ = _eval_impl(index, arg, budget, set())
-    return out
+    return _eval(index, arg, budget)[0]
 
 
-def _eval_impl(index: int, arg: int, budget: int, chain: set) -> tuple[EvalOutcome, bool]:
-    key = (index, arg)
-    ent = _memo.get(key)
+def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> tuple[EvalOutcome, bool]:
+    """(outcome, pure); `chain` holds the (index, input) pairs of the EVB runs above."""
+    rec = _record(index)
+    ent = rec.outcomes.get(arg)
     if ent is not None:
-        tag = ent[0]
-        if tag == 0:
-            if budget >= ent[1].steps:
-                return ent[1], True
+        if type(ent) is Halted:
+            return (ent if budget >= ent.steps else BudgetExceeded(budget)), True
+        if budget <= ent:
             return BudgetExceeded(budget), True
-        if tag == 1 or budget <= ent[1]:
-            return BudgetExceeded(budget), True
-
-    code, nregs, _, ctrl = _lowered(index)
-    chain.add(key)
-    try:
-        out, pure, entry = _run(code, nregs, ctrl, arg, budget, chain)
-    finally:
-        chain.discard(key)
+    if rec.evb:
+        chain = chain | {(index, arg)}
+    out, pure, entry = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
     if pure:
-        _memo[key] = entry
+        rec.outcomes[arg] = entry
     return out, pure
 
 
-def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: set) -> tuple:
+def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset) -> tuple:
     """The machine step loop: (outcome, pure, memo entry).
 
     `pure` is false once an EVB call was cut or used a cut result; only a
     pure outcome may be memoized.  The pc and the control slots `ctrl`
     (every slot when None) are snapshotted at doubling step counts.  When
     both repeat, the run provably never halts, whatever the other registers
-    hold: the outcome is BudgetExceeded(budget) with the memo entry (1,).
+    hold: the outcome is BudgetExceeded(budget) with the memo entry _NEVER.
     """
     regs = [0] * nregs
     regs[0] = arg
@@ -366,9 +375,9 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: set) -> tu
     while True:
         if pc >= ncode:
             out = Halted(regs[0], steps)
-            return out, pure, (0, out)
+            return out, pure, out
         if steps >= budget:
-            return BudgetExceeded(budget), pure, (2, budget)
+            return BudgetExceeded(budget), pure, budget
         ins = code[pc]
         tag = ins[0]
         if tag == 0:
@@ -388,14 +397,14 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: set) -> tu
                 regs[ins[4]] = 0
                 pure = False
             else:
-                out, sub_pure = _eval_impl(sub[0], sub[1], regs[ins[3]], chain)
+                out, sub_pure = _eval(sub[0], sub[1], regs[ins[3]], chain)
                 if not sub_pure:
                     pure = False
                 regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
             pc += 1
         steps += 1
         if pc == snap_pc and (regs if ctrl is None else [regs[c] for c in ctrl]) == snap:
-            return BudgetExceeded(budget), pure, (1,)
+            return BudgetExceeded(budget), pure, _NEVER
         if steps == next_snap:
             snap_pc = pc
             snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]
@@ -419,7 +428,7 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
     if arg < 0:
         raise ValueError("argument must be a natural")
     code, nregs, _, ctrl = _lower(program.codes)
-    out, _, _ = _run(code, nregs, ctrl, arg, budget, set())
+    out, _, _ = _run(code, nregs, ctrl, arg, budget, frozenset())
     return out
 
 
@@ -509,7 +518,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     suffix = decode(index)
     _check_emit_length((const + 2) + const * (const + 1) // 2 + 10 + len(suffix),
                        f"s_const(..., {const})")
-    base = _lowered(index)[2] + 1
+    base = _record(index).top + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
     a = _Asm()
     for _ in range(const + 2):
@@ -552,7 +561,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
         for _ in range(add):
             a.emit("S", 0)
     else:
-        base = _lowered(index)[2] + 1
+        base = _record(index).top + 1
         k, acc = base, base + 1
         a.label("lp")
         a.emit("J", k, 0, "done")

@@ -11,7 +11,8 @@ import pytest
 
 from godellab import cli
 from godellab.cli import DEFAULTS, build_parser, main, read_config, resolve_config
-from godellab.numbering import Copy, Inc, Loop, compile_loop
+from godellab.numbering import Copy, Inc, Loop, clear_eval_cache, compile_loop
+from godellab.oracles import clear_oracle_cache
 
 
 def run(*argv):
@@ -253,6 +254,28 @@ def test_reduce_check_families(tmp_path, capsys):
     rundir = tmp_path / "run"
     assert run("reduce-check", "--reduction", "gstar_g",
                "--corpus", gen / "families.corpus", "--out-dir", rundir) == 0
+
+
+def test_reduce_check_report_is_the_same_after_other_commands(tmp_path):
+    # the evaluator memo and the universe tables outlive a command; what
+    # learn and kolmogorov leave in them must not change a report
+    gen = tmp_path / "gen"
+    run("corpus-gen", "families", "--size", 4, "--seed", 4, "--out-dir", gen)
+    corpus = tmp_path / "mix.corpus"
+    corpus.write_text("lit tail=const:0\ngen index=2 budget=40\n")
+    check = ("reduce-check", "--reduction", "ghat_g",
+             "--corpus", gen / "families.corpus", "--out-dir")
+    clear_eval_cache()
+    clear_oracle_cache()
+    assert run("learn", "--learner", "amalgamation", "--corpus", corpus,
+               "--out-dir", tmp_path / "learn") == 0
+    assert run("kolmogorov", "--corpus", corpus, "--out-dir", tmp_path / "kol") == 0
+    assert run(*check, tmp_path / "after") == 0
+    clear_eval_cache()
+    clear_oracle_cache()
+    assert run(*check, tmp_path / "cleared") == 0
+    assert (tmp_path / "after" / "report.json").read_bytes() == \
+        (tmp_path / "cleared" / "report.json").read_bytes()
 
 
 def test_unknown_reduction_is_a_usage_error(tmp_path, capsys):

@@ -9,8 +9,9 @@ growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
 divergent.  The hand-made cut cases reach the re-entrance and depth cuts
 of EVB, which the fuzz does not.  The emitted cases check that an index
-the lab builds arrives with the lowering its decoding would give, is
-never decoded again, and is encoded once however often it is emitted.
+the lab builds arrives with the lowering its decoding would give, runs
+as the reference runs it, is never decoded again, and is encoded once
+however often it is emitted.
 """
 
 import sys
@@ -61,7 +62,7 @@ def _cold(index, arg, budget):
     """
     clear_eval_cache()
     out = evaluate(index, arg, budget)
-    return out, (index, arg) in numbering._memo
+    return out, arg in numbering._records[index].outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,21 @@ def test_depth_cut_matches_reference(monkeypatch, limit, want):
     assert _cold(_TWO_NESTED_CALLS, 11, 100) == (want, limit > 2)
 
 
+@pytest.mark.xfail(strict=True, reason="a memo entry does not record the depth its "
+                   "run consumed (ROADMAP.md, 'A transparent memo')")
+def test_depth_cut_is_the_same_warm_and_cold(monkeypatch):
+    # (11, 0) under budget 5 is stored from the top of the chain, with
+    # index 0 run below it uncut; nested under _TWO_NESTED_CALLS the same
+    # call would reach index 0 on the third level and be cut
+    monkeypatch.setattr(numbering, "_DEPTH_LIMIT", 2)
+    monkeypatch.setattr(reference, "DEPTH_LIMIT", 2)
+    cold, _ = _cold(_TWO_NESTED_CALLS, 11, 100)
+    clear_eval_cache()
+    evaluate(11, 0, 5)
+    warm = evaluate(_TWO_NESTED_CALLS, 11, 100)
+    assert warm == cold == _reference(_TWO_NESTED_CALLS, 11, 100)
+
+
 # ---------------------------------------------------------------------------
 # emitted indices arrive lowered
 
@@ -217,27 +233,34 @@ EMITTERS = {
 }
 
 
+def _lowering(record):
+    return record.code, record.nregs, record.top, record.ctrl
+
+
 @pytest.mark.parametrize("emitter", sorted(EMITTERS))
 def test_emitted_lowering_is_the_decoded_one(emitter):
     clear_eval_cache()
     indices = EMITTERS[emitter]()
-    seeded = {i: numbering._lower_cache[i] for i in indices}
-    numbering._memo.clear()
+    seeded = {i: numbering._records[i] for i in indices}
+    for record in numbering._records.values():
+        record.outcomes.clear()
     warm = {i: [evaluate(i, n, 5000) for n in range(9)] for i in indices}
+    assert all(numbering._records[i] is seeded[i] for i in indices)
     clear_eval_cache()
     for i in indices:
-        assert i not in numbering._lower_cache
+        assert i not in numbering._records
         assert [evaluate(i, n, 5000) for n in range(9)] == warm[i]
-        assert numbering._lower_cache[i] == seeded[i]
-        assert seeded[i] == numbering._lower(numbering.decode_list(i))
-        if len(decode(i)) <= 9:
-            assert warm[i] == [_reference(i, n, 5000) for n in range(9)]
+        assert _lowering(numbering._records[i]) == _lowering(seeded[i])
+        assert _lowering(seeded[i]) == numbering._lower(numbering.decode_list(i))
+        # the reference's cost grows with the index's bits
+        inputs = range(9) if i.bit_length() < 120_000 else range(3)
+        assert warm[i][:len(inputs)] == [_reference(i, n, 5000) for n in inputs]
     assert any(isinstance(out, Halted) for outs in warm.values() for out in outs)
 
 
 def test_s_const_moves_suffix_jumps_as_the_reference_reads_them():
-    # the check above runs the reference on up to 9 instructions; this
-    # index has 15 (437,559 bits)
+    # the check above runs the reference on this 437,559-bit index for
+    # inputs 0..2; this one also checks the value the suffix gives
     index = s_const(_JUMPS, 0)
     clear_eval_cache()
     for n in range(4):
@@ -327,10 +350,10 @@ def test_an_equal_program_hits_the_memo_and_keeps_the_lowering(encodes):
     first, second = parse_program(text), parse_program(text)
     assert first is not second
     index = index_of(first)
-    lowered = numbering._lower_cache[index]
+    record = numbering._records[index]
     assert index_of(second) == index == encode(second)
     assert encodes == [index]
-    assert numbering._lower_cache[index] is lowered
+    assert numbering._records[index] is record
 
 
 def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
@@ -338,7 +361,7 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
     program = parse_program("S 0\nS 0")
     index = encode(program)
     evaluate(index, 0, 10)
-    lowered = numbering._lower_cache[index]
+    record = numbering._records[index]
     assert index_of(program) == index
     assert encodes == [index]
-    assert numbering._lower_cache[index] is lowered
+    assert numbering._records[index] is record

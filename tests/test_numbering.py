@@ -8,6 +8,7 @@ interpreter that shares no code with the lab is tests/test_differential.py.
 """
 
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -50,7 +51,7 @@ from godellab.numbering import (
     value_table_budget,
     value_table_program,
 )
-from godellab.numbering import _lower, _memo
+from godellab.numbering import _NEVER, _lower, _records
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -310,7 +311,7 @@ def test_memo_hit_returns_the_stored_outcome():
     index = encode(_prog("S 0", "S 0", "S 0"))
     first = evaluate(index, 4, 10)
     assert first == Halted(7, 3)
-    assert _memo[(index, 4)] == (0, first)
+    assert _records[index].outcomes[4] is first
     assert evaluate(index, 4, 10) is first
     assert evaluate(index, 4, 3) is first
     assert evaluate(index, 4, 2) == BudgetExceeded(2)
@@ -382,7 +383,7 @@ def test_growing_loops_are_proven_divergent_at_once():
         for arg in range(3):
             clear_eval_cache()
             assert evaluate(index, arg, 10**9) == BudgetExceeded(10**9)
-            assert _memo[(index, arg)] == (1,)
+            assert _records[index].outcomes[arg] is _NEVER
             assert run_program(program, arg, 10**9) == BudgetExceeded(10**9)
 
 
@@ -478,12 +479,30 @@ def test_clear_eval_cache_empties_every_cache_of_numbering():
     caches = {name: value for name, value in vars(numbering).items()
               if isinstance(value, dict) and not name.startswith("__")
               and not name.isupper()}
-    assert {"_memo", "_lower_cache", "_index_cache"} <= set(caches)
+    assert {"_records", "_index_cache"} <= set(caches)
     clear_eval_cache()
     evaluate(s_const(2, 1), 0, 100)
     assert all(caches.values())
     clear_eval_cache()
     assert not any(caches.values())
+
+
+def test_evaluator_state_of_a_universe_scan_stays_small():
+    # the cells of the benchmark's scan: indices 0..1000 at positions
+    # 0..16 under cap 400, then 10^4, from a cleared cache; what is still
+    # allocated once the returned outcomes are dropped is the evaluator's
+    # state (3.34 MB when each cell had its own key and entry tuples)
+    clear_eval_cache()
+    tracemalloc.start()
+    try:
+        outs = [evaluate(i, n, cap) for cap in (400, 10**4)
+                for i in range(1001) for n in range(17)]
+        del outs
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_eval_cache()
+    assert retained < 2_400_000
 
 
 # ---------------------------------------------------------------------------
