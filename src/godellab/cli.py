@@ -98,7 +98,7 @@ def read_config(path: str) -> dict[str, int]:
             continue
         key, sep, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if not sep or key not in DEFAULTS or not val.isdigit():
+        if not (sep and key in DEFAULTS and val.isascii() and val.isdigit()):
             raise ValueError(f"{path}:{lineno}: expected <known key>=<nat>, "
                              f"got {line!r}")
         values[key] = int(val)

@@ -67,7 +67,7 @@ def parse_corpus_line(text: str) -> CorpusEntry:
         if sep and key in ANNOTATION_KEYS:
             if key in nodes:
                 raise ValueError(f"duplicate annotation {key!r}")
-            if not val.isdigit():
+            if not (val.isascii() and val.isdigit()):
                 raise ValueError(f"annotation {key}= needs a natural number")
             nodes[key] = int(val)
         else:

@@ -187,23 +187,24 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # free for the caller and runs under the budget read from R[s].
 #
 # Each index has one record (`_Record`): its lowering, whether its code
-# holds an EVB, and an entry per input whose evaluation completed: the
-# `Halted` that `_run` built, which a hit within its steps returns itself
-# (outcomes are immutable); `_NEVER` (infinity) for a run proven never to
-# halt; or the int count of steps explored without a halt.  A miss on a
-# stored record hashes the index once, and an EVB program's run once more
-# for its place on the EVB chain, which an EVB-free run never reads.  The
-# memo is transparent with one known exception: the depth cut below
-# depends on how deep the chain already is, while an entry does not record
-# it, so an entry made at a shallow depth can stand in for a run that a
-# deeper chain would have cut (ROADMAP.md, "A transparent memo").  Only an
-# EVB program's entries can depend on the chain, so only they need a depth.
+# holds an EVB, and an entry per completed run: the `Halted` that `_run`
+# built, which a hit within its steps returns itself (outcomes are
+# immutable); `_NEVER` (infinity) for a run proven never to halt; or the
+# int count of steps explored without a halt.
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
 # inner calls are treated as divergent, as are chains nested deeper than
 # _DEPTH_LIMIT.  Both cuts are independent of the outer budget, which keeps
 # budget monotonicity intact.
+#
+# An entry is keyed by what its run reads besides index and budget: its
+# input and, at an EVB, the chain of (index, input) pairs of the EVB runs
+# above, which both cuts read.  So an EVB program's entry is keyed by
+# (input, chain) below the top of the chain, any other by input: every
+# completed run is stored, exact for every caller, and a nested call
+# repeated under one chain is a hit.  A miss hashes the index once, and an
+# EVB program's run once more for its place on the chain.
 #
 # Divergence is also proven outright.  The next pc and the next values of
 # the control slots (the registers a comparison can read, directly or
@@ -233,14 +234,14 @@ _NEVER = inf
 
 
 class _Record:
-    """`_lower`'s four fields, whether the code holds an EVB, entries by input."""
+    """`_lower`'s four fields, whether the code holds an EVB, entries by key."""
 
     __slots__ = ("code", "nregs", "top", "ctrl", "evb", "outcomes")
 
     def __init__(self, lowered: tuple):
         self.code, self.nregs, self.top, self.ctrl = lowered
         self.evb = any(ins[0] == 4 for ins in self.code)
-        self.outcomes: dict[int, Halted | int | float] = {}
+        self.outcomes: dict[int | tuple, Halted | int | float] = {}
 
 
 # index -> its record; lowered on first use by decoding, and by `index_of`
@@ -327,57 +328,53 @@ def evaluate(index: ProgramIndex, arg: Nat, budget: Nat) -> EvalOutcome:
     BudgetExceeded(budget).  Deterministic and monotone in the budget:
     a Halted outcome is reproduced unchanged under any larger budget.
     One hash of `index` fetches its record; its entry for `arg` (the Halted,
-    never-halts, or the steps explored) answers a hit, and an uncut miss
-    stores one.
+    never-halts, or the steps explored) answers a hit, and a miss stores one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if index < 0 or arg < 0:
         raise ValueError("index and argument must be naturals")
-    return _eval(index, arg, budget)[0]
+    return _eval(index, arg, budget)
 
 
-def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> tuple[EvalOutcome, bool]:
-    """(outcome, pure); `chain` holds the (index, input) pairs of the EVB runs above."""
+def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
+    """`chain` holds the (index, input) pairs of the EVB runs above."""
     rec = _record(index)
-    ent = rec.outcomes.get(arg)
+    key = (arg, chain) if rec.evb and chain else arg
+    ent = rec.outcomes.get(key)
     if ent is not None:
         if type(ent) is Halted:
-            return (ent if budget >= ent.steps else BudgetExceeded(budget)), True
+            return ent if budget >= ent.steps else BudgetExceeded(budget)
         if budget <= ent:
-            return BudgetExceeded(budget), True
+            return BudgetExceeded(budget)
     if rec.evb:
         chain = chain | {(index, arg)}
-    out, pure, entry = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
-    if pure:
-        rec.outcomes[arg] = entry
-    return out, pure
+    out, rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
+    return out
 
 
 def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset) -> tuple:
-    """The machine step loop: (outcome, pure, memo entry).
+    """The machine step loop: (outcome, memo entry).
 
-    `pure` is false once an EVB call was cut or used a cut result; only a
-    pure outcome may be memoized.  The pc and the control slots `ctrl`
-    (every slot when None) are snapshotted at doubling step counts.  When
-    both repeat, the run provably never halts, whatever the other registers
-    hold: the outcome is BudgetExceeded(budget) with the memo entry _NEVER.
+    The pc and the control slots `ctrl` (every slot when None) are
+    snapshotted at doubling step counts.  When both repeat, the run
+    provably never halts, whatever the other registers hold: the outcome
+    is BudgetExceeded(budget) with the memo entry _NEVER.
     """
     regs = [0] * nregs
     regs[0] = arg
     pc = 0
     steps = 0
     ncode = len(code)
-    pure = True
     snap_pc = -1
     snap = None
     next_snap = 8
     while True:
         if pc >= ncode:
             out = Halted(regs[0], steps)
-            return out, pure, out
+            return out, out
         if steps >= budget:
-            return BudgetExceeded(budget), pure, budget
+            return BudgetExceeded(budget), budget
         ins = code[pc]
         tag = ins[0]
         if tag == 0:
@@ -395,16 +392,13 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
             sub = (regs[ins[1]], regs[ins[2]])
             if sub in chain or len(chain) >= _DEPTH_LIMIT:
                 regs[ins[4]] = 0
-                pure = False
             else:
-                out, sub_pure = _eval(sub[0], sub[1], regs[ins[3]], chain)
-                if not sub_pure:
-                    pure = False
+                out = _eval(sub[0], sub[1], regs[ins[3]], chain)
                 regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
             pc += 1
         steps += 1
         if pc == snap_pc and (regs if ctrl is None else [regs[c] for c in ctrl]) == snap:
-            return BudgetExceeded(budget), pure, _NEVER
+            return BudgetExceeded(budget), _NEVER
         if steps == next_snap:
             snap_pc = pc
             snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]
@@ -428,7 +422,7 @@ def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
     if arg < 0:
         raise ValueError("argument must be a natural")
     code, nregs, _, ctrl = _lower(program.codes)
-    out, _, _ = _run(code, nregs, ctrl, arg, budget, frozenset())
+    out, _ = _run(code, nregs, ctrl, arg, budget, frozenset())
     return out
 
 

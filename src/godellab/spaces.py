@@ -242,6 +242,12 @@ def format_descriptor(d: SeqDescriptor) -> str:
     return " ".join(fields)
 
 
+def _nat(text: str) -> Nat:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def parse_descriptor(text: str) -> SeqDescriptor:
     """Inverse of format_descriptor; grammar used by corpus files."""
     tokens = text.split()
@@ -258,12 +264,12 @@ def parse_descriptor(text: str) -> SeqDescriptor:
     if kind == "gen":
         if set(fields) != {"index", "budget"}:
             raise ValueError("gen descriptor needs exactly index= and budget=")
-        return Generated(int(fields["index"]), int(fields["budget"]))
+        return Generated(_nat(fields["index"]), _nat(fields["budget"]))
     if kind != "lit":
         raise ValueError(f"unknown descriptor kind {kind!r}")
     prefix = ()
     if "prefix" in fields:
-        prefix = tuple(int(v) for v in fields.pop("prefix").split(","))
+        prefix = tuple(_nat(v) for v in fields.pop("prefix").split(","))
     tail_text = fields.pop("tail", None)
     if tail_text is None:
         raise ValueError("lit descriptor needs tail=")
@@ -271,9 +277,9 @@ def parse_descriptor(text: str) -> SeqDescriptor:
         raise ValueError(f"unknown fields {sorted(fields)}")
     shape, _, body = tail_text.partition(":")
     if shape == "const":
-        tail: Tail = Constant(int(body))
+        tail: Tail = Constant(_nat(body))
     elif shape == "per":
-        tail = Periodic(tuple(int(v) for v in body.split(",")))
+        tail = Periodic(tuple(_nat(v) for v in body.split(",")))
     else:
         raise ValueError(f"unknown tail shape {shape!r}")
     return Literal(prefix, tail)

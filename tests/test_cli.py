@@ -36,6 +36,19 @@ def test_read_config_rejects_unknown_keys(tmp_path):
         read_config(str(p))
 
 
+def test_config_values_are_ascii_digits(tmp_path, capsys):
+    # "²" and "١٢" are digits to str.isdigit; int() refuses the first and
+    # reads the second as 12
+    p = tmp_path / "lab.cfg"
+    for value in ("²", "١٢"):
+        p.write_text(f"window=5\ncap={value}\n", encoding="utf-8")
+        assert run("enumerate", "0", "0", "--config", p) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {p}:2: expected <known key>=<nat>")
+    p.write_text("window=05\ncap=99\n")
+    assert read_config(str(p)) == {"window": 5, "cap": 99}
+
+
 def test_flags_override_file_which_overrides_defaults(tmp_path):
     p = tmp_path / "lab.cfg"
     p.write_text("cap=99\nwindow=5\n")

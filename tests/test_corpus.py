@@ -49,6 +49,13 @@ def test_annotations_are_validated():
         parse_corpus_line("lit tail=const:0 frobnicate=1")
 
 
+def test_annotations_are_ascii_digits():
+    for value in ("²", "١"):
+        with pytest.raises(ValueError, match="line 2: annotation m= needs a natural"):
+            read_corpus(["lit tail=const:0 m=1", f"lit tail=const:0 m={value}"])
+    assert parse_corpus_line("lit tail=const:0 m=01").m == 1
+
+
 def test_read_corpus_skips_noise_and_names_bad_lines():
     lines = ["# header", "", "lit tail=const:0", "gen index=2 budget=9 which=0"]
     entries = read_corpus(lines)

@@ -7,8 +7,9 @@ must equal its outcome, whatever the cache held before.  The hand-made
 growth cases loop while one register grows and halt only once that
 growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
-divergent.  The hand-made cut cases reach the re-entrance and depth cuts
-of EVB, which the fuzz does not.  The emitted cases check that an index
+divergent.  The hand-made cut cases and the cut fuzz reach the
+re-entrance and depth cuts of EVB, whose outcomes the memo stores under
+the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
 as the reference runs it, is never decoded again, and is encoded once
 however often it is emitted.
@@ -48,21 +49,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "godelbench"))
 import reference  # noqa: E402
 
 
-def _reference(index, arg, budget):
-    out = reference.run(index, arg, budget)
+def _reference(index, arg, budget, chain=frozenset()):
+    out = reference.run(index, arg, budget, chain)
     return BudgetExceeded(budget) if out is None else Halted(*out)
 
 
-def _cold(index, arg, budget):
-    """evaluate on an empty cache, and whether no EVB call was cut.
+class _OffChain(frozenset):
+    """An empty EVB chain that stays empty when the reference puts its
+    top-level run on it, as run_program leaves its top-level run off."""
 
-    Only an uncut run is memoized.  When nothing was cut, the top-level
-    run's place on the EVB chain never mattered, so run_program, whose
-    top-level run is off the chain, must agree with evaluate.
-    """
+    def __or__(self, other):
+        return frozenset()
+
+
+def _direct(index, arg, budget):
+    return run_program(decode(index), arg, budget)
+
+
+def _off_chain(index, arg, budget):
+    """The reference run with its top level off the EVB chain, which is
+    what run_program runs."""
+    return _reference(index, arg, budget, _OffChain())
+
+
+def _cold(index, arg, budget):
     clear_eval_cache()
-    out = evaluate(index, arg, budget)
-    return out, arg in numbering._records[index].outcomes
+    return evaluate(index, arg, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +107,47 @@ _programs = st.integers(1, 7).flatmap(
 def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng):
     cells = [(encode(p), arg, budget) for p in programs for arg in range(3)]
     want = [_reference(*cell) for cell in cells]
-    cold = [_cold(*cell) for cell in cells]
-    assert [out for out, _ in cold] == want
-    for cell, (out, uncut) in zip(cells, cold):
-        if uncut:
-            assert run_program(decode(cell[0]), cell[1], cell[2]) == out
+    assert [_cold(*cell) for cell in cells] == want
+    assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
     order = list(range(len(cells)))
     rng.shuffle(order)
     clear_eval_cache()
     warm = {k: evaluate(*cells[k]) for k in order}
+    assert [warm[k] for k in range(len(cells))] == want
+
+
+# indices 0..2000 whose programs hold an EVB (556 of them); the reference
+# has no divergence proof, so its cost grows with the budgets these
+# indices load, and they are kept small
+_EVB_INDICES = [i for i in range(2001)
+                if any(ins.op == "EVB" for ins in decode(i).instructions)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_EVB_INDICES), min_size=3, max_size=3),
+       st.integers(0, 2000), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_cuts_are_the_same_warm_cold_direct_and_in_the_reference(evbs, other, budget, rng):
+    # with both depth limits at 2, each EVB run's calls to its siblings
+    # (its inputs include their indices) reach both cuts; the warm pass
+    # first runs the siblings on each other at the top of the chain,
+    # where nothing above them is cut, and then every cell in a shuffled
+    # order
+    indices = evbs + [other]
+    cells = [(i, n, budget) for i in indices for n in sorted({*indices, 0, 1, 2})]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numbering, "_DEPTH_LIMIT", 2)
+        mp.setattr(reference, "DEPTH_LIMIT", 2)
+        want = [_reference(*cell) for cell in cells]
+        assert [_cold(*cell) for cell in cells] == want
+        assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
+        order = list(range(len(cells)))
+        rng.shuffle(order)
+        clear_eval_cache()
+        for i in indices:
+            for n in indices:
+                evaluate(i, n, budget)
+        warm = {k: evaluate(*cells[k]) for k in order}
+    clear_eval_cache()
     assert [warm[k] for k in range(len(cells))] == want
 
 
@@ -167,9 +211,12 @@ def test_growth_that_reaches_a_comparison_halts():
 
 
 def test_reentrant_evb_call_is_cut():
-    # index 11 is EVB 0 0 0 0: on input 11 it calls itself on 11
+    # index 11 is EVB 0 0 0 0: on input 11 it calls itself on 11; the cut
+    # run is stored, under its input alone at the top of the chain
     assert _reference(11, 11, 100) == Halted(0, 1)
-    assert _cold(11, 11, 100) == (Halted(0, 1), False)
+    out = _cold(11, 11, 100)
+    assert out == Halted(0, 1)
+    assert numbering._records[11].outcomes == {11: out}
 
 
 # on input 11 the run calls index 11 on 0 under budget 5, which calls
@@ -183,22 +230,58 @@ def test_depth_cut_matches_reference(monkeypatch, limit, want):
     monkeypatch.setattr(numbering, "_DEPTH_LIMIT", limit)
     monkeypatch.setattr(reference, "DEPTH_LIMIT", limit)
     assert _reference(_TWO_NESTED_CALLS, 11, 100) == want
-    assert _cold(_TWO_NESTED_CALLS, 11, 100) == (want, limit > 2)
+    out = _cold(_TWO_NESTED_CALLS, 11, 100)
+    assert out == want
+    records = numbering._records
+    assert records[_TWO_NESTED_CALLS].outcomes == {11: out}
+    # index 11 below the top is stored under its input and the chain
+    # above it; index 0, cut at limit 2, is never run
+    above = frozenset({(_TWO_NESTED_CALLS, 11)})
+    assert records[11].outcomes == {(0, above): Halted(int(limit > 2), 1)}
+    if limit > 2:
+        assert records[0].outcomes == {0: Halted(0, 0)}
+    else:
+        assert 0 not in records
 
 
-@pytest.mark.xfail(strict=True, reason="a memo entry does not record the depth its "
-                   "run consumed (ROADMAP.md, 'A transparent memo')")
 def test_depth_cut_is_the_same_warm_and_cold(monkeypatch):
     # (11, 0) under budget 5 is stored from the top of the chain, with
     # index 0 run below it uncut; nested under _TWO_NESTED_CALLS the same
-    # call would reach index 0 on the third level and be cut
+    # call reaches index 0 on the third level and is cut
     monkeypatch.setattr(numbering, "_DEPTH_LIMIT", 2)
     monkeypatch.setattr(reference, "DEPTH_LIMIT", 2)
-    cold, _ = _cold(_TWO_NESTED_CALLS, 11, 100)
+    cold = _cold(_TWO_NESTED_CALLS, 11, 100)
     clear_eval_cache()
     evaluate(11, 0, 5)
     warm = evaluate(_TWO_NESTED_CALLS, 11, 100)
     assert warm == cold == _reference(_TWO_NESTED_CALLS, 11, 100)
+
+
+# on input 11, four EVB calls of index 11 (EVB 0 0 0 0) on 11 under
+# budget 11, each cut inside as re-entrant
+_FOUR_CALLS = encode(parse_program("\n".join(["EVB 0 0 0 1"] * 4)))
+
+
+def test_a_nested_call_repeated_under_one_chain_runs_once(monkeypatch):
+    runs = []
+    real = numbering._run
+
+    def counting(code, *rest):
+        runs.append(code)
+        return real(code, *rest)
+
+    monkeypatch.setattr(numbering, "_run", counting)
+    clear_eval_cache()
+    assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4) == _reference(_FOUR_CALLS, 11, 100)
+    outer, inner = numbering._records[_FOUR_CALLS].code, numbering._records[11].code
+    assert runs == [outer, inner]
+    runs.clear()
+    assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4)
+    assert runs == []
+    # at the top of the chain, index 11 reads another chain: a new entry
+    assert evaluate(11, 11, 100) == Halted(0, 1)
+    assert runs == [inner]
+    assert set(numbering._records[11].outcomes) == {11, (11, frozenset({(_FOUR_CALLS, 11)}))}
 
 
 # ---------------------------------------------------------------------------

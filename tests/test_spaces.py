@@ -233,6 +233,17 @@ def test_descriptor_text_round_trip(d):
     assert parse_descriptor(format_descriptor(d)) == d
 
 
+def test_parse_reads_ascii_digits_only():
+    # int() reads "1_0" as 10, "+5" as 5 and "١" as 1, none of which
+    # format_descriptor writes back
+    for bad in ["gen index=1_0 budget=5", "gen index=10 budget=+5",
+                "gen index=-0 budget=5", "lit prefix=١ tail=const:0",
+                "lit tail=const:²", "lit tail=per:0,1_1"]:
+        with pytest.raises(ValueError, match="ASCII decimal digits"):
+            parse_descriptor(bad)
+    assert parse_descriptor("gen index=010 budget=5") == Generated(10, 5)
+
+
 def test_parse_rejects_malformed_text():
     for bad in [
         "",
