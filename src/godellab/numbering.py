@@ -17,7 +17,6 @@ length halts the machine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import inf, isqrt
 from typing import Iterable, Sequence, Union
@@ -463,13 +462,6 @@ class _Asm:
         return Program(tuple(out))
 
 
-_label_counter = itertools.count()
-
-
-def _fresh(stem: str) -> str:
-    return f"{stem}{next(_label_counter)}"
-
-
 # ---------------------------------------------------------------------------
 # Index transformers.
 #
@@ -650,8 +642,8 @@ def first_value_budget(members: Sequence[ProgramIndex], inner_steps: Nat, value_
 
 # ---------------------------------------------------------------------------
 # A total sub-language: straight-line register programs with bounded loops.
-# Every program halts; the compiler records emitted indices and can report
-# an exact step count of the compiled code on a given input.
+# Every program halts; the compiler records the indices it emits, and
+# `run_loop` is the reference its machine code is checked against.
 
 
 @dataclass(frozen=True)
@@ -682,13 +674,12 @@ LoopStmt = Union[Inc, ZeroR, Copy, Loop]
 def _loop_regs(stmts: Iterable[LoopStmt]) -> set[int]:
     regs: set[int] = set()
     for st in stmts:
-        if isinstance(st, Inc) or isinstance(st, ZeroR):
-            regs.add(st.reg)
-        elif isinstance(st, Copy):
+        if isinstance(st, Copy):
             regs.update((st.src, st.dst))
         else:
             regs.add(st.reg)
-            regs |= _loop_regs(st.body)
+            if isinstance(st, Loop):
+                regs |= _loop_regs(st.body)
     return regs
 
 
@@ -712,56 +703,19 @@ def _run_loop_stmts(stmts, regs) -> None:
                 _run_loop_stmts(st.body, regs)
 
 
-def loop_step_bound(stmts: Sequence[LoopStmt], arg: Nat) -> Nat:
-    """Exact step count of the compiled machine code on `arg`."""
-    regs: dict[int, int] = {0: arg}
-    return _cost_stmts(stmts, regs)
-
-
-def _cost_stmts(stmts, regs) -> int:
-    cost = 0
-    for st in stmts:
-        if isinstance(st, Inc):
-            regs[st.reg] = regs.get(st.reg, 0) + 1
-            cost += 1
-        elif isinstance(st, ZeroR):
-            regs[st.reg] = 0
-            cost += 1
-        elif isinstance(st, Copy):
-            regs[st.dst] = regs.get(st.src, 0)
-            cost += 1
-        else:
-            iters = regs.get(st.reg, 0)
-            cost += 3
-            for _ in range(iters):
-                cost += 3 + _cost_stmts(st.body, regs)
-    return cost
-
-
-@dataclass(frozen=True)
-class CompiledLoop:
-    stmts: tuple
-    index: ProgramIndex
-
-    def step_bound(self, arg: Nat) -> Nat:
-        return loop_step_bound(self.stmts, arg)
-
-
 class LoopCompiler:
     """Compiles loop programs to machine indices and records the image."""
 
     def __init__(self):
-        self._image: dict[ProgramIndex, CompiledLoop] = {}
+        self._image: set[ProgramIndex] = set()
 
-    def compile(self, stmts: Sequence[LoopStmt]) -> CompiledLoop:
-        stmts = tuple(stmts)
+    def compile(self, stmts: Sequence[LoopStmt]) -> ProgramIndex:
         base = max(_loop_regs(stmts), default=-1) + 1
         a = _Asm()
         self._emit(a, stmts, base, 0)
         index = index_of(a.assemble())
-        compiled = CompiledLoop(stmts, index)
-        self._image[index] = compiled
-        return compiled
+        self._image.add(index)
+        return index
 
     def _emit(self, a: _Asm, stmts, base: int, depth: int) -> None:
         for st in stmts:
@@ -774,8 +728,8 @@ class LoopCompiler:
             else:
                 snap = base + 2 * depth
                 cnt = base + 2 * depth + 1
-                top = _fresh("lt")
-                end = _fresh("le")
+                # named by position, which no other loop of the assembly shares
+                top, end = f"lt{len(a._items)}", f"le{len(a._items)}"
                 a.emit("T", st.reg, snap)
                 a.emit("Z", cnt)
                 a.label(top)
@@ -784,10 +738,6 @@ class LoopCompiler:
                 a.emit("S", cnt)
                 a.emit("J", 0, 0, top)
                 a.label(end)
-
-    @property
-    def image(self) -> dict[ProgramIndex, CompiledLoop]:
-        return dict(self._image)
 
     def indices(self) -> list[ProgramIndex]:
         return sorted(self._image)
@@ -798,7 +748,7 @@ default_loop_compiler = LoopCompiler()
 
 def compile_loop(stmts: Sequence[LoopStmt]) -> ProgramIndex:
     """Compile with the shared default compiler (records the image)."""
-    return default_loop_compiler.compile(stmts).index
+    return default_loop_compiler.compile(stmts)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,14 @@ def test_enum_total_ignores_loops_compiled_earlier(tmp_path):
         (tmp_path / "after" / "summary.json").read_bytes()
 
 
+def test_enum_total_class_indices_are_frozen():
+    # the standard loops compile to these indices in any process history
+    class_ = sorted(compile_loop(stmts) for stmts in cli._STANDARD_LOOPS)
+    assert class_[:-1] == [0, 1, 2, 6, 9, 55, 65]
+    assert class_[-1].bit_length() == 776
+    assert class_[-1] % 10**12 == 607205465204
+
+
 def test_learn_is_reproducible(tmp_path):
     gen = tmp_path / "gen"
     run("corpus-gen", "total-programs", "--size", 5, "--seed", 3,

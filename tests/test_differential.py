@@ -15,9 +15,6 @@ as the reference runs it, is never decoded again, and is encoded once
 however often it is emitted.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,23 +40,7 @@ from godellab.numbering import (
 )
 from godellab.oracles import OracleConfig
 from godellab.spaces import Constant, Generated, Literal, Periodic, compile_literal
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "godelbench"))
-
-import reference  # noqa: E402
-
-
-def _reference(index, arg, budget, chain=frozenset()):
-    out = reference.run(index, arg, budget, chain)
-    return BudgetExceeded(budget) if out is None else Halted(*out)
-
-
-class _OffChain(frozenset):
-    """An empty EVB chain that stays empty when the reference puts its
-    top-level run on it, as run_program leaves its top-level run off."""
-
-    def __or__(self, other):
-        return frozenset()
+from machine_reference import OffChain, reference, reference_outcome
 
 
 def _direct(index, arg, budget):
@@ -69,7 +50,7 @@ def _direct(index, arg, budget):
 def _off_chain(index, arg, budget):
     """The reference run with its top level off the EVB chain, which is
     what run_program runs."""
-    return _reference(index, arg, budget, _OffChain())
+    return reference_outcome(index, arg, budget, OffChain())
 
 
 def _cold(index, arg, budget):
@@ -106,7 +87,7 @@ _programs = st.integers(1, 7).flatmap(
        st.randoms(use_true_random=False))
 def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng):
     cells = [(encode(p), arg, budget) for p in programs for arg in range(3)]
-    want = [_reference(*cell) for cell in cells]
+    want = [reference_outcome(*cell) for cell in cells]
     assert [_cold(*cell) for cell in cells] == want
     assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
     order = list(range(len(cells)))
@@ -137,7 +118,7 @@ def test_cuts_are_the_same_warm_cold_direct_and_in_the_reference(evbs, other, bu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numbering, "_DEPTH_LIMIT", 2)
         mp.setattr(reference, "DEPTH_LIMIT", 2)
-        want = [_reference(*cell) for cell in cells]
+        want = [reference_outcome(*cell) for cell in cells]
         assert [_cold(*cell) for cell in cells] == want
         assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
         order = list(range(len(cells)))
@@ -156,7 +137,7 @@ def test_universe_cells_match_reference_cold_and_warm(cap):
     # a warm pass reads the memo's stored outcomes where the cold one built
     # them; both must equal the reference, cell by cell
     cells = [(i, n) for i in range(2001) for n in range(5)]
-    want = [_reference(i, n, cap) for i, n in cells]
+    want = [reference_outcome(i, n, cap) for i, n in cells]
     clear_eval_cache()
     assert [evaluate(i, n, cap) for i, n in cells] == want
     assert [evaluate(i, n, cap) for i, n in cells] == want
@@ -195,7 +176,7 @@ GROWTH_CASES = [
 def test_growth_that_reaches_a_comparison_halts():
     for program, arg in GROWTH_CASES:
         index = encode(program)
-        want = _reference(index, arg, 1000)
+        want = reference_outcome(index, arg, 1000)
         assert isinstance(want, Halted)
         assert want.steps > 16  # outlives the first snapshot comparisons
         for budget in (want.steps, 1000, 10**6):
@@ -213,7 +194,7 @@ def test_growth_that_reaches_a_comparison_halts():
 def test_reentrant_evb_call_is_cut():
     # index 11 is EVB 0 0 0 0: on input 11 it calls itself on 11; the cut
     # run is stored, under its input alone at the top of the chain
-    assert _reference(11, 11, 100) == Halted(0, 1)
+    assert reference_outcome(11, 11, 100) == Halted(0, 1)
     out = _cold(11, 11, 100)
     assert out == Halted(0, 1)
     assert numbering._records[11].outcomes == {11: out}
@@ -229,7 +210,7 @@ _TWO_NESTED_CALLS = encode(parse_program("\n".join(["S 2"] * 5 + ["EVB 0 1 2 0"]
 def test_depth_cut_matches_reference(monkeypatch, limit, want):
     monkeypatch.setattr(numbering, "_DEPTH_LIMIT", limit)
     monkeypatch.setattr(reference, "DEPTH_LIMIT", limit)
-    assert _reference(_TWO_NESTED_CALLS, 11, 100) == want
+    assert reference_outcome(_TWO_NESTED_CALLS, 11, 100) == want
     out = _cold(_TWO_NESTED_CALLS, 11, 100)
     assert out == want
     records = numbering._records
@@ -254,7 +235,7 @@ def test_depth_cut_is_the_same_warm_and_cold(monkeypatch):
     clear_eval_cache()
     evaluate(11, 0, 5)
     warm = evaluate(_TWO_NESTED_CALLS, 11, 100)
-    assert warm == cold == _reference(_TWO_NESTED_CALLS, 11, 100)
+    assert warm == cold == reference_outcome(_TWO_NESTED_CALLS, 11, 100)
 
 
 # on input 11, four EVB calls of index 11 (EVB 0 0 0 0) on 11 under
@@ -272,7 +253,8 @@ def test_a_nested_call_repeated_under_one_chain_runs_once(monkeypatch):
 
     monkeypatch.setattr(numbering, "_run", counting)
     clear_eval_cache()
-    assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4) == _reference(_FOUR_CALLS, 11, 100)
+    assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4) == \
+        reference_outcome(_FOUR_CALLS, 11, 100)
     outer, inner = numbering._records[_FOUR_CALLS].code, numbering._records[11].code
     assert runs == [outer, inner]
     runs.clear()
@@ -337,7 +319,7 @@ def test_emitted_lowering_is_the_decoded_one(emitter):
         assert _lowering(seeded[i]) == numbering._lower(numbering.decode_list(i))
         # the reference's cost grows with the index's bits
         inputs = range(9) if i.bit_length() < 120_000 else range(3)
-        assert warm[i][:len(inputs)] == [_reference(i, n, 5000) for n in inputs]
+        assert warm[i][:len(inputs)] == [reference_outcome(i, n, 5000) for n in inputs]
     assert any(isinstance(out, Halted) for outs in warm.values() for out in outs)
 
 
@@ -347,9 +329,9 @@ def test_s_const_moves_suffix_jumps_as_the_reference_reads_them():
     index = s_const(_JUMPS, 0)
     clear_eval_cache()
     for n in range(4):
-        want = _reference(_JUMPS, numbering.pair(0, n), 5000)
+        want = reference_outcome(_JUMPS, numbering.pair(0, n), 5000)
         out = evaluate(index, n, 5000)
-        assert out == _reference(index, n, 5000)
+        assert out == reference_outcome(index, n, 5000)
         assert isinstance(out, Halted) and out.value == want.value
 
 

@@ -4,15 +4,22 @@ definition under src/ has a user outside the tests.
 Walks the syntax tree of each module under src/, scripts/ and tests/
 with the standard library alone.  An imported name counts as used when
 it is read anywhere in the module or listed in its `__all__`.  A public
-top-level function or class counts as used when code outside its own
-body refers to it across the Python files of src/, scripts/ and
-godelbench/: as a name or as an attribute.  Strings, docstrings and
-comments name nothing, so the function names godelbench/tracer.py wraps
-by string are no users either.
+top-level function or class, or a public method or property of a public
+class, counts as used when code outside its own body refers to it
+across the Python files of src/, scripts/ and godelbench/: as a name or
+as an attribute.  Strings, docstrings and comments name nothing, so the
+function names godelbench/tracer.py wraps by string are no users either;
+but each of them must still name a function of the lab.
+
+A use is matched by name alone, so any name or attribute spelled like
+a definition counts as its user, and a member with no caller can still
+pass: a property `LoopCompiler.image` had none, but passed because
+godelbench/workloads.py has a local variable `image`.
 """
 
 import ast
 import collections
+import importlib.util
 import pathlib
 
 import pytest
@@ -74,10 +81,18 @@ TEST_ONLY_ALLOWED = {
 }
 
 
-def public_definitions(tree: ast.Module) -> list[ast.AST]:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def public_definitions(tree: ast.Module):
+    """(name, node) for each public top-level function and class, and
+    ("Class.member", node) for each public method and property of a
+    public class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, functions) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
 
 
 def references(node: ast.AST):
@@ -90,8 +105,8 @@ def references(node: ast.AST):
 
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:
-    """Public top-level definitions in the src/ sources that no code
-    outside their own bodies refers to.
+    """Public definitions in the src/ sources that no code outside their
+    own bodies refers to.
 
     `sources` maps a path relative to the repository root to its text.
     """
@@ -99,9 +114,9 @@ def unnamed_definitions(sources: dict[str, str]) -> list[str]:
     refs = collections.Counter(
         name for tree in trees.values() for name in references(tree))
     return sorted(
-        node.name
+        qualified
         for path, tree in trees.items() if path.startswith("src/")
-        for node in public_definitions(tree)
+        for qualified, node in public_definitions(tree)
         if refs[node.name] == sum(name == node.name
                                   for name in references(node)))
 
@@ -120,10 +135,16 @@ def test_the_check_sees_an_unnamed_definition():
     sources = {
         "src/m.py": "def used():\n    pass\n\n"
                     "def lonely():\n    pass\n\n"
-                    "class _Private:\n    pass\n",
-        "scripts/s.py": "from m import used\nused()\n",
+                    "class _Private:\n    def hidden(self):\n        pass\n\n"
+                    "class Public:\n"
+                    "    def __init__(self):\n        pass\n\n"
+                    "    def called(self):\n        pass\n\n"
+                    "    def idle(self):\n        return self.idle()\n\n"
+                    "    @property\n    def shape(self):\n        return 0\n",
+        "scripts/s.py": "from m import Public, used\nused()\nPublic().called()\n",
     }
-    assert unnamed_definitions(sources) == ["lonely"]
+    # members of a private class, and dunders, are not checked
+    assert unnamed_definitions(sources) == ["Public.idle", "Public.shape", "lonely"]
 
 
 def test_words_outside_code_are_not_users():
@@ -140,3 +161,17 @@ def test_words_outside_code_are_not_users():
         "godelbench/tracer.py": "SPANS = (('m', 'traced'),)\n",
     }
     assert unnamed_definitions(sources) == ["documented", "recursive", "traced"]
+
+
+def test_the_tracer_wraps_names_the_lab_has():
+    # godelbench/tracer.py looks each wrapped function up by name when
+    # `run.py --trace 1` installs it, so a lab function deleted or renamed
+    # under it breaks the traced benchmark; this catches that here
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "godelbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = [*tracer.SPANS, *tracer.SPEC_FACTORIES,
+               *(("corpus", name) for name in tracer.GENERATORS)]
+    assert [f"{module}.{name}" for module, name in wrapped
+            if not hasattr(importlib.import_module(f"godellab.{module}"), name)] == []

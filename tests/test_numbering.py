@@ -2,9 +2,9 @@
 
 Frozen constants below were worked out by hand from the coding equations
 (Cantor pair, list code, tag = code mod 5) before the implementation ran.
-The reference interpreter `_reference_eval` has its own step loop and no
-memo, but it decodes through the lab's `decode`; the check against an
-interpreter that shares no code with the lab is tests/test_differential.py.
+The evaluator is checked against godelbench/reference.py, which shares
+no code with the lab, through tests/machine_reference.py; the wider
+differential checks are in tests/test_differential.py.
 """
 
 import random
@@ -52,6 +52,7 @@ from godellab.numbering import (
     value_table_program,
 )
 from godellab.numbering import _NEVER, _lower, _records
+from machine_reference import reference_outcome, reference_program_outcome
 
 # ---------------------------------------------------------------------------
 # pairing
@@ -208,57 +209,6 @@ def test_parse_rejects_garbage():
 
 
 # ---------------------------------------------------------------------------
-# reference interpreter (uncached, decoding through the lab's decode)
-
-
-def _reference_run(program, arg, budget, chain=frozenset(), depth_limit=64):
-    prog = program.instructions
-    regs = {}
-    regs[0] = arg
-    pc = 0
-    steps = 0
-    while True:
-        if pc >= len(prog):
-            return Halted(regs.get(0, 0), steps)
-        if steps >= budget:
-            return BudgetExceeded(budget)
-        ins = prog[pc]
-        op, a = ins.op, ins.args
-        if op == "Z":
-            regs[a[0]] = 0
-            pc += 1
-        elif op == "S":
-            regs[a[0]] = regs.get(a[0], 0) + 1
-            pc += 1
-        elif op == "T":
-            regs[a[1]] = regs.get(a[0], 0)
-            pc += 1
-        elif op == "J":
-            if regs.get(a[0], 0) == regs.get(a[1], 0):
-                pc = a[2]
-            else:
-                pc += 1
-        else:
-            sub = (regs.get(a[0], 0), regs.get(a[1], 0))
-            if sub in chain or len(chain) >= depth_limit:
-                regs[a[3]] = 0
-            else:
-                inner = _reference_eval(sub[0], sub[1], regs.get(a[2], 0), chain,
-                                        depth_limit)
-                if isinstance(inner, Halted):
-                    regs[a[3]] = inner.value + 1
-                else:
-                    regs[a[3]] = 0
-            pc += 1
-        steps += 1
-
-
-def _reference_eval(index, arg, budget, chain=frozenset(), depth_limit=64):
-    return _reference_run(decode(index), arg, budget,
-                          chain | {(index, arg)}, depth_limit)
-
-
-# ---------------------------------------------------------------------------
 # evaluator
 
 
@@ -411,7 +361,7 @@ def test_budget_monotonicity(index, arg, b1, extra):
 @given(_pool, st.integers(0, 12), st.integers(1, 150))
 def test_evaluator_matches_reference(index, arg, budget):
     clear_eval_cache()
-    assert evaluate(index, arg, budget) == _reference_eval(index, arg, budget)
+    assert evaluate(index, arg, budget) == reference_outcome(index, arg, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,7 +550,7 @@ def test_huge_register_names_evaluate_like_small_ones():
         out = evaluate(index, n, 10)
         assert out == Halted(n, 1)
         assert run_program(_HUGE, n, 10) == out
-        assert _reference_eval(index, n, 10) == out
+        assert reference_outcome(index, n, 10) == out
 
 
 def test_emitters_put_scratch_past_the_largest_register_name():
@@ -651,18 +601,21 @@ def test_first_value_zero_member_and_zero_gap():
     assert isinstance(out, Halted) and out.value == 9
 
 
-def test_first_value_skips_member_too_slow_for_round():
+def test_first_value_skips_member_too_slow_for_round(monkeypatch):
     # member 3 needs 2 steps and misses the budget-1 round; member 4
     # (identity) answers within it; checked on the reference interpreter
     # because the emitted index is too wide to encode cheaply
     prog = first_value_program([3, 4])
-    out = _reference_run(prog, 9, first_value_budget([3, 4], 1, 9))
+    budget = first_value_budget([3, 4], 1, 9)
+    out = reference_program_outcome(monkeypatch, prog, 9, budget)
     assert isinstance(out, Halted) and out.value == 9
+    assert run_program(prog, 9, budget) == out
 
 
-def test_first_value_all_divergent_never_halts():
+def test_first_value_all_divergent_never_halts(monkeypatch):
     prog = first_value_program([7])
-    assert _reference_run(prog, 0, 3000) == BudgetExceeded(3000)
+    assert reference_program_outcome(monkeypatch, prog, 0, 3000) == BudgetExceeded(3000)
+    assert run_program(prog, 0, 3000) == BudgetExceeded(3000)
 
 
 def test_first_value_rejects_bad_member_lists():
@@ -696,7 +649,7 @@ def test_loop_count_fixed_at_entry():
     assert run_loop(grow, 5) == 10
 
 
-def test_compiled_loop_matches_interpreter_with_exact_steps():
+def test_compiled_loop_matches_interpreter():
     samples = [
         (),
         (Inc(0),),
@@ -706,22 +659,29 @@ def test_compiled_loop_matches_interpreter_with_exact_steps():
     ]
     comp = LoopCompiler()
     for stmts in samples:
-        c = comp.compile(stmts)
+        index = comp.compile(stmts)
         for n in range(6):
-            bound = c.step_bound(n)
-            out = evaluate(c.index, n, max(bound, 1))
-            assert out == Halted(run_loop(stmts, n), bound)
+            out = evaluate(index, n, 10**4)
+            assert isinstance(out, Halted) and out.value == run_loop(stmts, n)
+
+
+def test_nested_loop_index_is_frozen():
+    square = (ZeroR(1), Loop(0, (Loop(0, (Inc(1),)),)), Copy(1, 0))
+    index = compile_loop(square)
+    assert index.bit_length() == 29663
+    assert index % 10**12 == 757089412920
 
 
 def test_loop_compiler_records_image():
     comp = LoopCompiler()
-    c = comp.compile((Inc(0),))
-    assert comp.image[c.index].stmts == (Inc(0),)
-    assert comp.indices() == [c.index]
-    before = set(default_loop_compiler.image)
+    index = comp.compile((Inc(0),))
+    assert comp.indices() == [index]
+    assert comp.compile((Inc(0),)) == index
+    assert comp.indices() == [index]
+    before = set(default_loop_compiler.indices())
     idx = compile_loop((Inc(0), Inc(0)))
-    assert idx in default_loop_compiler.image
-    assert set(default_loop_compiler.image) >= before
+    assert idx in default_loop_compiler.indices()
+    assert set(default_loop_compiler.indices()) >= before
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +730,10 @@ def test_value_table_longer_word_on_reference_interpreter(monkeypatch):
     prog = value_table_program([5], word=[2, 0, 1])
     want = [5, 2, 0, 1, 2, 0, 1, 2]
     for n, v in enumerate(want):
-        out = _reference_run(prog, n, value_table_budget([5], None, [2, 0, 1], n))
+        budget = value_table_budget([5], None, [2, 0, 1], n)
+        out = reference_program_outcome(monkeypatch, prog, n, budget)
         assert isinstance(out, Halted) and out.value == v
+        assert run_program(prog, n, budget) == out
 
 
 def test_value_table_argument_validation():
