@@ -17,7 +17,7 @@ Learner promises: amalgamation needs a universe bound m and the
 shrinking-set learner a bound k.  Corpus lines may carry them as m= and
 k= annotations; for lines without one the driver fills in the least
 index itself, which satisfies the promise by definition and is echoed
-in the summary row.
+in the summary row.  An annotation above index_bound is a failure row.
 
 The enum-total learner's class is a small standard library of loop
 programs (identity, constants 0..2, add one to three, doubling): `learn`
@@ -35,6 +35,7 @@ import time
 
 from .corpus import (
     CORPUS_KINDS,
+    DEFAULT_SIZE,
     CorpusEntry,
     format_entry,
     read_corpus,
@@ -221,6 +222,10 @@ def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
     bound = getattr(entry, key)
     if bound is None:
         bound = min_index(d, oracle)
+    elif bound > oracle.index_bound:
+        # the learners hold every index of 0..bound at once
+        raise ValueError(f"{key}={bound} is above index_bound "
+                         f"{oracle.index_bound}")
     if bound is None:
         return _failure_row(name, learner, "no index inside the universe"), None
     got = learn(d, bound, lcfg)
@@ -244,7 +249,8 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
         try:
             row, trace = _learn_one(entry, args.learner, lcfg, candidates)
         except ValueError as err:
-            # emitters refuse unrepresentable programs; record and move on
+            # emitters refuse unrepresentable programs, and the promise
+            # learners a bound past the universe; record and move on
             row, trace = _failure_row(format_entry(entry), args.learner,
                                       str(err)), None
         rows.append(row)
@@ -369,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("corpus-gen", help="generate a deterministic corpus")
     p.add_argument("kind", choices=sorted(CORPUS_KINDS))
-    p.add_argument("--size", type=int, default=50)
+    p.add_argument("--size", type=int,
+                   help=f"default {DEFAULT_SIZE}, or every entry of a smaller kind")
     _flags(p, ("config", "seed", "out-dir", "window"))
     p.set_defaults(run=cmd_corpus_gen)
 

@@ -101,20 +101,31 @@ def write_corpus(path, entries: Sequence[CorpusEntry]) -> None:
 # instances inside the target problem's domain.  Sizes are reached by
 # drawing variants until `size` distinct entries accumulate; each draw
 # space is finite, so a size past its count of distinct entries is
-# refused up front instead of drawing forever.
+# refused up front instead of drawing forever.  A size of None asks for
+# DEFAULT_SIZE entries, or every distinct entry of a smaller space.
+
+DEFAULT_SIZE = 50
 
 
-def _distinct(size: int, most: int, draw: Callable[[int], object],
-              entry: Callable[[object], CorpusEntry] = CorpusEntry
-              ) -> list[CorpusEntry]:
-    """The entries of the first `size` distinct draws; `draw(n)` makes
-    one draw once n entries are accepted, and no more than `most`
-    entries can be drawn distinct."""
+def _draw_count(size: int | None, most: int) -> int:
+    """How many entries to draw from a space of `most` distinct ones."""
+    if size is None:
+        return min(DEFAULT_SIZE, most)
     if size < 0:
         raise ValueError(f"size must be at least 0, got {size}")
     if size > most:
         raise ValueError(f"size must be at most {most}, got {size}: there "
                          f"are no more distinct entries to draw")
+    return size
+
+
+def _distinct(size: int | None, most: int, draw: Callable[[int], object],
+              entry: Callable[[object], CorpusEntry] = CorpusEntry
+              ) -> list[CorpusEntry]:
+    """The entries of the first `_draw_count(size, most)` distinct draws;
+    `draw(n)` makes one draw once n entries are accepted, and no more
+    than `most` entries can be drawn distinct."""
+    size = _draw_count(size, most)
     seen = set()
     out: list[CorpusEntry] = []
     while len(out) < size:
@@ -138,7 +149,7 @@ _TOTAL_POOL = (
 )
 
 
-def gen_total_programs(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
+def gen_total_programs(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     """Descriptor variants of total functions the bounded universe can
     name: generated forms under varied budgets plus literal paddings of
     the constant members."""
@@ -155,7 +166,7 @@ def gen_total_programs(size: int, seed: int, window: Nat = 8) -> list[CorpusEntr
     return _distinct(size, 7 * 160 + 3 * 7, draw)
 
 
-def gen_literal_sequences(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
+def gen_literal_sequences(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     rng = random.Random(seed)
 
     def draw(_):
@@ -172,7 +183,7 @@ def gen_literal_sequences(size: int, seed: int, window: Nat = 8) -> list[CorpusE
     return _distinct(size, 111111 * 1120, draw)
 
 
-def gen_bounded_monotone(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
+def gen_bounded_monotone(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     rng = random.Random(seed)
 
     def draw(_):
@@ -187,9 +198,13 @@ def gen_bounded_monotone(size: int, seed: int, window: Nat = 8) -> list[CorpusEn
     return _distinct(size, 3 * (1 + 2 + 4 + 8 + 16), draw)
 
 
-def gen_lpo_mixed(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
+def gen_lpo_mixed(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     """Zero and non-zero sequences in roughly equal measure; always
     contains at least one of each once size >= 2."""
+    # every odd draw is one of 9 values x 10 placements x 11 tails, and
+    # size // 2 of them are needed
+    most = 2 * 9 * 10 * 11 + 1
+    size = _draw_count(size, most)
     rng = random.Random(seed)
 
     def draw(count):
@@ -205,9 +220,7 @@ def gen_lpo_mixed(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
             else Periodic((hot,))
         return Literal(tuple(prefix), tail)
 
-    # every odd draw is one of 9 values x 10 placements x 11 tails, and
-    # size // 2 of them are needed
-    return _distinct(size, 2 * 9 * 10 * 11 + 1, draw)
+    return _distinct(size, most, draw)
 
 
 # component bodies read the cell index from R2 and write R0
@@ -225,7 +238,7 @@ def _tupled(bodies: Sequence[Program], window: Nat) -> Generated:
     return Generated(index_of(stride_tuple_program(list(bodies))), budget)
 
 
-def gen_families(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
+def gen_families(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     """Stride-tupled descriptors with component selectors, for the
     parallelized least-index problems."""
     rng = random.Random(seed)
@@ -244,7 +257,7 @@ def gen_families(size: int, seed: int, window: Nat = 8) -> list[CorpusEntry]:
     return _distinct(size, 4 + 16 * 2, draw, entry)
 
 
-CORPUS_KINDS: dict[str, Callable[[int, int, Nat], list[CorpusEntry]]] = {
+CORPUS_KINDS: dict[str, Callable[[int | None, int, Nat], list[CorpusEntry]]] = {
     "total-programs": gen_total_programs,
     "literal-sequences": gen_literal_sequences,
     "bounded-monotone": gen_bounded_monotone,

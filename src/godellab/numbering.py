@@ -66,21 +66,8 @@ def decode_list(n: Nat) -> list[Nat]:
 # Instructions and programs
 
 _OPS = ("Z", "S", "T", "J", "EVB")
-_ARITY = {"Z": 1, "S": 1, "T": 2, "J": 3, "EVB": 4}
-
-
-@dataclass(frozen=True)
-class Instruction:
-    op: str
-    args: tuple[Nat, ...]
-
-    def __post_init__(self):
-        if self.op not in _ARITY:
-            raise ValueError(f"unknown op {self.op!r}")
-        if len(self.args) != _ARITY[self.op]:
-            raise ValueError(f"{self.op} takes {_ARITY[self.op]} args")
-        if any(a < 0 for a in self.args):
-            raise ValueError("instruction args must be naturals")
+# argument count by op tag
+_ARITY = (1, 1, 2, 3, 4)
 
 
 def _code(tag: int, args: Sequence[Nat]) -> Nat:
@@ -105,28 +92,18 @@ def _fields(m: Nat) -> tuple[int, tuple[Nat, ...]]:
     return tag, (a, b) + unpair(rest)
 
 
-def encode_instruction(ins: Instruction) -> Nat:
-    return _code(_OPS.index(ins.op), ins.args)
-
-
 @dataclass(frozen=True, slots=True)
 class Program:
-    """Its instruction codes, whose list code is its index; `of` and
-    `instructions` convert from and to validated `Instruction`s."""
+    """Its instruction codes, whose list code is its index.  Every natural
+    number is one instruction's code (`_fields` reads it), so any tuple of
+    naturals is a program; `parse_program` and `format_program` give the
+    text form."""
 
     codes: tuple[Nat, ...] = ()
 
     def __post_init__(self):
         if self.codes and min(self.codes) < 0:
             raise ValueError("instruction codes must be naturals")
-
-    @classmethod
-    def of(cls, instructions: Iterable[Instruction]) -> Program:
-        return cls(tuple(encode_instruction(i) for i in instructions))
-
-    @property
-    def instructions(self) -> tuple[Instruction, ...]:
-        return tuple(Instruction(_OPS[tag], args) for tag, args in map(_fields, self.codes))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -142,20 +119,29 @@ def decode(index: ProgramIndex) -> Program:
 
 def format_program(program: Program) -> str:
     """One instruction per line, e.g. ``J 0 1 4``."""
-    return "\n".join(f"{i.op} {' '.join(map(str, i.args))}" for i in program.instructions)
+    return "\n".join(f"{_OPS[tag]} {' '.join(map(str, args))}"
+                     for tag, args in map(_fields, program.codes))
 
 
 def parse_program(text: str) -> Program:
-    out = []
+    """The program `format_program` writes as `text`.  Blank lines and
+    lines starting with # are skipped, an op is read in any case, and
+    its arguments are ASCII decimal digits; an error names its line."""
+    codes = []
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        try:
-            out.append(Instruction(parts[0].upper(), tuple(map(int, parts[1:]))))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return Program.of(out)
+        op, args = parts[0].upper(), parts[1:]
+        if not parts[0].isascii() or op not in _OPS:
+            raise ValueError(f"line {lineno}: unknown op {parts[0]!r}")
+        tag = _OPS.index(op)
+        if len(args) != _ARITY[tag]:
+            raise ValueError(f"line {lineno}: {op} takes {_ARITY[tag]} args")
+        if not all(a.isascii() and a.isdigit() for a in args):
+            raise ValueError(f"line {lineno}: {op} args must be natural numbers")
+        codes.append(_code(tag, tuple(map(int, args))))
+    return Program(tuple(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +830,11 @@ def stride_tuple_program(bodies: Sequence[Program]) -> Program:
     if s < 1:
         raise ValueError("need at least one component body")
     for b in bodies:
-        for ins in b.instructions:
-            if ins.op == "J":
+        for tag, args in map(_fields, b.codes):
+            if tag == 3:
                 raise ValueError("component bodies must be straight-line")
             # every op but J writes its last argument
-            if ins.args[-1] in (1, 2):
+            if args[-1] in (1, 2):
                 raise ValueError("component bodies must not write R1 or R2")
     length = (1 if s == 1 else 2 * s + 2) + sum(len(b) for b in bodies) + (s - 1)
     _check_emit_length(length, f"stride tuple over {s} components")

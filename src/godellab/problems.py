@@ -1,13 +1,13 @@
 """Benchmark problems and the least-index family, as executable specs.
 
-Each problem is packaged as four functions over a shared config: a domain
-check, an answer verifier, a bounded answer enumerator, and a reference
-solver.  Answers are plain naturals.  The first-order problems are
-decided exactly on Literal descriptors (their value sets, limits, and
-cluster sets have closed forms); the least-index family additionally
-accepts Generated descriptors and works relative to the capped oracle
-universe, with window verification standing in for true equality of
-functions.
+Each problem is packaged as three functions over a shared config: a domain
+check, an answer verifier, and a bounded answer enumerator that gives the
+whole solution set up to the config's bounds.  Answers are plain naturals.
+The first-order problems are decided exactly on Literal descriptors (their
+value sets, limits, and cluster sets have closed forms); the least-index
+family additionally accepts Generated descriptors and works relative to
+the capped oracle universe, with window verification standing in for true
+equality of functions.
 
 Domain conventions, following the source definitions:
 
@@ -79,7 +79,6 @@ class ProblemSpec:
     domain_check: Callable[[object, ProblemConfig], bool]
     verify: Callable[[object, Nat, ProblemConfig], bool]
     enumerate_answers: Callable[[object, ProblemConfig], FrozenSet[Nat]]
-    solve_ref: Callable[[object, ProblemConfig], Nat]
 
 
 def _is_literal(inst) -> bool:
@@ -95,7 +94,7 @@ def _single_valued(name: str, in_domain, answer_of) -> ProblemSpec:
     def enumerate_answers(inst, cfg):
         return frozenset({answer_of(inst, cfg)})
 
-    return ProblemSpec(name, in_domain, verify, enumerate_answers, answer_of)
+    return ProblemSpec(name, in_domain, verify, enumerate_answers)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +122,7 @@ def make_llpo() -> ProblemSpec:
     def enumerate_answers(inst, cfg):
         return frozenset(a for a in (0, 1) if verify(inst, a, cfg))
 
-    def solve_ref(inst, cfg):
-        return min(enumerate_answers(inst, cfg))
-
-    return ProblemSpec("llpo", in_domain, verify, enumerate_answers, solve_ref)
+    return ProblemSpec("llpo", in_domain, verify, enumerate_answers)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +148,6 @@ def make_b() -> ProblemSpec:
         lambda inst, cfg: _is_literal(inst),
         verify,
         enumerate_answers,
-        lambda inst, cfg: literal_sup(inst),
     )
 
 
@@ -189,8 +184,7 @@ def make_cn() -> ProblemSpec:
         present = literal_values(inst)
         return frozenset(a for a in range(cfg.ceiling + 1) if a not in present)
 
-    return ProblemSpec("cn", in_domain, verify, enumerate_answers,
-                       lambda inst, cfg: literal_least_absent(inst))
+    return ProblemSpec("cn", in_domain, verify, enumerate_answers)
 
 
 def make_kn() -> ProblemSpec:
@@ -218,10 +212,7 @@ def make_kn() -> ProblemSpec:
         present = literal_values(d)
         return frozenset(a for a in range(m + 1) if a not in present)
 
-    def solve_ref(inst, cfg):
-        return min(enumerate_answers(inst, cfg))
-
-    return ProblemSpec("kn", in_domain, verify, enumerate_answers, solve_ref)
+    return ProblemSpec("kn", in_domain, verify, enumerate_answers)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +228,6 @@ def make_cl_n() -> ProblemSpec:
         lambda inst, cfg: _is_literal(inst),
         verify,
         lambda inst, cfg: cluster_values(inst),
-        lambda inst, cfg: literal_liminf(inst),
     )
 
 
@@ -274,7 +264,6 @@ def make_g() -> ProblemSpec:
         _g_domain,
         verify,
         _verified_indices,
-        lambda inst, cfg: min_index(inst, cfg.oracle),
     )
 
 
@@ -305,7 +294,6 @@ def make_g_geq() -> ProblemSpec:
         in_domain,
         verify,
         lambda inst, cfg: _verified_indices(inst[0], cfg),
-        lambda inst, cfg: min_index(inst[0], cfg.oracle),
     )
 
 
@@ -325,7 +313,6 @@ def make_kol_geq() -> ProblemSpec:
         _g_domain,
         verify,
         enumerate_answers,
-        lambda inst, cfg: min_index(inst, cfg.oracle),
     )
 
 

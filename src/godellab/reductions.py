@@ -397,11 +397,7 @@ def _component_spec(name: str, unpack) -> ProblemSpec:
         return frozenset(
             i for i in range(cfg.oracle.index_bound + 1) if verify(x, i, cfg))
 
-    def solve_ref(x, cfg):
-        tupled, stride, which = unpack(x)
-        return precompose_affine(tupled.index, stride, which)
-
-    return ProblemSpec(name, in_domain, verify, enumerate_answers, solve_ref)
+    return ProblemSpec(name, in_domain, verify, enumerate_answers)
 
 
 def make_ghat_spec() -> ProblemSpec:
@@ -436,10 +432,7 @@ def make_family_g_spec() -> ProblemSpec:
             found.add(y.index)
         return frozenset(found)
 
-    def solve_ref(y, cfg):
-        return y.index
-
-    return ProblemSpec("g_family", in_domain, verify, enumerate_answers, solve_ref)
+    return ProblemSpec("g_family", in_domain, verify, enumerate_answers)
 
 
 def _component_pair(name: str, unpack) -> ReductionPair:

@@ -4,6 +4,7 @@ Exit code contract: 0 all checks pass, 1 semantic failure recorded in
 the outputs, 2 usage or parse error.
 """
 
+import hashlib
 import json
 import time
 
@@ -95,6 +96,15 @@ def test_enumerate_window_zero_prints_one_cell(capsys):
     assert capsys.readouterr().out.splitlines() == ["0\t(empty)\t0", "1\tZ 0\t0"]
 
 
+def test_enumerate_listing_is_pinned(capsys):
+    # the text form and the cells of indices 0..2000 at the default cap
+    # 400 and window 8, held as one digest of the whole listing
+    assert run("enumerate", 0, 2000) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "02f1e9733ef1cd9c3a2f147293a061fc5371e57b2ab560e3e48057e7fcd26046"
+
+
 def _past(most):
     return (most + 1, f"error: size must be at most {most}, got {most + 1}: "
                       f"there are no more distinct entries to draw")
@@ -118,6 +128,23 @@ def test_corpus_gen_refuses_sizes_it_cannot_draw(tmp_path, capsys, kind, size,
     assert captured.out == ""
     assert captured.err == message + "\n"
     assert not rundir.exists()
+
+
+def test_corpus_gen_default_size_is_50_or_every_entry(tmp_path, capsys):
+    def lines(kind, *size):
+        out = tmp_path / f"{kind}{''.join(map(str, size))}"
+        assert run("corpus-gen", kind, *size, "--out-dir", out) == 0
+        return (out / f"{kind}.corpus").read_text().splitlines()
+
+    # the families draw space holds 36 entries, lpo-mixed's 1981
+    assert len(set(lines("families"))) == 36
+    assert lines("families") == lines("families", "--size", 36)
+    assert lines("lpo-mixed") == lines("lpo-mixed", "--size", 50)
+    capsys.readouterr()
+    assert run("corpus-gen", "families", "--size", 50,
+               "--out-dir", tmp_path / "r") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: size must be at most 36, got 50")
 
 
 @pytest.mark.parametrize("kind", ["families", "total-programs"])
@@ -228,6 +255,26 @@ def test_learn_records_per_instance_failures_and_continues(tmp_path):
     rows = json.loads((rundir / "summary.json").read_text())["runs"]
     assert rows[0]["verified"] is True and rows[0]["m"] == 1
     assert rows[1]["verified"] is False and "error" in rows[1]
+
+
+@pytest.mark.parametrize("learner,key", [("amalgamation", "m"),
+                                         ("bounded-min", "k")])
+def test_learn_refuses_a_bound_above_index_bound(tmp_path, learner, key):
+    # the learners build the universe 0..bound, so a bound of 10^9 would
+    # allocate a billion-element set; only that entry fails
+    corpus = tmp_path / "bound.corpus"
+    corpus.write_text(f"lit tail=const:0 {key}=41\nlit tail=const:0 {key}=1\n")
+    rundir = tmp_path / "run"
+    t0 = time.monotonic()
+    assert run("learn", "--learner", learner, "--corpus", corpus,
+               "--index-bound", 40, "--out-dir", rundir) == 1
+    assert time.monotonic() - t0 < 1.0
+    rows = json.loads((rundir / "summary.json").read_text())["runs"]
+    assert rows[0] == {"instance": f"lit tail=const:0 {key}=41",
+                       "learner": learner, "converged": False,
+                       "verified": False,
+                       "error": f"{key}=41 is above index_bound 40"}
+    assert rows[1]["verified"] is True and rows[1][key] == 1
 
 
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every public
-definition under src/ has a user outside the tests.
+"""Source hygiene: every imported name is used, every public
+definition under src/ has a user outside the tests, and so does every
+`Callable`-typed field of a public dataclass under src/.
 
 Walks the syntax tree of each module under src/, scripts/ and tests/
 with the standard library alone.  An imported name counts as used when
@@ -9,7 +10,10 @@ class, counts as used when code outside its own body refers to it
 across the Python files of src/, scripts/ and godelbench/: as a name or
 as an attribute.  Strings, docstrings and comments name nothing, so the
 function names godelbench/tracer.py wraps by string are no users either;
-but each of them must still name a function of the lab.
+but each of them must still name a function of the lab.  A `Callable`
+field counts as used when the same files read an attribute of its name
+(`spec.verify`); passing it by keyword or position fills the slot but
+reads nothing.
 
 A use is matched by name alone, so any name or attribute spelled like
 a definition counts as its user, and a member with no caller can still
@@ -121,11 +125,49 @@ def unnamed_definitions(sources: dict[str, str]) -> list[str]:
                                   for name in references(node)))
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(target, ast.Name) and target.id == "dataclass"
+                or isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def unread_callable_fields(sources: dict[str, str]) -> list[str]:
+    """The `Callable`-typed fields of public dataclasses in the src/
+    sources that no code reads as an attribute (`x.field`).
+
+    A field set by keyword or by position and never called through an
+    instance is a slot every instance must fill and nothing uses.
+    """
+    trees = {path: ast.parse(text, path) for path, text in sources.items()}
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return sorted(
+        f"{node.name}.{field.target.id}"
+        for path, tree in trees.items() if path.startswith("src/")
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        and _is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and any(isinstance(n, ast.Name) and n.id == "Callable"
+                or isinstance(n, ast.Attribute) and n.attr == "Callable"
+                for n in ast.walk(field.annotation))
+        and field.target.id not in read)
+
+
+def _code_sources() -> dict[str, str]:
+    """The Python files whose code counts as a user: src/, scripts/ and
+    godelbench/."""
+    return {str(p.relative_to(ROOT)): p.read_text()
+            for d in ("src", "scripts", "godelbench")
+            for p in (ROOT / d).rglob("*.py")}
+
+
 def test_every_public_definition_has_a_user_outside_the_tests():
-    sources = {str(p.relative_to(ROOT)): p.read_text()
-               for d in ("src", "scripts", "godelbench")
-               for p in (ROOT / d).rglob("*.py")}
-    unnamed = set(unnamed_definitions(sources))
+    unnamed = set(unnamed_definitions(_code_sources()))
     assert unnamed - TEST_ONLY_ALLOWED == set()
     # an allowed name that gains a user leaves the list
     assert TEST_ONLY_ALLOWED - unnamed == set()
@@ -145,6 +187,32 @@ def test_the_check_sees_an_unnamed_definition():
     }
     # members of a private class, and dunders, are not checked
     assert unnamed_definitions(sources) == ["Public.idle", "Public.shape", "lonely"]
+
+
+def test_every_callable_field_is_read_outside_the_tests():
+    assert unread_callable_fields(_code_sources()) == []
+
+
+def test_the_check_sees_an_unread_callable_field():
+    sources = {
+        "src/m.py": "from dataclasses import dataclass\n"
+                    "from typing import Callable, Optional\n\n"
+                    "@dataclass(frozen=True)\nclass Spec:\n"
+                    "    name: str\n"
+                    "    run: Callable[[int], int]\n"
+                    "    spare: Callable[[int], int]\n"
+                    "    hook: Optional[Callable[[], None]] = None\n"
+                    "    written: Callable[[], None] = None\n\n"
+                    "@dataclass\nclass _Private:\n    idle: Callable\n\n"
+                    "class Plain:\n    idle: Callable\n",
+        # a keyword, a store and a name are no reads; a call through an
+        # instance and a bare attribute load are
+        "scripts/s.py": "import m\n"
+                        "s = m.Spec('a', run=abs, spare=abs, hook=None)\n"
+                        "s.written = print\nspare = 1\n"
+                        "s.run(1)\nf = s.hook\n",
+    }
+    assert unread_callable_fields(sources) == ["Spec.spare", "Spec.written"]
 
 
 def test_words_outside_code_are_not_users():

@@ -20,7 +20,6 @@ from godellab.numbering import (
     Copy,
     Halted,
     Inc,
-    Instruction,
     Loop,
     LoopCompiler,
     Program,
@@ -32,7 +31,6 @@ from godellab.numbering import (
     decode_list,
     default_loop_compiler,
     encode,
-    encode_instruction,
     encode_list,
     evaluate,
     first_value_budget,
@@ -119,14 +117,11 @@ def test_list_code_frozen():
 
 
 def test_instruction_codes_frozen():
-    assert encode_instruction(Instruction("Z", (0,))) == 0
-    assert encode_instruction(Instruction("S", (0,))) == 1
-    assert encode_instruction(Instruction("T", (0, 0))) == 2
-    assert encode_instruction(Instruction("J", (0, 0, 0))) == 3
-    assert encode_instruction(Instruction("EVB", (0, 0, 0, 0))) == 4
-    assert encode_instruction(Instruction("T", (1, 0))) == 7
-    assert encode_instruction(Instruction("J", (0, 1, 2))) == 223
-    assert encode_instruction(Instruction("J", (0, 1, 3))) == 523
+    table = {"Z 0": 0, "S 0": 1, "T 0 0": 2, "J 0 0 0": 3, "EVB 0 0 0 0": 4,
+             "T 1 0": 7, "J 0 1 2": 223, "J 0 1 3": 523}
+    for text, code in table.items():
+        assert parse_program(text).codes == (code,)
+        assert format_program(Program((code,))) == text
 
 
 def _prog(*lines):
@@ -158,39 +153,34 @@ def test_program_code_roundtrip(m):
     assert encode(decode(m)) == m
 
 
+_reg = st.integers(0, 6).map(str)
+# one instruction's text line
 _instr = st.one_of(
-    st.builds(lambda r: Instruction("Z", (r,)), st.integers(0, 6)),
-    st.builds(lambda r: Instruction("S", (r,)), st.integers(0, 6)),
-    st.builds(lambda a, b: Instruction("T", (a, b)), st.integers(0, 6), st.integers(0, 6)),
-    st.builds(lambda a, b, k: Instruction("J", (a, b, k)),
-              st.integers(0, 6), st.integers(0, 6), st.integers(0, 12)),
-    st.builds(lambda a, b, c, d: Instruction("EVB", (a, b, c, d)),
-              st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    st.builds("Z {}".format, _reg),
+    st.builds("S {}".format, _reg),
+    st.builds("T {} {}".format, _reg, _reg),
+    st.builds("J {} {} {}".format, _reg, _reg, st.integers(0, 12)),
+    st.builds("EVB {} {} {} {}".format, _reg, _reg, _reg, _reg),
 )
 
 
 @given(st.lists(_instr, max_size=8))
-def test_program_roundtrip_from_instructions(instrs):
-    p = Program.of(instrs)
+def test_program_roundtrip_from_instructions(lines):
+    p = parse_program("\n".join(lines))
+    assert len(p) == len(lines)
     assert decode(encode(p)) == p
-
-
-def test_instruction_validation():
-    with pytest.raises(ValueError):
-        Instruction("Q", (0,))
-    with pytest.raises(ValueError):
-        Instruction("Z", (0, 1))
-    with pytest.raises(ValueError):
-        Instruction("S", (-1,))
 
 
 # ---------------------------------------------------------------------------
 # text form
 
 
-@given(st.lists(_instr, max_size=8))
-def test_format_parse_roundtrip(instrs):
-    p = Program.of(instrs)
+@given(st.lists(_instr, max_size=8), st.lists(st.integers(0, 10**9), max_size=8))
+def test_format_parse_roundtrip(lines, codes):
+    # every natural is one instruction's code, so any codes have a text
+    text = "\n".join(lines)
+    assert format_program(parse_program(text)) == text
+    p = Program(tuple(codes))
     assert parse_program(format_program(p)) == p
 
 
@@ -200,12 +190,13 @@ def test_parse_skips_blanks_and_comments():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_program("Q 0")
-    with pytest.raises(ValueError):
-        parse_program("S 0 0")
-    with pytest.raises(ValueError):
-        parse_program("J 0 x 1")
+    # an unknown op ("ſ" upper-cases to "S"), a wrong arity, and arguments
+    # that are not ASCII decimal digits: int() reads "٣" as 3, "+1" as 1
+    # and "1_0" as 10, and isdigit() passes "²"
+    for bad in ("Q 0", "\u017f 0", "S 0 0", "J 0 1", "J 0 x 1", "S -1",
+                "S \u0663", "S +1", "S 1_0", "T 0 \u00b2"):
+        with pytest.raises(ValueError, match="^line 2: "):
+            parse_program(f"# header\n{bad}\nZ 0")
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +391,11 @@ def test_programs_hold_natural_codes_only():
         Program((1, 6, -1))
     p = _prog("J 0 1 3", "Z 0", "S 0")
     assert p.codes == (523, 0, 1)
-    assert Program.of(p.instructions) == p
 
 
 def test_run_program_handles_wide_unary_programs():
-    wide = Program.of(Instruction("S", (0,)) for _ in range(500))
+    wide = Program((1,) * 500)
+    assert wide == _prog(*["S 0"] * 500)
     assert run_program(wide, 3, 500) == Halted(503, 500)
     assert run_program(wide, 3, 499) == BudgetExceeded(499)
 
@@ -413,9 +404,8 @@ def test_run_program_evb_probe_matches_host_evaluator():
     # wide probe: R0 = index under test, unary loads for argument and
     # inner budget, one EVB, result moved to R0
     for i, n, s in [(0, 3, 5), (2, 7, 2), (7, 0, 40), (11, 4, 9), (140192, 1, 64)]:
-        body = [Instruction("S", (1,))] * n + [Instruction("S", (2,))] * s
-        body += [Instruction("EVB", (0, 1, 2, 3)), Instruction("T", (3, 0))]
-        probe = Program.of(body)
+        body = ["S 1"] * n + ["S 2"] * s + ["EVB 0 1 2 3", "T 3 0"]
+        probe = _prog(*body)
         out = run_program(probe, i, len(body) + 1)
         assert isinstance(out, Halted)
         inner = evaluate(i, n, s)
