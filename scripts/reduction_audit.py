@@ -12,7 +12,7 @@ import random
 
 from godellab.cli import DEFAULTS, main, problem_config
 from godellab.corpus import (
-    _distinct,
+    distinct_entries,
     gen_families,
     gen_literal_sequences,
     gen_lpo_mixed,
@@ -31,7 +31,7 @@ def _constants(n, seed, values):
         return Literal((c,) * rng.randrange(8), Constant(c))
 
     # each value after a prefix of 0..7 copies of itself
-    return _distinct(n, len(values) * 8, draw)
+    return distinct_entries(n, len(values) * 8, draw)
 
 
 def _write(path: pathlib.Path, entries) -> str:

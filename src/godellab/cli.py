@@ -64,7 +64,7 @@ from .numbering import (
     evaluate,
     format_program,
 )
-from .oracles import OracleConfig, min_index, window_verify
+from .oracles import OracleConfig, min_index, total_on_window, window_verify
 from .problems import ProblemConfig
 from .reductions import (
     MUTATION_MODES,
@@ -283,7 +283,13 @@ def cmd_kolmogorov(args, values) -> tuple[int, list[str]]:
     entries = _load_corpus(args.corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     lines = ["instance,min_index,verified"]
+    partial = False
     for entry in entries:
+        if not total_on_window(entry.descriptor, oracle):
+            # the entry's own budget runs out, whatever the cap
+            partial = True
+            lines.append(f"{format_entry(entry)},PARTIAL,False")
+            continue
         least = min_index(entry.descriptor, oracle)
         if least is None:
             lines.append(f"{format_entry(entry)},NOT_FOUND,False")
@@ -293,7 +299,7 @@ def cmd_kolmogorov(args, values) -> tuple[int, list[str]]:
     table_path = os.path.join(args.out_dir, "kolmogorov.csv")
     _write_text(table_path, "\n".join(lines) + "\n")
     print(table_path)
-    return 0, [table_path]
+    return (1 if partial else 0), [table_path]
 
 
 def cmd_reduce_check(args, values) -> tuple[int, list[str]]:

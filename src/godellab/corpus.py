@@ -119,9 +119,10 @@ def _draw_count(size: int | None, most: int) -> int:
     return size
 
 
-def _distinct(size: int | None, most: int, draw: Callable[[int], object],
-              entry: Callable[[object], CorpusEntry] = CorpusEntry
-              ) -> list[CorpusEntry]:
+def distinct_entries(size: int | None, most: int,
+                     draw: Callable[[int], object],
+                     entry: Callable[[object], CorpusEntry] = CorpusEntry
+                     ) -> list[CorpusEntry]:
     """The entries of the first `_draw_count(size, most)` distinct draws;
     `draw(n)` makes one draw once n entries are accepted, and no more
     than `most` entries can be drawn distinct."""
@@ -163,7 +164,7 @@ def gen_total_programs(size: int | None, seed: int, window: Nat = 8) -> list[Cor
         return Generated(base, cost + rng.randrange(0, 160))
 
     # 7 bases x 160 budgets, plus 3 constants x 7 paddings
-    return _distinct(size, 7 * 160 + 3 * 7, draw)
+    return distinct_entries(size, 7 * 160 + 3 * 7, draw)
 
 
 def gen_literal_sequences(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
@@ -180,7 +181,7 @@ def gen_literal_sequences(size: int | None, seed: int, window: Nat = 8) -> list[
         return Literal(prefix, tail)
 
     # prefixes of 0..5 digits, times 10 constant and 1110 periodic tails
-    return _distinct(size, 111111 * 1120, draw)
+    return distinct_entries(size, 111111 * 1120, draw)
 
 
 def gen_bounded_monotone(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
@@ -195,7 +196,7 @@ def gen_bounded_monotone(size: int | None, seed: int, window: Nat = 8) -> list[C
         return Literal(tuple(prefix), Constant(v))
 
     # 3 starts times 2^n steps for a prefix of n = 0..4 values
-    return _distinct(size, 3 * (1 + 2 + 4 + 8 + 16), draw)
+    return distinct_entries(size, 3 * (1 + 2 + 4 + 8 + 16), draw)
 
 
 def gen_lpo_mixed(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEntry]:
@@ -220,7 +221,7 @@ def gen_lpo_mixed(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEn
             else Periodic((hot,))
         return Literal(tuple(prefix), tail)
 
-    return _distinct(size, most, draw)
+    return distinct_entries(size, most, draw)
 
 
 # component bodies read the cell index from R2 and write R0
@@ -254,7 +255,7 @@ def gen_families(size: int | None, seed: int, window: Nat = 8) -> list[CorpusEnt
                            which=which)
 
     # 4 bodies at width 1, and 16 pairs x 2 components at width 2
-    return _distinct(size, 4 + 16 * 2, draw, entry)
+    return distinct_entries(size, 4 + 16 * 2, draw, entry)
 
 
 CORPUS_KINDS: dict[str, Callable[[int | None, int, Nat], list[CorpusEntry]]] = {

@@ -29,7 +29,6 @@ from .numbering import Nat, ProgramIndex, first_value_program, index_of
 from .oracles import (
     Compatible,
     OracleConfig,
-    Universe,
     compatible,
     universe,
     window_targets,
@@ -110,53 +109,29 @@ def run_to_limit(guesses: Iterable[Nat], stability_window: Nat,
 # identification by enumeration
 
 
-def _audit(candidate: ProgramIndex, targets: Sequence[Nat],
-           table: Universe) -> Optional[tuple[Nat, Nat, Optional[Nat]]]:
-    """First disagreement of the candidate with the targets, or None.
-
-    A disagreement is (n, expected, got) with got=None when the
-    candidate exhausted the cap at n.
-    """
-    for n, want in enumerate(targets):
-        got = table.value(candidate, n)
-        if got != want:
-            return (n, want, got)
-    return None
-
-
-def _enum_guesses(candidates: Iterable[ProgramIndex], targets: Sequence[Nat],
-                  cfg: LearnerConfig, witnesses: list) -> Iterator[Nat]:
+def _enum_guesses(candidates: Iterable[ProgramIndex], targets: tuple[Nat, ...],
+                  cfg: LearnerConfig) -> Iterator[Nat]:
     table = universe(cfg.oracle)
     for c in candidates:
         yield c
-        hit = _audit(c, targets, table)
-        if hit is None:
+        if table.agrees(c, targets):
             for _ in range(cfg.stability_window):
                 yield c
             return
-        witnesses.append((c,) + hit)
     # universe exhausted without a verified candidate: end uncommitted
-
-
-def enum_learner_audit(p: SeqDescriptor, candidates: Iterable[ProgramIndex],
-                       cfg: LearnerConfig):
-    """enum_learner plus the disagreement witnesses justifying each skip."""
-    targets = window_targets(p, cfg.oracle)
-    witnesses: list = []
-    trace = run_to_limit(
-        _enum_guesses(candidates, targets, cfg, witnesses),
-        cfg.stability_window,
-        cfg.max_steps,
-    )
-    return trace, tuple(witnesses)
 
 
 def enum_learner(p: SeqDescriptor, candidates: Iterable[ProgramIndex],
                  cfg: LearnerConfig) -> GuessTrace:
     """Gold-style identification: walk the candidates in order, keep the
-    first that survives a full window audit."""
-    trace, _ = enum_learner_audit(p, candidates, cfg)
-    return trace
+    first that survives a full window audit.
+
+    Each candidate is read from the universe table only up to its first
+    miss, so one that exhausts the cap is skipped as divergent.
+    """
+    targets = window_targets(p, cfg.oracle)
+    return run_to_limit(_enum_guesses(candidates, targets, cfg),
+                        cfg.stability_window, cfg.max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +145,9 @@ class Pocket:
     internally_compatible: bool
 
 
-@dataclass(frozen=True)
-class PocketTable:
-    pockets: tuple[Pocket, ...]
-    survivors: tuple[Pocket, ...]
-
-
-def build_pockets(m: Nat, cfg: LearnerConfig) -> PocketTable:
-    """Pocket P_i = {j <= m : phi_i compatible with phi_j}, for i <= m."""
+def build_pockets(m: Nat, cfg: LearnerConfig) -> tuple[Pocket, ...]:
+    """Pocket P_i = {j <= m : phi_i compatible with phi_j}, for i <= m,
+    in anchor order."""
     if m < 0:
         raise ValueError("universe bound must be a natural")
     oracle = cfg.oracle
@@ -197,21 +167,22 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> PocketTable:
         internal = all(agree[b, c] for b in mates for c in mates)
         for i in same:
             shared[i] = (members, internal)
-    return PocketTable(tuple(Pocket(i, *shared[i]) for i in range(m + 1)), ())
+    return tuple(Pocket(i, *shared[i]) for i in range(m + 1))
 
 
-def prune_pockets(table: PocketTable) -> PocketTable:
-    """Drop internally incompatible pockets and duplicate member sets."""
+def prune_pockets(pockets: Sequence[Pocket]) -> tuple[Pocket, ...]:
+    """The survivors: the internally compatible pockets, the first of
+    each member set only."""
     seen = set()
     survivors = []
-    for pocket in table.pockets:
+    for pocket in pockets:
         if not pocket.internally_compatible:
             continue
         if pocket.members in seen:
             continue
         seen.add(pocket.members)
         survivors.append(pocket)
-    return PocketTable(table.pockets, tuple(survivors))
+    return tuple(survivors)
 
 
 def _refutes(got: Optional[Nat], want: Nat) -> bool:
@@ -242,7 +213,7 @@ def _pocket_scan(targets: Sequence[Nat], survivors: Sequence[Pocket],
 @dataclass(frozen=True)
 class AmalgamationResult:
     index: ProgramIndex
-    table: PocketTable
+    survivors: tuple[Pocket, ...]
     trace: GuessTrace
     verified: bool
 
@@ -260,8 +231,8 @@ def amalgamation_learn(
     """
     oracle = cfg.oracle
     targets = window_targets(p, oracle)
-    table = prune_pockets(build_pockets(m, cfg))
-    alive, guesses = _pocket_scan(targets, table.survivors, oracle)
+    survivors = prune_pockets(build_pockets(m, cfg))
+    alive, guesses = _pocket_scan(targets, survivors, oracle)
     trace = run_to_limit(guesses, cfg.stability_window, cfg.max_steps)
     if len(alive) != 1:
         return PromiseViolation(
@@ -269,11 +240,10 @@ def amalgamation_learn(
             f"{len(alive)} pockets survive the scan; the promise needs exactly 1",
             tuple(alive),
         )
-    final = PocketTable(table.pockets, tuple(alive))
     members = sorted(alive[0].members)
     index = index_of(first_value_program(members))
     verified = window_verify(index, p, oracle)
-    return AmalgamationResult(index, final, trace, verified)
+    return AmalgamationResult(index, tuple(alive), trace, verified)
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,14 @@ from .spaces import (
     Constant,
     Generated,
     Literal,
-    _word_of,
+    cluster_values,
     descriptor_get,
     least_absent,
     literal_is_zero,
     literal_least_absent,
     literal_limit,
     literal_value,
+    tail_word,
 )
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ def report_to_json(report: ReductionReport, corpus_name: str) -> str:
 
 
 def _span(x: Literal) -> int:
-    return len(x.prefix) + len(_word_of(x.tail))
+    return len(x.prefix) + len(tail_word(x.tail))
 
 
 def catalog_cn_limn() -> ReductionPair:
@@ -218,7 +219,7 @@ def catalog_liminf_minhat() -> ReductionPair:
     least cluster point."""
 
     def K(x):
-        always = set(_word_of(x.tail))
+        always = cluster_values(x)
         counts: dict = {}
         for v in x.prefix:
             counts[v] = counts.get(v, 0) + 1
@@ -295,17 +296,15 @@ def _trace_literal(p, cfg: ProblemConfig) -> Literal:
     return Literal(trace.guesses, Constant(trace.guesses[-1]))
 
 
-def catalog_kol_limn(cfg: ProblemConfig) -> ReductionPair:
-    """Least indices as limits of the enumeration learner's guesses."""
-    return ReductionPair(
-        "kol_limn", lambda x: _trace_literal(x, cfg), lambda x, a: a)
+def _trace_pair(name: str, cfg: ProblemConfig) -> ReductionPair:
+    """The enumeration learner's guess trace as a literal, read back
+    unchanged.
 
-
-def catalog_kolgeq_b(cfg: ProblemConfig) -> ReductionPair:
-    """Index bounds as bounds: the guess trace is non-decreasing and tops
-    out at the least index, so any bound of it is a valid Kol_>= answer."""
-    return ReductionPair(
-        "kolgeq_b", lambda x: _trace_literal(x, cfg), lambda x, a: a)
+    `kol_limn`: least indices as limits of the guesses.  `kolgeq_b`:
+    index bounds as bounds; the guess trace is non-decreasing and tops
+    out at the least index, so any bound of it is a valid Kol_>= answer.
+    """
+    return ReductionPair(name, lambda x: _trace_literal(x, cfg), lambda x, a: a)
 
 
 def catalog_lpo_kol(cfg: ProblemConfig) -> ReductionPair:
@@ -513,9 +512,9 @@ def reduction_registry(cfg: ProblemConfig) -> dict[str, ReductionCase]:
                       ("constant_h", "collapse_k")),
         ReductionCase(p["lim_n"], p["g"], catalog_limn_g(cfg),
                       ("constant_h", "offset_h")),
-        ReductionCase(p["kol"], p["lim_n"], catalog_kol_limn(cfg),
+        ReductionCase(p["kol"], p["lim_n"], _trace_pair("kol_limn", cfg),
                       ("constant_h", "offset_h")),
-        ReductionCase(p["kol_geq"], p["b"], catalog_kolgeq_b(cfg),
+        ReductionCase(p["kol_geq"], p["b"], _trace_pair("kolgeq_b", cfg),
                       ("constant_h", "collapse_k")),
         ReductionCase(p["lpo"], p["kol"], catalog_lpo_kol(cfg),
                       ("constant_h", "drop_k")),

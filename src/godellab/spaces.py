@@ -93,7 +93,8 @@ class _Partial:
 PARTIAL = _Partial()
 
 
-def _word_of(tail: Tail) -> tuple[Nat, ...]:
+def tail_word(tail: Tail) -> tuple[Nat, ...]:
+    """The word a tail repeats: a constant is a word of one letter."""
     return (tail.value,) if isinstance(tail, Constant) else tail.word
 
 
@@ -103,7 +104,7 @@ def literal_value(d: Literal, n: Nat) -> Nat:
         raise ValueError("position must be a natural")
     if n < len(d.prefix):
         return d.prefix[n]
-    w = _word_of(d.tail)
+    w = tail_word(d.tail)
     return w[(n - len(d.prefix)) % len(w)]
 
 
@@ -124,12 +125,12 @@ def descriptor_get(d: SeqDescriptor, n: Nat):
 
 def literal_values(d: Literal) -> frozenset[Nat]:
     """All values the sequence ever takes."""
-    return frozenset(d.prefix) | frozenset(_word_of(d.tail))
+    return frozenset(d.prefix) | frozenset(tail_word(d.tail))
 
 
 def cluster_values(d: Literal) -> frozenset[Nat]:
     """Values taken infinitely often: exactly the tail word's letters."""
-    return frozenset(_word_of(d.tail))
+    return frozenset(tail_word(d.tail))
 
 
 def literal_is_zero(d: Literal) -> bool:
@@ -138,13 +139,13 @@ def literal_is_zero(d: Literal) -> bool:
 
 def is_convergent(d: Literal) -> bool:
     """True iff d(n) is eventually constant."""
-    return len(set(_word_of(d.tail))) == 1
+    return len(set(tail_word(d.tail))) == 1
 
 
 def literal_limit(d: Literal) -> Nat:
     if not is_convergent(d):
         raise ValueError("sequence does not converge")
-    return _word_of(d.tail)[0]
+    return tail_word(d.tail)[0]
 
 
 def literal_min(d: Literal) -> Nat:
@@ -181,7 +182,7 @@ def subsample_literal(d: Literal, stride: Nat, offset: Nat) -> Literal:
     """
     if stride < 1 or offset < 0:
         raise ValueError("need stride >= 1 and a natural offset")
-    w = _word_of(d.tail)
+    w = tail_word(d.tail)
     k = max(0, -(-(len(d.prefix) - offset) // stride))
     prefix = tuple(literal_value(d, stride * n + offset) for n in range(k))
     span = len(w) // gcd(stride, len(w))

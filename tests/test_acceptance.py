@@ -151,14 +151,14 @@ def test_criterion_3_pocket_amalgamation():
     fractions = []
     for d in instances:
         m = min_index(d, oracle)
-        table = prune_pockets(build_pockets(m, cfg))
+        survivors = prune_pockets(build_pockets(m, cfg))
         antichain = all(
             not (p.members < q.members)
-            for p in table.survivors for q in table.survivors
+            for p in survivors for q in survivors
         )
         res = amalgamation_learn(d, m, cfg)
         good = (antichain and isinstance(res, AmalgamationResult)
-                and len(res.table.survivors) == 1 and res.verified)
+                and len(res.survivors) == 1 and res.verified)
         if not good:
             construction_misses.append((d, res))
         partial = sum(

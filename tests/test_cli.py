@@ -6,14 +6,18 @@ the outputs, 2 usage or parse error.
 
 import hashlib
 import json
+import pathlib
+import runpy
 import time
 
 import pytest
 
 from godellab import cli
 from godellab.cli import DEFAULTS, build_parser, main, read_config, resolve_config
+from godellab.corpus import CORPUS_KINDS, CorpusEntry
 from godellab.numbering import Copy, Inc, Loop, clear_eval_cache, compile_loop
 from godellab.oracles import clear_oracle_cache
+from godellab.spaces import Generated
 
 
 def run(*argv):
@@ -294,6 +298,30 @@ def test_kolmogorov_table(tmp_path, capsys):
     assert rows[0] == "instance,min_index,verified"
     assert rows[1] == "lit tail=const:0,1,True"
     assert rows[2] == "gen index=0 budget=4,0,True"
+
+
+def test_kolmogorov_writes_a_partial_row_and_goes_on(tmp_path, capsys):
+    # index 7 (J 0 0 0) never halts, so the second entry is partial at
+    # position 0 under its own budget, whatever the cap
+    corpus = tmp_path / "k.corpus"
+    corpus.write_text("gen index=0 budget=5\ngen index=7 budget=5\n")
+    rundir = tmp_path / "run"
+    assert run("kolmogorov", "--corpus", corpus, "--out-dir", rundir) == 1
+    assert (rundir / "kolmogorov.csv").read_text() == (
+        "instance,min_index,verified\n"
+        "gen index=0 budget=5,0,True\n"
+        "gen index=7 budget=5,PARTIAL,False\n")
+
+
+def test_kolmogorov_caps_reads_a_partial_row_at_both_caps(tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setitem(CORPUS_KINDS, "total-programs", lambda *_: [
+        CorpusEntry(Generated(0, 5)), CorpusEntry(Generated(7, 5))])
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "kolmogorov_caps.py"
+    compare = runpy.run_path(str(script))["compare"]
+    assert compare("total-programs", 2, 0, (2, 400), tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "gen", "index=7", "budget=5", "PARTIAL", "PARTIAL"]
 
 
 def test_reduce_check_pass_and_mutant(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Source hygiene: every imported name is used, every public
-definition under src/ has a user outside the tests, and so does every
-`Callable`-typed field of a public dataclass under src/.
+"""Source hygiene: every imported name is used, no module under src/ or
+scripts/ imports another's private name, every public definition under
+src/ has a user outside the tests, and so does every `Callable`-typed
+field of a public dataclass under src/.
 
 Walks the syntax tree of each module under src/, scripts/ and tests/
 with the standard library alone.  An imported name counts as used when
@@ -61,6 +62,30 @@ def test_the_check_sees_an_unused_import():
                      "from typing import Optional, Union\n"
                      "x: Union[int, str]\n")
     assert unused_imports(tree) == ["Optional (line 2)", "os (line 1)"]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """The `from <module> import _name` imports: a private name read
+    from another module."""
+    return [f"{node.module}.{alias.name} (line {node.lineno})"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+# tests may read private names; the lab and its scripts may not
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.relative_to(ROOT).parts[0] != "tests"],
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_imports_across_modules(path):
+    assert private_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from .spaces import Literal, _word_of\n"
+                     "from corpus import _distinct as draw\n")
+    assert private_imports(tree) == ["spaces._word_of (line 2)",
+                                     "corpus._distinct (line 3)"]
 
 
 # public names the lab itself never calls, each kept for a reason

@@ -25,7 +25,6 @@ from godellab.learners import (
     bounded_min_learner,
     build_pockets,
     enum_learner,
-    enum_learner_audit,
     kol_liminf_enumerator,
     prune_pockets,
     run_to_limit,
@@ -33,8 +32,17 @@ from godellab.learners import (
     trace_to_csv,
     run_summary,
 )
-from godellab.numbering import Copy, Halted, Inc, Loop, compile_loop, evaluate
-from godellab.oracles import OracleConfig, min_index
+from godellab import numbering
+from godellab.numbering import (
+    Copy,
+    Halted,
+    Inc,
+    Loop,
+    clear_eval_cache,
+    compile_loop,
+    evaluate,
+)
+from godellab.oracles import OracleConfig, clear_oracle_cache, min_index, universe
 from godellab.spaces import Constant, Generated, Literal
 
 CFG = LearnerConfig(OracleConfig(cap=200, window=12, index_bound=60),
@@ -124,21 +132,38 @@ def test_enum_learner_identifies_zero():
     assert t.stabilized_at == 1
 
 
-def test_enum_learner_witnesses_justify_every_skip():
-    t, wits = enum_learner_audit(PLUS2, FULL, CFG)
-    assert t.converged and t.guesses[-1] == 9
-    assert [w[0] for w in wits] == list(range(9))
-    for cand, n, want, got in wits:
-        out = evaluate(cand, n, CFG.oracle.cap)
-        if got is None:
-            assert not isinstance(out, Halted)
-        else:
-            assert isinstance(out, Halted) and out.value == got != want
+def test_enum_learner_skips_each_miss_and_reads_exhaustion_as_divergence():
+    t = enum_learner(PLUS2, FULL, CFG)
+    assert t.converged
+    assert t.guesses[:9] == tuple(range(9))
+    assert set(t.guesses[9:]) == {9}
+    # each skipped candidate misses n + 2 somewhere on the window
+    for cand in range(9):
+        outs = [evaluate(cand, n, CFG.oracle.cap)
+                for n in range(CFG.oracle.window + 1)]
+        assert any(not isinstance(out, Halted) or out.value != n + 2
+                   for n, out in enumerate(outs))
+    # 7 (J 0 0 0) runs out of the cap at position 0 and is still skipped
+    assert not isinstance(evaluate(7, 0, CFG.oracle.cap), Halted)
 
 
-def test_enum_learner_reads_budget_exhaustion_as_divergence():
-    _, wits = enum_learner_audit(PLUS2, FULL, CFG)
-    assert (7, 0, 2, None) in wits
+def test_cold_enum_learner_reads_each_cell_once(monkeypatch):
+    runs = []
+    real = numbering._run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numbering, "_run", counting)
+    clear_eval_cache()
+    clear_oracle_cache()
+    assert enum_learner(PLUS2, FULL, CFG).guesses[-1] == 9
+    # 13 target runs of index 9 under its own budget, then each candidate
+    # read only up to its first miss: one cell for each of 0..8 (7's is
+    # the cap running out), and 9's 13 cells, which the memo already holds
+    assert len(runs) == 22
+    assert sum(len(row) for row in universe(CFG.oracle).rows) == 22
 
 
 def test_enum_learner_gives_up_when_universe_exhausted():
@@ -183,8 +208,9 @@ def test_enum_learner_rejects_partial_instances():
 
 
 def test_pocket_table_on_small_universe():
-    table = build_pockets(7, CFG)
-    members = {p.anchor: set(p.members) for p in table.pockets}
+    pockets = build_pockets(7, CFG)
+    assert [p.anchor for p in pockets] == list(range(8))
+    members = {p.anchor: set(p.members) for p in pockets}
     assert members[0] == {0, 4, 7}
     assert members[1] == {1, 3, 5, 7}
     assert members[2] == {2, 7}
@@ -193,15 +219,15 @@ def test_pocket_table_on_small_universe():
     assert members[3] == members[1] and members[5] == members[1]
     assert members[4] == members[0]
 
-    flags = {p.anchor: p.internally_compatible for p in table.pockets}
+    flags = {p.anchor: p.internally_compatible for p in pockets}
     assert flags[7] is False  # holds both constants and the identity
     assert all(flags[i] for i in range(7))
 
 
 def test_prune_drops_incompatible_and_duplicate_pockets():
-    table = prune_pockets(build_pockets(7, CFG))
-    assert [p.anchor for p in table.survivors] == [0, 1, 2, 6]
-    sets = [p.members for p in table.survivors]
+    survivors = prune_pockets(build_pockets(7, CFG))
+    assert [p.anchor for p in survivors] == [0, 1, 2, 6]
+    sets = [p.members for p in survivors]
     assert len(set(sets)) == len(sets)
     for a in sets:
         for b in sets:
@@ -211,19 +237,19 @@ def test_prune_drops_incompatible_and_duplicate_pockets():
 @given(st.integers(min_value=0, max_value=14))
 @settings(max_examples=20, deadline=None)
 def test_pruned_pockets_form_an_antichain(m):
-    table = prune_pockets(build_pockets(m, CFG))
-    sets = [p.members for p in table.survivors]
+    survivors = prune_pockets(build_pockets(m, CFG))
+    sets = [p.members for p in survivors]
     for a in sets:
         for b in sets:
             assert a == b or not a <= b
-    for p in table.survivors:
+    for p in survivors:
         assert p.anchor in p.members
 
 
 def test_pocket_scan_keeps_exactly_the_instance_pocket():
-    table = prune_pockets(build_pockets(7, CFG))
+    survivors = prune_pockets(build_pockets(7, CFG))
     targets = [0] * (CFG.oracle.window + 1)
-    alive, guesses = _pocket_scan(targets, table.survivors, CFG.oracle)
+    alive, guesses = _pocket_scan(targets, survivors, CFG.oracle)
     assert [set(p.members) for p in alive] == [{1, 3, 5, 7}]
     assert guesses[0] == 0  # identity pocket still alive at position 0
     assert guesses[-1] == 1
@@ -243,7 +269,7 @@ def test_amalgamation_identifies_zero_in_tiny_universe():
     got = amalgamation_learn(ZERO, 1, CFG)
     assert isinstance(got, AmalgamationResult)
     assert got.verified
-    assert [p.anchor for p in got.table.survivors] == [1]
+    assert [p.anchor for p in got.survivors] == [1]
     assert got.trace.guesses[0] == 0
     assert got.trace.guesses[-1] == 1
     assert got.trace.mind_changes == 1
@@ -264,7 +290,7 @@ def test_amalgamation_verifies_under_the_promise(p, m):
     got = amalgamation_learn(p, m, CFG)
     assert isinstance(got, AmalgamationResult)
     assert got.verified
-    assert len(got.table.survivors) == 1
+    assert len(got.survivors) == 1
     assert got.trace.converged
 
 
