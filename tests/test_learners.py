@@ -132,7 +132,7 @@ def test_enum_learner_identifies_zero():
     assert t.stabilized_at == 1
 
 
-def test_enum_learner_skips_each_miss_and_reads_exhaustion_as_divergence():
+def test_enum_learner_witnesses_justify_every_skip():
     t = enum_learner(PLUS2, FULL, CFG)
     assert t.converged
     assert t.guesses[:9] == tuple(range(9))
@@ -143,8 +143,13 @@ def test_enum_learner_skips_each_miss_and_reads_exhaustion_as_divergence():
                 for n in range(CFG.oracle.window + 1)]
         assert any(not isinstance(out, Halted) or out.value != n + 2
                    for n, out in enumerate(outs))
+
+
+def test_enum_learner_reads_budget_exhaustion_as_divergence():
+    t = enum_learner(PLUS2, FULL, CFG)
     # 7 (J 0 0 0) runs out of the cap at position 0 and is still skipped
     assert not isinstance(evaluate(7, 0, CFG.oracle.cap), Halted)
+    assert 7 in t.guesses and t.guesses[-1] == 9
 
 
 def test_cold_enum_learner_reads_each_cell_once(monkeypatch):
