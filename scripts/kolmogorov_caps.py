@@ -28,8 +28,11 @@ def compare(kind: str, size: int, seed: int, caps, out_dir: pathlib.Path) -> int
     tables = []
     for cap in caps:
         rdir = out_dir / f"cap{cap}"
-        main(["kolmogorov", "--corpus", str(corpus), "--cap", str(cap),
-              "--out-dir", str(rdir)])
+        rc = main(["kolmogorov", "--corpus", str(corpus), "--cap", str(cap),
+                   "--out-dir", str(rdir)])
+        # exit 1 still writes the table (its PARTIAL rows); 2 writes none
+        if rc == 2:
+            return rc
         tables.append(_rows(rdir / "kolmogorov.csv"))
     low, high = tables
     violations = 0

@@ -29,9 +29,12 @@ def run_sweep(kind: str, size: int, seed: int, out_dir: pathlib.Path) -> int:
                    "--out-dir", str(rdir)])
         worst = max(worst, rc)
         summary = json.loads((rdir / "summary.json").read_text())
-        print("%-14s exit=%d  n=%-3d conv=%.2f verif=%.2f mind_changes=%.2f"
+        # the mean is null when every row of the learner is a failure row
+        mean = summary["mean_mind_changes"]
+        print("%-14s exit=%d  n=%-3d conv=%.2f verif=%.2f mind_changes=%s"
               % (learner, rc, summary["count"], summary["convergence_rate"],
-                 summary["verification_rate"], summary["mean_mind_changes"]))
+                 summary["verification_rate"],
+                 "-" if mean is None else "%.2f" % mean))
     return worst
 
 

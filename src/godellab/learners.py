@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numbering import Nat, ProgramIndex, first_value_program, index_of
 from .oracles import (
-    Compatible,
     OracleConfig,
     compatible,
     universe,
@@ -61,12 +60,20 @@ class GuessTrace:
 
 
 @dataclass(frozen=True)
+class Dovetailed:
+    """A promise learner's answer: the index of the first-value program
+    that dovetails its final set, and the guesses that led there."""
+
+    index: ProgramIndex
+    trace: GuessTrace
+    verified: bool
+
+
+@dataclass(frozen=True)
 class PromiseViolation:
     """The run's precondition did not hold (or caps were too small)."""
 
-    learner: str
     reason: str
-    survivors: tuple = ()
 
 
 def run_to_limit(guesses: Iterable[Nat], stability_window: Nat,
@@ -142,12 +149,16 @@ def enum_learner(p: SeqDescriptor, candidates: Iterable[ProgramIndex],
 class Pocket:
     anchor: ProgramIndex
     members: frozenset[ProgramIndex]
-    internally_compatible: bool
 
 
 def build_pockets(m: Nat, cfg: LearnerConfig) -> tuple[Pocket, ...]:
-    """Pocket P_i = {j <= m : phi_i compatible with phi_j}, for i <= m,
-    in anchor order."""
+    """The pockets of the universe 0..m that survive, in anchor order.
+
+    Pocket P_i = {j <= m : phi_i compatible with phi_j}.  P_i survives
+    when its members are pairwise compatible and no i' < i has the same
+    pocket.  Indices with one row have one pocket, so each class of
+    equal rows is compared through its least index, which anchors it.
+    """
     if m < 0:
         raise ValueError("universe bound must be a natural")
     oracle = cfg.oracle
@@ -155,34 +166,16 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> tuple[Pocket, ...]:
     by_row: dict[tuple, list[ProgramIndex]] = {}
     for i in range(m + 1):
         by_row.setdefault(table.row(i), []).append(i)
-    # indices with one row share one pocket: compare the least of each
     classes = {same[0]: same for same in by_row.values()}
-    agree = {(a, b): isinstance(compatible(a, b, oracle), Compatible)
-             for a in classes for b in classes}
+    agree = {(a, b): compatible(a, b, oracle) for a in classes for b in classes}
 
-    shared = {}
-    for a, same in classes.items():
+    survivors: dict[frozenset, Pocket] = {}
+    for a in classes:
         mates = [b for b in classes if agree[a, b]]
-        members = frozenset(j for b in mates for j in classes[b])
-        internal = all(agree[b, c] for b in mates for c in mates)
-        for i in same:
-            shared[i] = (members, internal)
-    return tuple(Pocket(i, *shared[i]) for i in range(m + 1))
-
-
-def prune_pockets(pockets: Sequence[Pocket]) -> tuple[Pocket, ...]:
-    """The survivors: the internally compatible pockets, the first of
-    each member set only."""
-    seen = set()
-    survivors = []
-    for pocket in pockets:
-        if not pocket.internally_compatible:
-            continue
-        if pocket.members in seen:
-            continue
-        seen.add(pocket.members)
-        survivors.append(pocket)
-    return tuple(survivors)
+        if all(agree[b, c] for b in mates for c in mates):
+            members = frozenset(j for b in mates for j in classes[b])
+            survivors.setdefault(members, Pocket(a, members))
+    return tuple(survivors.values())
 
 
 def _refutes(got: Optional[Nat], want: Nat) -> bool:
@@ -210,40 +203,27 @@ def _pocket_scan(targets: Sequence[Nat], survivors: Sequence[Pocket],
     return alive, guesses
 
 
-@dataclass(frozen=True)
-class AmalgamationResult:
-    index: ProgramIndex
-    survivors: tuple[Pocket, ...]
-    trace: GuessTrace
-    verified: bool
-
-
 def amalgamation_learn(
     p: SeqDescriptor, m: Nat, cfg: LearnerConfig
-) -> Union[AmalgamationResult, PromiseViolation]:
-    """Pocket-amalgamation learner: pocket the universe 0..m, prune,
-    eliminate pockets that contradict p, and dovetail the unique survivor.
+) -> Union[Dovetailed, PromiseViolation]:
+    """Pocket-amalgamation learner: take the surviving pockets of the
+    universe 0..m, eliminate those that contradict p, and dovetail the
+    one left.
 
     Requires the promise m >= min_index(p); with it, exactly one pocket
-    survives and its dovetailed first-value program computes p on the
-    window.  Zero or several survivors are reported as a promise
-    violation, not an error.
+    is left and its dovetailed first-value program computes p on the
+    window.  Zero or several left are reported as a promise violation,
+    not an error.
     """
     oracle = cfg.oracle
     targets = window_targets(p, oracle)
-    survivors = prune_pockets(build_pockets(m, cfg))
-    alive, guesses = _pocket_scan(targets, survivors, oracle)
+    alive, guesses = _pocket_scan(targets, build_pockets(m, cfg), oracle)
     trace = run_to_limit(guesses, cfg.stability_window, cfg.max_steps)
     if len(alive) != 1:
         return PromiseViolation(
-            "amalgamation",
-            f"{len(alive)} pockets survive the scan; the promise needs exactly 1",
-            tuple(alive),
-        )
-    members = sorted(alive[0].members)
-    index = index_of(first_value_program(members))
-    verified = window_verify(index, p, oracle)
-    return AmalgamationResult(index, tuple(alive), trace, verified)
+            f"{len(alive)} pockets survive the scan; the promise needs exactly 1")
+    index = index_of(first_value_program(sorted(alive[0].members)))
+    return Dovetailed(index, trace, window_verify(index, p, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +240,16 @@ def set_code(members, k: Nat) -> Nat:
     return sum(2 ** (k - i) for i in set(members))
 
 
-@dataclass(frozen=True)
-class BoundedMinResult:
-    index: ProgramIndex
-    trace: GuessTrace
-    sets: tuple[frozenset[ProgramIndex], ...]
-    verified: bool
-
-
 def bounded_min_learner(
     p: SeqDescriptor, k: Nat, cfg: LearnerConfig
-) -> Union[BoundedMinResult, PromiseViolation]:
+) -> Union[Dovetailed, PromiseViolation]:
     """Shrinking-set learner: start from A_0 = {0..k} and shrink.
 
     An index leaves the set on a halting disagreement with p; the guess
-    stream is the non-increasing code(A, k) sequence, and the final set
-    is dovetailed into a first-value program.  The promise k >=
-    min_index(p) makes the final program compute p; failure to
-    window-verify is reported as a promise violation.
+    stream is the non-increasing code(A, k) sequence, one code per
+    stage, and the final set is dovetailed into a first-value program.
+    The promise k >= min_index(p) makes the final program compute p;
+    failure to window-verify is reported as a promise violation.
     """
     if k < 0:
         raise ValueError("k must be a natural")
@@ -285,28 +257,21 @@ def bounded_min_learner(
     targets = window_targets(p, oracle)
     value = universe(oracle).value
     members = set(range(k + 1))
-    sets = [frozenset(members)]
     codes = [set_code(members, k)]
     for n, want in enumerate(targets):
         members = {j for j in members if not _refutes(value(j, n), want)}
-        sets.append(frozenset(members))
         codes.append(set_code(members, k))
         if not members:
             break
     trace = run_to_limit(codes, cfg.stability_window, cfg.max_steps)
     if not members:
         return PromiseViolation(
-            "bounded_min", "every index of 0..k was refuted; promise k >= Kol(p) fails"
-        )
+            "every index of 0..k was refuted; promise k >= Kol(p) fails")
     index = index_of(first_value_program(sorted(members)))
-    verified = window_verify(index, p, oracle)
-    if not verified:
+    if not window_verify(index, p, oracle):
         return PromiseViolation(
-            "bounded_min",
-            "final dovetailed program fails window verification",
-            (index,),
-        )
-    return BoundedMinResult(index, trace, tuple(sets), verified)
+            "final dovetailed program fails window verification")
+    return Dovetailed(index, trace, True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every oracle here replaces an undecidable query by a step-capped one and
 documents which way the approximation errs:
 
-  * compatible: a disagreement witness is definitive; `Compatible` only
-    means "no witness below the cap and window".
+  * compatible: False (both halt with different values somewhere) is
+    definitive; True only means "no disagreement below the cap and
+    window".
   * in_R: capping can only remove witnesses i, so a capped True may be a
     false positive of the true set R, never the other way around.
   * min_index: the scan is exact relative to the capped universe; the
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .numbering import EvalOutcome, Halted, Nat, ProgramIndex, evaluate
 from .spaces import PARTIAL, SeqDescriptor, descriptor_get
 
 # ---------------------------------------------------------------------------
-# configuration and verdicts
+# configuration
 
 
 @dataclass(frozen=True)
@@ -48,21 +49,6 @@ class OracleConfig:
     def __post_init__(self):
         if self.cap < 1 or self.window < 1 or self.index_bound < 1:
             raise ValueError("cap, window, and index_bound must be positive")
-
-
-@dataclass(frozen=True)
-class Compatible:
-    pass
-
-
-@dataclass(frozen=True)
-class Incompatible:
-    witness_n: Nat
-    v1: Nat
-    v2: Nat
-
-
-CompatibilityVerdict = Union[Compatible, Incompatible]
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +179,13 @@ def total_on_window(d: SeqDescriptor, cfg: OracleConfig) -> bool:
 # compatibility
 
 
-def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> CompatibilityVerdict:
-    """Search 0..window for a joint-halting disagreement.
+def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> bool:
+    """False iff phi_i and phi_j both halt at some position of 0..window
+    with different values.
 
-    A returned witness is final under any larger cap (halting runs
-    replay identically); Compatible can flip to Incompatible when the
-    cap or window grows, never back.
+    False is final under any larger cap (halting runs replay
+    identically); True can flip to False when the cap or window grows,
+    never back.
     """
     table = universe(cfg)
     for n in range(cfg.window + 1):
@@ -207,8 +194,8 @@ def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> Compatibi
             continue
         b = table.value(j, n)
         if b is not None and a != b:
-            return Incompatible(n, a, b)
-    return Compatible()
+            return False
+    return True
 
 
 def window_verify(i: ProgramIndex, d: SeqDescriptor, cfg: OracleConfig) -> bool:

@@ -77,10 +77,7 @@ class FailureWitness:
 @dataclass(frozen=True)
 class InstanceRecord:
     instance_id: int
-    instance: object
-    image: object
     tried: tuple
-    produced: tuple
     verified: bool
 
 
@@ -106,20 +103,19 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
     for xid, x in enumerate(corpus):
         if not f.domain_check(x, cfg):
             witnesses.append(FailureWitness(xid, "f_domain"))
-            records.append(InstanceRecord(xid, x, None, (), (), False))
+            records.append(InstanceRecord(xid, (), False))
             continue
         try:
             y = r.K(x)
         except ReductionAbort as stop:
             witnesses.append(FailureWitness(xid, "construction", note=str(stop)))
-            records.append(InstanceRecord(xid, x, None, (), (), False))
+            records.append(InstanceRecord(xid, (), False))
             continue
         if not g.domain_check(y, cfg):
             witnesses.append(FailureWitness(xid, "g_domain"))
-            records.append(InstanceRecord(xid, x, y, (), (), False))
+            records.append(InstanceRecord(xid, (), False))
             continue
         tried = []
-        produced = []
         good = True
         for a in sorted(g.enumerate_answers(y, cfg)):
             tried.append(a)
@@ -130,12 +126,10 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
                     FailureWitness(xid, "construction", inner=a, note=str(stop)))
                 good = False
                 continue
-            produced.append(b)
             if not f.verify(x, b, cfg):
                 witnesses.append(FailureWitness(xid, "verification", a, b))
                 good = False
-        records.append(
-            InstanceRecord(xid, x, y, tuple(tried), tuple(produced), good))
+        records.append(InstanceRecord(xid, tuple(tried), good))
     passed = bool(records) and all(rec.verified for rec in records)
     return ReductionReport(r.name, tuple(records), tuple(witnesses), passed)
 

@@ -12,16 +12,13 @@ import time
 
 from godellab.corpus import gen_literal_sequences, gen_lpo_mixed, gen_total_programs
 from godellab.learners import (
-    AmalgamationResult,
-    BoundedMinResult,
+    Dovetailed,
     LearnerConfig,
     amalgamation_learn,
     bounded_min_learner,
     build_pockets,
     enum_learner,
     kol_liminf_enumerator,
-    prune_pockets,
-    set_code,
 )
 from godellab.numbering import (
     Halted,
@@ -151,14 +148,14 @@ def test_criterion_3_pocket_amalgamation():
     fractions = []
     for d in instances:
         m = min_index(d, oracle)
-        survivors = prune_pockets(build_pockets(m, cfg))
+        survivors = build_pockets(m, cfg)
         antichain = all(
             not (p.members < q.members)
             for p in survivors for q in survivors
         )
         res = amalgamation_learn(d, m, cfg)
-        good = (antichain and isinstance(res, AmalgamationResult)
-                and len(res.survivors) == 1 and res.verified)
+        # a Dovetailed result means exactly one pocket survived the scan
+        good = antichain and isinstance(res, Dovetailed) and res.verified
         if not good:
             construction_misses.append((d, res))
         partial = sum(
@@ -203,10 +200,10 @@ def test_criterion_4_shrinking_sets():
     misses = []
     for d, k in runs:
         res = bounded_min_learner(d, k, cfg)
-        if not isinstance(res, BoundedMinResult):
+        if not isinstance(res, Dovetailed):
             misses.append((d, k, res))
             continue
-        codes = [set_code(s, k) for s in res.sets]
+        codes = res.trace.guesses
         good = (codes[0] == 2 ** (k + 1) - 1
                 and all(a >= b for a, b in zip(codes, codes[1:]))
                 and res.verified)
@@ -291,11 +288,9 @@ def test_criterion_6_reduction_catalog():
     }
 
     base_misses, mutant_misses, clause_misses = [], [], []
-    reports = {}
     for name in sorted(reg):
         case = reg[name]
         rep = check_reduction(case.f, case.g, case.pair, corpora[name], cfg)
-        reports[name] = rep
         if not (rep.passed and rep.records):
             base_misses.append((name, rep.witnesses[:2]))
         if len(case.mutant_modes) < 2:
@@ -318,10 +313,12 @@ def test_criterion_6_reduction_catalog():
         for i in sorted(l_case.g.enumerate_answers(y, cfg)):
             if l_case.pair.H(x, i) != literal_limit(x):
                 clause_misses.append(("limn_g", x, i))
-    for rec in reports["lpo_kol"].records:
-        want = 1 if literal_is_zero(rec.instance) else 0
-        if not rec.produced or any(b != want for b in rec.produced):
-            clause_misses.append(("lpo_kol", rec.instance_id))
+    k_case = reg["lpo_kol"]
+    for x in lpo:
+        want = 1 if literal_is_zero(x) else 0
+        answers = k_case.g.enumerate_answers(k_case.pair.K(x), cfg)
+        if not answers or any(k_case.pair.H(x, i) != want for i in answers):
+            clause_misses.append(("lpo_kol", x))
 
     elapsed = time.time() - t0
     ok = (not base_misses and not mutant_misses and not clause_misses

@@ -24,6 +24,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _script(name):
+    """The globals of scripts/<name>, loaded without running its cli()."""
+    return runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent
+                              / "scripts" / name))
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -317,11 +323,29 @@ def test_kolmogorov_caps_reads_a_partial_row_at_both_caps(tmp_path, monkeypatch,
                                                          capsys):
     monkeypatch.setitem(CORPUS_KINDS, "total-programs", lambda *_: [
         CorpusEntry(Generated(0, 5)), CorpusEntry(Generated(7, 5))])
-    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "kolmogorov_caps.py"
-    compare = runpy.run_path(str(script))["compare"]
+    compare = _script("kolmogorov_caps.py")["compare"]
     assert compare("total-programs", 2, 0, (2, 400), tmp_path) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == [
         "gen", "index=7", "budget=5", "PARTIAL", "PARTIAL"]
+
+
+def test_kolmogorov_caps_stops_on_a_usage_error(tmp_path, capsys):
+    compare = _script("kolmogorov_caps.py")["compare"]
+    # cap 0 is refused before any table is written
+    assert compare("total-programs", 2, 0, (0, 400), tmp_path) == 2
+    assert not (tmp_path / "cap0" / "kolmogorov.csv").exists()
+    assert not (tmp_path / "cap400").exists()
+
+
+def test_learning_sweep_digests_a_learner_with_no_finished_row(tmp_path, capsys):
+    # the one literal of this corpus has no index inside the universe, so
+    # both promise learners write only failure rows and no mean
+    run_sweep = _script("learning_sweep.py")["run_sweep"]
+    assert run_sweep("literal-sequences", 1, 1, tmp_path) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(cli.LEARNERS)
+    assert [row[-1] for row in rows if row[0] in ("amalgamation", "bounded-min")] == [
+        "mind_changes=-", "mind_changes=-"]
 
 
 def test_reduce_check_pass_and_mutant(tmp_path, capsys):

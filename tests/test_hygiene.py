@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used, no module under src/ or
 scripts/ imports another's private name, every public definition under
-src/ has a user outside the tests, and so does every `Callable`-typed
-field of a public dataclass under src/.
+src/ has a user outside the tests, and so does every field of a public
+dataclass under src/.
 
 Walks the syntax tree of each module under src/, scripts/ and tests/
 with the standard library alone.  An imported name counts as used when
@@ -11,10 +11,10 @@ class, counts as used when code outside its own body refers to it
 across the Python files of src/, scripts/ and godelbench/: as a name or
 as an attribute.  Strings, docstrings and comments name nothing, so the
 function names godelbench/tracer.py wraps by string are no users either;
-but each of them must still name a function of the lab.  A `Callable`
+but each of them must still name a function of the lab.  A dataclass
 field counts as used when the same files read an attribute of its name
-(`spec.verify`); passing it by keyword or position fills the slot but
-reads nothing.
+(`spec.verify`, `res.trace`); passing it by keyword or position fills
+the slot but reads nothing.
 
 A use is matched by name alone, so any name or attribute spelled like
 a definition counts as its user, and a member with no caller can still
@@ -159,11 +159,11 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def unread_callable_fields(sources: dict[str, str]) -> list[str]:
-    """The `Callable`-typed fields of public dataclasses in the src/
-    sources that no code reads as an attribute (`x.field`).
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """The fields of public dataclasses in the src/ sources that no code
+    reads as an attribute (`x.field`).
 
-    A field set by keyword or by position and never called through an
+    A field set by keyword or by position and never read through an
     instance is a slot every instance must fill and nothing uses.
     """
     trees = {path: ast.parse(text, path) for path, text in sources.items()}
@@ -177,9 +177,6 @@ def unread_callable_fields(sources: dict[str, str]) -> list[str]:
         and _is_dataclass(node)
         for field in node.body
         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
-        and any(isinstance(n, ast.Name) and n.id == "Callable"
-                or isinstance(n, ast.Attribute) and n.attr == "Callable"
-                for n in ast.walk(field.annotation))
         and field.target.id not in read)
 
 
@@ -214,8 +211,18 @@ def test_the_check_sees_an_unnamed_definition():
     assert unnamed_definitions(sources) == ["Public.idle", "Public.shape", "lonely"]
 
 
+# fields the lab reads only through `getattr(entry, key)`, a string key
+# that names no attribute: `format_entry` writes each annotation that is
+# set, and `cli._learn_one` reads the promise learner's bound
+UNREAD_ALLOWED = {"CorpusEntry.m", "CorpusEntry.k"}
+
+
 def test_every_callable_field_is_read_outside_the_tests():
-    assert unread_callable_fields(_code_sources()) == []
+    # every field is checked, the `Callable` ones among them
+    unread = set(unread_fields(_code_sources()))
+    assert unread - UNREAD_ALLOWED == set()
+    # an allowed name that gains a reader leaves the list
+    assert UNREAD_ALLOWED - unread == set()
 
 
 def test_the_check_sees_an_unread_callable_field():
@@ -224,6 +231,7 @@ def test_the_check_sees_an_unread_callable_field():
                     "from typing import Callable, Optional\n\n"
                     "@dataclass(frozen=True)\nclass Spec:\n"
                     "    name: str\n"
+                    "    size: int\n"
                     "    run: Callable[[int], int]\n"
                     "    spare: Callable[[int], int]\n"
                     "    hook: Optional[Callable[[], None]] = None\n"
@@ -231,13 +239,14 @@ def test_the_check_sees_an_unread_callable_field():
                     "@dataclass\nclass _Private:\n    idle: Callable\n\n"
                     "class Plain:\n    idle: Callable\n",
         # a keyword, a store and a name are no reads; a call through an
-        # instance and a bare attribute load are
+        # instance and a bare attribute load are; `size` is a plain field
+        # that nothing reads
         "scripts/s.py": "import m\n"
-                        "s = m.Spec('a', run=abs, spare=abs, hook=None)\n"
+                        "s = m.Spec('a', 3, run=abs, spare=abs, hook=None)\n"
                         "s.written = print\nspare = 1\n"
-                        "s.run(1)\nf = s.hook\n",
+                        "s.run(1)\nf = s.hook\nprint(s.name)\n",
     }
-    assert unread_callable_fields(sources) == ["Spec.spare", "Spec.written"]
+    assert unread_fields(sources) == ["Spec.size", "Spec.spare", "Spec.written"]
 
 
 def test_words_outside_code_are_not_users():

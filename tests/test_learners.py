@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from godellab.learners import (
-    AmalgamationResult,
-    BoundedMinResult,
+    Dovetailed,
     GuessTrace,
     LearnerConfig,
     Pocket,
@@ -26,7 +25,6 @@ from godellab.learners import (
     build_pockets,
     enum_learner,
     kol_liminf_enumerator,
-    prune_pockets,
     run_to_limit,
     set_code,
     trace_to_csv,
@@ -41,8 +39,16 @@ from godellab.numbering import (
     clear_eval_cache,
     compile_loop,
     evaluate,
+    first_value_program,
+    index_of,
 )
-from godellab.oracles import OracleConfig, clear_oracle_cache, min_index, universe
+from godellab.oracles import (
+    OracleConfig,
+    clear_oracle_cache,
+    compatible,
+    min_index,
+    universe,
+)
 from godellab.spaces import Constant, Generated, Literal
 
 CFG = LearnerConfig(OracleConfig(cap=200, window=12, index_bound=60),
@@ -214,24 +220,24 @@ def test_enum_learner_rejects_partial_instances():
 
 def test_pocket_table_on_small_universe():
     pockets = build_pockets(7, CFG)
-    assert [p.anchor for p in pockets] == list(range(8))
+    # 3 and 5 compute zero as 1 does, and 4 the identity as 0 does, so
+    # their pockets are 1's and 0's; 7's pocket holds both constants and
+    # the identity, so it is not internally compatible
+    assert [p.anchor for p in pockets] == [0, 1, 2, 6]
     members = {p.anchor: set(p.members) for p in pockets}
     assert members[0] == {0, 4, 7}
     assert members[1] == {1, 3, 5, 7}
     assert members[2] == {2, 7}
     assert members[6] == {6, 7}
-    assert members[7] == {0, 1, 2, 3, 4, 5, 6, 7}
-    assert members[3] == members[1] and members[5] == members[1]
-    assert members[4] == members[0]
-
-    flags = {p.anchor: p.internally_compatible for p in pockets}
-    assert flags[7] is False  # holds both constants and the identity
-    assert all(flags[i] for i in range(7))
 
 
 def test_prune_drops_incompatible_and_duplicate_pockets():
-    survivors = prune_pockets(build_pockets(7, CFG))
-    assert [p.anchor for p in survivors] == [0, 1, 2, 6]
+    survivors = build_pockets(7, CFG)
+    # 7's pocket is all of 0..7, so it holds 1 and 2, which disagree at
+    # 0; 3, 4 and 5 have the pockets of 1, 0 and 1
+    assert all(compatible(7, j, CFG.oracle) for j in range(8))
+    assert not compatible(1, 2, CFG.oracle)
+    assert {p.anchor for p in survivors}.isdisjoint({3, 4, 5, 7})
     sets = [p.members for p in survivors]
     assert len(set(sets)) == len(sets)
     for a in sets:
@@ -242,7 +248,7 @@ def test_prune_drops_incompatible_and_duplicate_pockets():
 @given(st.integers(min_value=0, max_value=14))
 @settings(max_examples=20, deadline=None)
 def test_pruned_pockets_form_an_antichain(m):
-    survivors = prune_pockets(build_pockets(m, CFG))
+    survivors = build_pockets(m, CFG)
     sets = [p.members for p in survivors]
     for a in sets:
         for b in sets:
@@ -252,7 +258,7 @@ def test_pruned_pockets_form_an_antichain(m):
 
 
 def test_pocket_scan_keeps_exactly_the_instance_pocket():
-    survivors = prune_pockets(build_pockets(7, CFG))
+    survivors = build_pockets(7, CFG)
     targets = [0] * (CFG.oracle.window + 1)
     alive, guesses = _pocket_scan(targets, survivors, CFG.oracle)
     assert [set(p.members) for p in alive] == [{1, 3, 5, 7}]
@@ -261,7 +267,7 @@ def test_pocket_scan_keeps_exactly_the_instance_pocket():
 
 
 def test_pocket_scan_reports_plural_survivors():
-    twins = [Pocket(1, frozenset({1}), True), Pocket(3, frozenset({3}), True)]
+    twins = [Pocket(1, frozenset({1})), Pocket(3, frozenset({3}))]
     alive, _ = _pocket_scan([0, 0, 0], twins, CFG.oracle)
     assert len(alive) == 2
 
@@ -272,9 +278,9 @@ def test_pocket_scan_reports_plural_survivors():
 
 def test_amalgamation_identifies_zero_in_tiny_universe():
     got = amalgamation_learn(ZERO, 1, CFG)
-    assert isinstance(got, AmalgamationResult)
+    assert isinstance(got, Dovetailed)
     assert got.verified
-    assert [p.anchor for p in got.survivors] == [1]
+    assert got.index == index_of(first_value_program([1]))
     assert got.trace.guesses[0] == 0
     assert got.trace.guesses[-1] == 1
     assert got.trace.mind_changes == 1
@@ -284,8 +290,7 @@ def test_amalgamation_identifies_zero_in_tiny_universe():
 def test_amalgamation_promise_violation_when_universe_too_small():
     got = amalgamation_learn(SUCC, 1, CFG)
     assert isinstance(got, PromiseViolation)
-    assert got.learner == "amalgamation"
-    assert got.survivors == ()
+    assert got.reason.startswith("0 pockets survive")
 
 
 @pytest.mark.parametrize("p,m", [(IDENT, 0), (IDENT, 2), (ZERO, 1),
@@ -293,9 +298,8 @@ def test_amalgamation_promise_violation_when_universe_too_small():
 def test_amalgamation_verifies_under_the_promise(p, m):
     assert min_index(p, CFG.oracle) <= m
     got = amalgamation_learn(p, m, CFG)
-    assert isinstance(got, AmalgamationResult)
+    assert isinstance(got, Dovetailed)
     assert got.verified
-    assert len(got.survivors) == 1
     assert got.trace.converged
 
 
@@ -313,29 +317,29 @@ def test_set_code_examples():
 
 def test_bounded_min_shrinks_to_the_zero_program():
     got = bounded_min_learner(ZERO, 2, CFG)
-    assert isinstance(got, BoundedMinResult)
+    assert isinstance(got, Dovetailed)
     assert got.verified
     assert got.trace.guesses[:3] == (7, 6, 2)
-    assert got.sets[0] == frozenset({0, 1, 2})
-    assert got.sets[-1] == frozenset({1})
+    assert got.trace.guesses[0] == set_code({0, 1, 2}, 2)
+    assert got.trace.guesses[-1] == set_code({1}, 2)
 
 
 def test_bounded_min_keeps_lookalike_constant_until_refuted():
     got = bounded_min_learner(SUCC, 6, CFG)
-    assert isinstance(got, BoundedMinResult)
+    assert isinstance(got, Dovetailed)
     # index 6 computes 1̂ and matches n+1 at 0, so it outlives stage 0
     assert got.trace.guesses[:3] == (127, 17, 16)
-    assert got.sets[-1] == frozenset({2})
+    assert got.trace.guesses[-1] == set_code({2}, 6)
     assert got.verified
 
 
 def test_bounded_min_codes_never_increase():
     got = bounded_min_learner(IDENT, 3, CFG)
-    assert isinstance(got, BoundedMinResult)
-    codes = [set_code(a, 3) for a in got.sets]
+    assert isinstance(got, Dovetailed)
+    codes = got.trace.guesses
     assert codes[0] == 2 ** 4 - 1
     assert all(a >= b for a, b in zip(codes, codes[1:]))
-    assert got.sets[-1] == frozenset({0})
+    assert codes[-1] == set_code({0}, 3)
 
 
 def test_bounded_min_reports_emptied_set():
@@ -360,10 +364,11 @@ def test_bounded_min_finds_least_index_under_promise(p, k):
     least = min_index(p, CFG.oracle)
     assert least <= k
     got = bounded_min_learner(p, k, CFG)
-    assert isinstance(got, BoundedMinResult)
+    assert isinstance(got, Dovetailed)
     assert got.verified
-    assert got.sets[-1] == frozenset({least})
-    codes = [set_code(a, k) for a in got.sets]
+    codes = got.trace.guesses
+    assert codes[-1] == set_code({least}, k)
+    assert got.index == index_of(first_value_program([least]))
     assert all(a >= b for a, b in zip(codes, codes[1:]))
 
 

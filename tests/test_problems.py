@@ -1,9 +1,9 @@
 """Problem-spec tests.
 
-The window oracle: a Literal's behavior is fully visible in a window
-covering its prefix plus a few tail periods, so answer sets recomputed
-naively from such a window are exact and independent of the closed-form
-analyses the implementation uses.
+The window oracle (tests/literal_reference.py): a Literal's behavior is
+fully visible in a window covering its prefix plus a few tail periods,
+so answer sets recomputed naively from such a window are exact and
+independent of the closed-form analyses the implementation uses.
 """
 
 from godellab.oracles import OracleConfig
@@ -23,27 +23,12 @@ from godellab.problems import (
     problem_registry,
 )
 from godellab.spaces import Constant, Generated, Literal, Periodic
+from literal_reference import span, window
 
 CFG = ProblemConfig(OracleConfig(cap=200, window=12, index_bound=60), ceiling=24)
 
 ZERO = Literal((), Constant(0))
 ONE_HAT = Literal((), Constant(1))
-
-
-def _tail_word(d):
-    return [d.tail.value] if isinstance(d.tail, Constant) else list(d.tail.word)
-
-
-def _window(d, count):
-    w = _tail_word(d)
-    return [
-        d.prefix[n] if n < len(d.prefix) else w[(n - len(d.prefix)) % len(w)]
-        for n in range(count)
-    ]
-
-
-def _span(d):
-    return len(d.prefix) + 4 * len(_tail_word(d)) + 8
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +150,7 @@ _POOL = [
 def test_first_order_answers_match_window_oracle():
     reg = problem_registry()
     for d in _POOL:
-        seq = _window(d, _span(d))
+        seq = window(d, span(d))
         tail = seq[len(d.prefix):]
         def answers(name):
             return reg[name].enumerate_answers(d, CFG)

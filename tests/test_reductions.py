@@ -159,7 +159,7 @@ def test_report_json_clamps_oversized_indices():
     rep_witness = FailureWitness(0, "verification", inner=2, outer=1 << 9000)
     from godellab.reductions import InstanceRecord, ReductionReport
 
-    rep = ReductionReport("big", (InstanceRecord(0, None, None, (2,), (), False),),
+    rep = ReductionReport("big", (InstanceRecord(0, (2,), False),),
                           (rep_witness,), False)
     payload = json.loads(report_to_json(rep, "clamp"))
     assert payload["instances"][0]["witnesses"][0]["outer"] == "#bits=9001"

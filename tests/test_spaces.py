@@ -1,9 +1,10 @@
 """Descriptor tests.
 
-The window oracle `_window` below reads a Literal the slow way (prefix,
-then cycle the tail word) and is the cross-check for every closed-form
-analysis.  Window lengths cover the prefix plus several tail periods, so
-any value or cluster the analysis claims must actually show up.
+The window oracle `window` of tests/literal_reference.py reads a Literal
+the slow way (prefix, then cycle the tail word) and is the cross-check
+for every closed-form analysis.  Window lengths cover the prefix plus
+several tail periods, so any value or cluster the analysis claims must
+actually show up.
 """
 
 import time
@@ -35,24 +36,10 @@ from godellab.spaces import (
     parse_descriptor,
     subsample_literal,
 )
+from literal_reference import span, tail_word, window
 
 # ---------------------------------------------------------------------------
-# window oracle
-
-
-def _tail_word(d):
-    return [d.tail.value] if isinstance(d.tail, Constant) else list(d.tail.word)
-
-
-def _window(d, count):
-    w = _tail_word(d)
-    out = []
-    for n in range(count):
-        if n < len(d.prefix):
-            out.append(d.prefix[n])
-        else:
-            out.append(w[(n - len(d.prefix)) % len(w)])
-    return out
+# random literals
 
 
 _literals = st.builds(
@@ -63,10 +50,6 @@ _literals = st.builds(
         st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple).map(Periodic),
     ),
 )
-
-
-def _span(d):
-    return len(d.prefix) + 4 * len(_tail_word(d)) + 8
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +66,7 @@ def test_literal_value_frozen_examples():
 @settings(max_examples=120, deadline=None)
 @given(_literals)
 def test_literal_value_matches_window_oracle(d):
-    assert [literal_value(d, n) for n in range(_span(d))] == _window(d, _span(d))
+    assert [literal_value(d, n) for n in range(span(d))] == window(d, span(d))
 
 
 def test_generated_descriptor_reports_partiality():
@@ -109,7 +92,7 @@ def test_descriptor_validation():
 @settings(max_examples=120, deadline=None)
 @given(_literals)
 def test_value_and_cluster_sets_match_window(d):
-    seq = _window(d, _span(d))
+    seq = window(d, span(d))
     assert literal_values(d) == set(seq)
     assert cluster_values(d) == set(seq[len(d.prefix):])
     assert literal_min(d) == min(seq)
@@ -120,14 +103,14 @@ def test_value_and_cluster_sets_match_window(d):
 @settings(max_examples=120, deadline=None)
 @given(_literals)
 def test_zero_and_first_nonzero_agree(d):
-    seq = _window(d, _span(d))
+    seq = window(d, span(d))
     assert literal_is_zero(d) == all(v == 0 for v in seq)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_literals)
 def test_convergence_and_limit(d):
-    w = _tail_word(d)
+    w = tail_word(d)
     assert is_convergent(d) == (len(set(w)) == 1)
     if is_convergent(d):
         assert literal_limit(d) == w[0]
