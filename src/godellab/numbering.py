@@ -198,18 +198,25 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # halts, however the other registers grow.  `_run` looks for such a repeat
 # at doubling step counts.
 #
-# Indices the lab builds itself arrive lowered.  Every emitter (the macros
-# of `s_const` and `precompose_affine`, `LoopCompiler.compile`, and the
-# learners', corpus' and literal compiler's encodings) goes through
-# `index_of`, which lowers the instruction codes the Program holds.  That
-# is exact: the index is the list code of those codes, so the stored
-# lowering is the one a cache miss would compute by decoding, and no
-# outcome or entry can change; only the unpairing of a number of up to
-# half a million bits is skipped.  `index_of` also memoizes the index by program
-# value, so a program emitted twice (a pocket's dovetailer, emitted for each
-# instance of its function; a composed catalog index, built by each
-# `_extract` call) is encoded once; encode is a function of the program, so
-# that is exact too.
+# Indices the lab builds itself arrive lowered.  Every emitter (the macro
+# of `s_const`, `LoopCompiler.compile`, and the learners', corpus' and
+# literal compiler's encodings) goes through `index_of`, which lowers the
+# instruction codes the Program holds.  That is exact: the index is the list
+# code of those codes, so the stored lowering is the one a cache miss would
+# compute by decoding, and no outcome or entry can change; only the
+# unpairing of a number of up to half a million bits is skipped.  `index_of`
+# also memoizes the index by program value, so a program emitted twice (a
+# pocket's dovetailer, emitted for each instance of its function) is encoded
+# once; encode is a function of the program, so that is exact too.
+#
+# `precompose_affine` defers the encode as well: it returns an `Emitted`
+# handle, whose record is keyed by the program until something reads the
+# index (a reduction witness, the offset_h mutant); `index_of` then moves
+# the record under the index, so the program's entries live under one key.
+# That is exact for a program without an EVB, whose runs never read the
+# chain, so nothing can tell the two keys apart; a composed program with an
+# EVB is encoded when its handle is made.  A passing catalog check reads no
+# composed index, so its encodes of up to half a million bits are skipped.
 # `encode` itself stays a pure codec and fills no cache.  Indices the lab
 # did not build (corpus files, universe scans, command-line arguments) are
 # still decoded on first use.
@@ -231,8 +238,9 @@ class _Record:
 
 # index -> its record; lowered on first use by decoding, and by `index_of`
 # for emitted indices, with the same lowering either way; `index_of` leaves
-# a record that is already there in place
-_records: dict[int, _Record] = {}
+# a record that is already there in place.  An `Emitted` handle's program
+# keys its record until its index is encoded.
+_records: dict[int | Program, _Record] = {}
 # emitted program -> encode(program): the index memo of `index_of`
 _index_cache: dict[Program, ProgramIndex] = {}
 
@@ -297,16 +305,49 @@ def _record(index: int) -> _Record:
 def index_of(program: Program) -> ProgramIndex:
     """encode(program), with its lowering stored for the evaluator, so an
     index the lab emits is never decoded again, and memoized by program
-    value, so a program the lab emits twice is encoded once."""
+    value, so a program the lab emits twice is encoded once.  The first
+    encode moves the record an `Emitted` handle keyed by the program
+    under the index, entries and all."""
     index = _index_cache.get(program)
     if index is None:
         index = _index_cache[program] = encode(program)
+        deferred = _records.pop(program, None)
+        if deferred is not None:
+            _records.setdefault(index, deferred)
     if index not in _records:
         _records[index] = _Record(_lower(program.codes))
     return index
 
 
-def evaluate(index: ProgramIndex, arg: Nat, budget: Nat) -> EvalOutcome:
+class Emitted:
+    """An emitted program whose index is encoded on the first read of
+    `.index` (or `operator.index`); `evaluate` runs it without encoding it,
+    and a program with an EVB is encoded at once (see the evaluator
+    comment above)."""
+
+    __slots__ = ("program",)
+
+    def __init__(self, program: Program):
+        self.program = program
+        self._key()  # lowers the program, and encodes it if it holds an EVB
+
+    def _key(self) -> ProgramIndex | Program:
+        """The key of the program's record, lowered if it has none."""
+        program = self.program
+        key = _index_cache.get(program, program)
+        if key not in _records:
+            record = _records[key] = _Record(_lower(program.codes))
+            if record.evb:
+                return index_of(program)
+        return key
+
+    def __index__(self) -> ProgramIndex:
+        return index_of(self.program)
+
+    index = property(__index__)
+
+
+def evaluate(index: ProgramIndex | Emitted, arg: Nat, budget: Nat) -> EvalOutcome:
     """Run decode(index) on `arg` for at most `budget` steps.
 
     Returns Halted(value, steps) with steps <= budget, or
@@ -314,11 +355,19 @@ def evaluate(index: ProgramIndex, arg: Nat, budget: Nat) -> EvalOutcome:
     a Halted outcome is reproduced unchanged under any larger budget.
     One hash of `index` fetches its record; its entry for `arg` (the Halted,
     never-halts, or the steps explored) answers a hit, and a miss stores one.
+    An `Emitted` handle runs its program without encoding it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if index < 0 or arg < 0:
-        raise ValueError("index and argument must be naturals")
+    try:
+        if arg < 0 or index < 0:
+            raise ValueError("index and argument must be naturals")
+    except TypeError:
+        # a handle does not compare with 0 (arg was checked first); taking
+        # it here, not by a type test up front, costs the int path nothing
+        if type(index) is not Emitted:
+            raise
+        index = index._key()
     return _eval(index, arg, budget)
 
 
@@ -469,14 +518,14 @@ def _check_emit_length(n: int, what: str) -> None:
         )
 
 
-def _prepend(macro: Program, suffix: Program) -> ProgramIndex:
+def _prepend(macro: Program, suffix: Program) -> Program:
     codes = list(macro.codes)
     for m in suffix.codes:
         if m % 5 == 3:
             a, b, k = _fields(m)[1]
             m = _code(3, (a, b, k + len(macro)))
         codes.append(m)
-    return index_of(Program(tuple(codes)))
+    return Program(tuple(codes))
 
 
 def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
@@ -511,7 +560,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     a.emit("J", 0, 0, "lp")
     a.label("fin")
     a.emit("T", acc, 0)
-    return _prepend(a.assemble(), suffix)
+    return index_of(_prepend(a.assemble(), suffix))
 
 
 def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
@@ -521,11 +570,16 @@ def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
             + const * const + const + 8 + inner)
 
 
-def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
-    """Index computing n -> decode(index)(mul * n + add)."""
+def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Emitted:
+    """Handle of the program computing n -> decode(index)(mul * n + add),
+    whose index (over 200,000 bits for a 15-instruction suffix) is
+    encoded only when read."""
     if mul < 0 or add < 0:
         raise ValueError("mul and add must be naturals")
     suffix = decode(index)
+    # with no macro (mul 1, add 0) the handle's program is the suffix, which
+    # then keeps the one record its index has
+    _index_cache[suffix] = index
     _check_emit_length((add if mul == 1 else mul + add + 4) + len(suffix),
                        f"precompose_affine(..., {mul}, {add})")
     a = _Asm()
@@ -545,7 +599,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> ProgramIndex:
         for _ in range(add):
             a.emit("S", acc)
         a.emit("T", acc, 0)
-    return _prepend(a.assemble(), suffix)
+    return Emitted(_prepend(a.assemble(), suffix))
 
 
 def affine_budget(mul: Nat, add: Nat, arg: Nat, inner: Nat) -> Nat:

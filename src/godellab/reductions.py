@@ -28,11 +28,12 @@ universe forces a choice:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .learners import LearnerConfig, enum_learner
-from .numbering import Halted, Nat, affine_budget, evaluate, precompose_affine
+from .numbering import Emitted, Halted, Nat, affine_budget, evaluate, precompose_affine
 from .oracles import min_index, search_R, total_on_window, verified_indices, window_verify
 from .problems import ProblemConfig, ProblemSpec, problem_registry
 from .spaces import (
@@ -70,7 +71,7 @@ class FailureWitness:
     instance_id: int
     kind: str  # f_domain | g_domain | construction | verification
     inner: Optional[Nat] = None
-    outer: Optional[Nat] = None
+    outer: Optional[Nat | Emitted] = None
     note: str = ""
 
 
@@ -134,12 +135,15 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
     return ReductionReport(r.name, tuple(records), tuple(witnesses), passed)
 
 
-def _json_nat(v: Optional[Nat]):
+def _json_nat(v: Optional[Nat | Emitted]):
     # composed program indices run to thousands of digits; past the
-    # int-to-str conversion guard only the magnitude is reportable
-    if v is None or v.bit_length() <= 64:
+    # int-to-str conversion guard only the magnitude is reportable.  A
+    # composed answer (`precompose_affine`'s handle) is encoded here, in a
+    # witness, and a passing check encodes none
+    if v is None:
         return v
-    return f"#bits={v.bit_length()}"
+    v = operator.index(v)
+    return v if v.bit_length() <= 64 else f"#bits={v.bit_length()}"
 
 
 def report_to_json(report: ReductionReport, corpus_name: str) -> str:
@@ -337,7 +341,7 @@ def _component_targets(tupled: Generated, stride: int, which: int,
     return targets
 
 
-def _extract(i: Nat, stride: int, which: int) -> Nat:
+def _extract(i: Nat, stride: int, which: int) -> Emitted:
     try:
         return precompose_affine(i, stride, which)
     except ValueError as stop:
@@ -357,7 +361,9 @@ def _component_spec(name: str, unpack) -> ProblemSpec:
 
     `unpack` reads an instance as (tupled Generated descriptor, stride,
     component), or gives None for a wrong shape; an answer is any index
-    computing that component on the window.
+    computing that component on the window.  `verify` also takes an
+    extracted answer as `precompose_affine`'s handle, and runs it without
+    encoding its index.
     """
 
     def shaped(x) -> bool:
@@ -466,7 +472,7 @@ def mutate(r: ReductionPair, mode: str) -> ReductionPair:
     if mode == "constant_h":
         return ReductionPair(name, r.K, lambda x, a: 0)
     if mode == "offset_h":
-        return ReductionPair(name, r.K, lambda x, a: r.H(x, a) + 1)
+        return ReductionPair(name, r.K, lambda x, a: operator.index(r.H(x, a)) + 1)
     if mode == "drop_k":
         return ReductionPair(name, lambda x: x, r.H)
     if mode == "collapse_k":

@@ -12,7 +12,8 @@ re-entrance and depth cuts of EVB, whose outcomes the memo stores under
 the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
 as the reference runs it, is never decoded again, and is encoded once
-however often it is emitted.
+however often it is emitted; a composed program's handle runs as its
+index does and is encoded only when its index is read.
 """
 
 import pytest
@@ -287,8 +288,8 @@ _JUMPS = encode(parse_program("J 0 1 4\nS 1\nJ 0 0 0"))
 EMITTERS = {
     "s_const": lambda: [s_const(2, 1), s_const(encode(parse_program("T 0 1\nS 1\nT 1 0")), 0),
                         s_const(_JUMPS, 0)],
-    "precompose_affine": lambda: [precompose_affine(2, 1, 3),
-                                  precompose_affine(_stride_tuples()[0], 2, 1)],
+    "precompose_affine": lambda: [precompose_affine(2, 1, 3).index,
+                                  precompose_affine(_stride_tuples()[0], 2, 1).index],
     "dovetailer": lambda: [amalgamation_learn(_ZERO, 1, _LEARN).index,
                            bounded_min_learner(Generated(0, 1), 2, _LEARN).index],
     "gen_families": lambda: [e.descriptor.index for e in gen_families(8, 5)],
@@ -349,7 +350,7 @@ def test_emitted_indices_are_not_decoded(monkeypatch):
     composed = precompose_affine(tupled, 2, 1)
     outs = [evaluate(composed, n, 5000) for n in range(9)]
     assert all(isinstance(out, Halted) for out in outs)
-    assert decoded and max(decoded) < composed.bit_length()
+    assert decoded and max(decoded) < composed.index.bit_length()
 
     decoded.clear()
     learned = amalgamation_learn(_ZERO, 1, _LEARN)
@@ -404,8 +405,8 @@ def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
 def test_precompose_affine_twice_encodes_once(encodes):
     clear_eval_cache()
     tupled = _stride_tuples()[0]
-    composed = precompose_affine(tupled, 2, 1)
-    assert precompose_affine(tupled, 2, 1) == composed
+    composed = precompose_affine(tupled, 2, 1).index
+    assert precompose_affine(tupled, 2, 1).index == composed
     assert encodes.count(composed) == 1
 
 
@@ -430,3 +431,86 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
     assert index_of(program) == index
     assert encodes == [index]
     assert numbering._records[index] is record
+
+
+# ---------------------------------------------------------------------------
+# a composed program is encoded when its index is read
+
+
+@pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
+def test_a_handle_runs_as_its_index_in_either_order(handle_first):
+    tupled = _stride_tuples()[0]
+    runs = [(n, budget) for budget in (4, 5000, 9) for n in range(6)]
+    for suffix, mul, add in [(tupled, 2, 1), (tupled, 2, 0), (2, 1, 3), (_JUMPS, 3, 2)]:
+        clear_eval_cache()
+        handle = precompose_affine(suffix, mul, add)
+        if handle_first:
+            via_handle = [evaluate(handle, n, budget) for n, budget in runs]
+            via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
+        else:
+            via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
+            via_handle = [evaluate(handle, n, budget) for n, budget in runs]
+        assert via_handle == via_index == [_cold(handle.index, n, budget)
+                                           for n, budget in runs]
+        assert any(isinstance(out, Halted) for out in via_handle)
+
+
+def test_reading_the_index_moves_the_record_under_it():
+    clear_eval_cache()
+    tupled = _stride_tuples()[0]
+    handle = precompose_affine(tupled, 2, 1)
+    record = numbering._records[handle.program]
+    out = evaluate(handle, 3, 5000)
+    assert record.outcomes == {3: out}
+    assert handle.program not in numbering._index_cache
+    index = handle.index
+    assert [key for key, rec in numbering._records.items() if rec is record] == [index]
+    # a second handle of the program runs under the same record
+    again = precompose_affine(tupled, 2, 1)
+    assert evaluate(again, 3, 5000) is out
+    assert evaluate(again, 4, 5000) is record.outcomes[4]
+    assert handle.program not in numbering._records
+    clear_eval_cache()
+    assert not numbering._records
+
+
+def test_a_composition_with_no_macro_keeps_the_suffix_record(encodes):
+    # gstar_g's width-1 answers: mul 1, add 0 emits the suffix itself
+    clear_eval_cache()
+    out = evaluate(_JUMPS, 3, 100)
+    record = numbering._records[_JUMPS]
+    handle = precompose_affine(_JUMPS, 1, 0)
+    assert evaluate(handle, 3, 100) is out
+    assert [key for key, rec in numbering._records.items() if rec is record] == [_JUMPS]
+    assert handle.program not in numbering._records
+    assert handle.index == _JUMPS
+    assert encodes == []
+
+
+def test_a_composed_program_with_an_evb_is_encoded_at_emission(encodes):
+    # decode(11) is EVB 0 0 0 0: the re-entrance cut compares register
+    # values with the indices on the chain, so this index must exist
+    clear_eval_cache()
+    handle = precompose_affine(11, 2, 1)
+    assert len(encodes) == 1
+    assert handle.index == encodes[0]
+    assert len(encodes) == 1
+    assert handle.program not in numbering._records
+    assert numbering._records[handle.index].evb
+    outs = [evaluate(handle, n, 60) for n in range(4)]
+    assert outs == [reference_outcome(handle.index, n, 60) for n in range(4)]
+
+
+def test_a_handle_encodes_through_the_module_encode(encodes):
+    # godelbench/tracer.py counts `numbering.encode.bits` by rebinding
+    # numbering's module-global `encode`, as `encodes` does here, so a
+    # handle that encoded any other way would drop out of the count
+    clear_eval_cache()
+    tupled = _stride_tuples()[0]
+    encodes.clear()
+    handle = precompose_affine(tupled, 2, 1)
+    assert encodes == []
+    first = handle.index
+    assert encodes == [first]
+    assert handle.index == first
+    assert encodes == [first]

@@ -7,6 +7,7 @@ no code with the lab, through tests/machine_reference.py; the wider
 differential checks are in tests/test_differential.py.
 """
 
+import operator
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -496,13 +497,14 @@ def test_emitters_refuse_before_building():
 
 
 def _emitted_length(emit, *args, **kwargs):
-    """Instructions emit(...) builds, a Program or an index, or the count
-    its refusal names."""
+    """Instructions emit(...) builds, a Program or the program of an index
+    (an int or a handle, whose index is read), or the count its refusal
+    names."""
     try:
         out = emit(*args, **kwargs)
     except ValueError as err:
         return int(str(err).split(" needs ")[1].split()[0])
-    return len(out if isinstance(out, Program) else decode(out))
+    return len(out if isinstance(out, Program) else decode(operator.index(out)))
 
 
 def test_emitter_length_checks_count_what_is_emitted(monkeypatch):

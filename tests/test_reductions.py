@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from godellab import numbering
 from godellab.numbering import (
+    clear_eval_cache,
     encode,
     parse_program,
     precompose_affine,
@@ -232,7 +234,7 @@ def test_ghat_extraction_round_trip():
         x = (TUP_ZERO_ID, which)
         assert spec.domain_check(x, CFG)
         # the extracted component's index lies past the bounded universe
-        a = precompose_affine(TUP_ZERO_ID.index, 2, which)
+        a = precompose_affine(TUP_ZERO_ID.index, 2, which).index
         assert a > CFG.oracle.index_bound
         assert spec.verify(x, a, CFG)
 
@@ -240,7 +242,7 @@ def test_ghat_extraction_round_trip():
 def test_gstar_width_one_is_the_identity_embedding():
     # precomposition with mul=1, add=0 emits no macro at all
     x = (1, TUP_SUCC, 0)
-    assert precompose_affine(TUP_SUCC.index, 1, 0) == TUP_SUCC.index
+    assert precompose_affine(TUP_SUCC.index, 1, 0).index == TUP_SUCC.index
     spec = make_gstar_spec()
     assert spec.verify(x, TUP_SUCC.index, CFG)
 
@@ -346,3 +348,21 @@ def test_inf_cn_recovers_the_least_absent(x, a):
     while least in present:
         least += 1
     assert catalog_inf_cn().H(x, a) == least
+
+
+def test_a_passing_ghat_check_encodes_no_composed_index(monkeypatch):
+    # its answers are composed indices of 237,768 to 497,085 bits, which
+    # only a witness would write out, and then only as #bits=
+    made = []
+    real = numbering.encode
+
+    def recording(program):
+        made.append(real(program))
+        return made[-1]
+
+    clear_eval_cache()
+    monkeypatch.setattr(numbering, "encode", recording)
+    case = reduction_registry(CFG)["ghat_g"]
+    rep = check_reduction(case.f, case.g, case.pair, _corpus("ghat_g"), CFG)
+    assert rep.passed
+    assert max((i.bit_length() for i in made), default=0) < 100_000
