@@ -432,6 +432,47 @@ def test_every_mutant_of_the_component_reductions_is_pinned(tmp_path):
     assert '"outer": "#bits=214"' in report
 
 
+# sha256 of each result file of the promise learners over
+# `corpus-gen total-programs --size 8 --seed 1`: six entries each verify
+# their dovetailer, and the two whose pocket or set overruns the emission
+# ceiling (entries 3 and 7) become failure rows with no trace, so each
+# run exits 1
+PROMISE_LEARNER_FILES = {
+    "amalgamation": {
+        "summary.json": "6feed453c5b698e2ad1d54ebbf34ae30d05a83678a9f477d23d158ef4abb869f",
+        "trace_0000.csv": "3aef8f6feac5e0379ef6947df1388ca10593c2e18aade31e2e853d3096c13d96",
+        "trace_0001.csv": "ae2e64c0ac18f2651a9d4e725b8d920b91d4d65fa66e12cca112c9af09cd5b7a",
+        "trace_0002.csv": "deb3bd2cac278adefd3add782c419e84ca84808d4dae862850d9d0a69dbb4d3a",
+        "trace_0004.csv": "6d646ee83ec1ef72e3654eacd3ddea99eb584fcc7247e469c8813b3cccbd5f90",
+        "trace_0005.csv": "6d646ee83ec1ef72e3654eacd3ddea99eb584fcc7247e469c8813b3cccbd5f90",
+        "trace_0006.csv": "deb3bd2cac278adefd3add782c419e84ca84808d4dae862850d9d0a69dbb4d3a",
+    },
+    "bounded-min": {
+        "summary.json": "eb8f37f2966a157eb04f0b5c961918f4f4d4a54149294bef290c62a515c00422",
+        "trace_0000.csv": "809d8f17494e7fc86c7fddbb018c40edcd4ddc6e7e9a5a8aa7012bbfe5c626fb",
+        "trace_0001.csv": "443420d5266f72e6b479c1665b8ae5fc3775b5a76b3537b768d6efdfcbf1d417",
+        "trace_0002.csv": "90ac5de01eaaecbd2b4697386a79cdb0f4de9462f944c0d3a3a8bd1d6c7bfd7d",
+        "trace_0004.csv": "7792e93c727e26cd20dd68a29ba4b0c0d6b43f611d295b78d6eedb652e18586a",
+        "trace_0005.csv": "7792e93c727e26cd20dd68a29ba4b0c0d6b43f611d295b78d6eedb652e18586a",
+        "trace_0006.csv": "90ac5de01eaaecbd2b4697386a79cdb0f4de9462f944c0d3a3a8bd1d6c7bfd7d",
+    },
+}
+
+
+def test_the_promise_learners_result_files_are_pinned(tmp_path):
+    gen = tmp_path / "gen"
+    run("corpus-gen", "total-programs", "--size", 8, "--seed", 1, "--out-dir", gen)
+    for learner, digests in PROMISE_LEARNER_FILES.items():
+        out = tmp_path / learner
+        assert run("learn", "--learner", learner, "--corpus",
+                   gen / "total-programs.corpus", "--out-dir", out) == 1
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert written == set(digests), learner
+        for name, digest in digests.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == digest, (learner, name)
+
+
 def test_unknown_reduction_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "c.corpus"
     corpus.write_text("lit tail=const:0\n")
