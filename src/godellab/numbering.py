@@ -198,31 +198,43 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # halts, however the other registers grow.  `_run` looks for such a repeat
 # at doubling step counts.
 #
-# Indices the lab builds itself arrive lowered.  Every emitter (the macro
-# of `s_const`, `LoopCompiler.compile`, and the learners', corpus' and
-# literal compiler's encodings) goes through `index_of`, which lowers the
-# instruction codes the Program holds.  That is exact: the index is the list
-# code of those codes, so the stored lowering is the one a cache miss would
-# compute by decoding, and no outcome or entry can change; only the
-# unpairing of a number of up to half a million bits is skipped.  `index_of`
-# also memoizes the index by program value, so a program emitted twice (a
-# pocket's dovetailer, emitted for each instance of its function) is encoded
-# once; encode is a function of the program, so that is exact too.
+# Indices the lab builds itself arrive lowered, by one of two emission
+# paths, and both lower the instruction codes the Program holds.
+# `index_of` (the macro of `s_const`, `LoopCompiler.compile`, and the
+# corpus' and literal compiler's encodings) encodes at once.  An `Emitted`
+# handle (`precompose_affine`, the promise learners' dovetailer) defers the
+# encode: its record is keyed by the program until something reads the
+# index (a reduction witness, the offset_h mutant), and `index_of` then
+# moves the record under the index, so the program's entries live under
+# one key.  Either way is exact: the index is the list code of those codes,
+# so the stored lowering is the one a cache miss would compute by decoding,
+# and no outcome or entry can change; only the encode or the unpairing of a
+# number of up to 734,059 bits is skipped.  `index_of` also memoizes the
+# index by program value, so a program emitted twice is encoded once, and
+# equal handles share one record.
 #
-# `precompose_affine` defers the encode as well: it returns an `Emitted`
-# handle, whose record is keyed by the program until something reads the
-# index (a reduction witness, the offset_h mutant); `index_of` then moves
-# the record under the index, so the program's entries live under one key.
-# That is exact for a program without an EVB, whose runs never read the
-# chain, so nothing can tell the two keys apart; a composed program with an
-# EVB is encoded when its handle is made.  A passing catalog check reads no
-# composed index, so its encodes of up to half a million bits are skipped.
-# `encode` itself stays a pure codec and fills no cache.  Indices the lab
-# did not build (corpus files, universe scans, command-line arguments) are
-# still decoded on first use.
+# A handle keyed by its program is exact for an EVB-free program, whose
+# runs never read the chain.  An EVB program's handle puts the program on
+# the chain, where the re-entrance cut compares register values with
+# indices.  The cut stays exact through one fact: the list code grows with
+# each code and with the length, so a program of _DEFER_LENGTH (8) or more
+# instructions has an index of at least _DEFER_FLOOR, the code of as many
+# zero codes (83 bits).  A handle of a shorter EVB program is encoded when
+# it is made, which is cheap, and an EVB step whose index register reaches
+# the floor encodes the program on the chain and compares (`_reenters`);
+# below it the check costs one comparison.  It reads the chain, not the
+# record store, because its own `index_of` moves the record while the chain
+# still holds the program.  An entry stored under a chain that holds the
+# program stays exact after the move, though a run under the index's chain
+# does not hit it; such entries are left in place until
+# `clear_eval_cache()`.  `encode` itself stays a pure codec and fills no
+# cache.  Indices the lab did not build (corpus files, universe scans,
+# command-line arguments) are still decoded on first use.
 
 _DEPTH_LIMIT = 64
 _NEVER = inf
+_DEFER_LENGTH = 8
+_DEFER_FLOOR = encode_list((0,) * _DEFER_LENGTH)
 
 
 class _Record:
@@ -321,15 +333,16 @@ def index_of(program: Program) -> ProgramIndex:
 
 class Emitted:
     """An emitted program whose index is encoded on the first read of
-    `.index` (or `operator.index`); `evaluate` runs it without encoding it,
-    and a program with an EVB is encoded at once (see the evaluator
+    `.index` (or `operator.index`); until then `evaluate` runs it under a
+    record keyed by the program.  A program with an EVB and fewer than
+    _DEFER_LENGTH instructions is encoded at once (see the evaluator
     comment above)."""
 
     __slots__ = ("program",)
 
     def __init__(self, program: Program):
         self.program = program
-        self._key()  # lowers the program, and encodes it if it holds an EVB
+        self._key()  # lowers the program, and encodes a short one with an EVB
 
     def _key(self) -> ProgramIndex | Program:
         """The key of the program's record, lowered if it has none."""
@@ -337,7 +350,7 @@ class Emitted:
         key = _index_cache.get(program, program)
         if key not in _records:
             record = _records[key] = _Record(_lower(program.codes))
-            if record.evb:
+            if record.evb and len(program) < _DEFER_LENGTH:
                 return index_of(program)
         return key
 
@@ -424,7 +437,8 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
             pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
         else:
             sub = (regs[ins[1]], regs[ins[2]])
-            if sub in chain or len(chain) >= _DEPTH_LIMIT:
+            if (sub in chain or len(chain) >= _DEPTH_LIMIT
+                    or sub[0] >= _DEFER_FLOOR and _reenters(sub, chain)):
                 regs[ins[4]] = 0
             else:
                 out = _eval(sub[0], sub[1], regs[ins[3]], chain)
@@ -437,6 +451,15 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
             snap_pc = pc
             snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]
             next_snap <<= 1
+
+
+def _reenters(sub: tuple, chain: frozenset) -> bool:
+    """Whether a handle's program on `chain` is sub's index on sub's input.
+    It is encoded through `index_of`, and stays on the chain as a program
+    after its record moves under the index."""
+    index, arg = sub
+    return any(type(key) is Program and a == arg and index_of(key) == index
+               for key, a in chain)
 
 
 def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:

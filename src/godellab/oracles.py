@@ -85,7 +85,13 @@ class Universe:
 
     def value(self, i: ProgramIndex, n: Nat) -> Optional[Nat]:
         """phi_i(n) under the cap, or None; kept inside the table."""
-        if not (0 <= i <= self.cfg.index_bound and 0 <= n <= self.cfg.window):
+        try:
+            inside = 0 <= i <= self.cfg.index_bound and 0 <= n <= self.cfg.window
+        except TypeError:
+            # an `Emitted` handle does not compare with 0; `evaluate` takes
+            # it, and taking it here costs the int path no type test
+            inside = False
+        if not inside:
             return _value_of(evaluate(i, n, self.cfg.cap))
         rows = self.rows
         while len(rows) <= i:
@@ -109,7 +115,11 @@ class Universe:
 
     def agrees(self, i: ProgramIndex, values: tuple[Nat, ...]) -> bool:
         """True iff the row of i starts with values; stops at a miss."""
-        if 0 <= i < len(self.rows) and isinstance(self.rows[i], tuple):
+        try:
+            whole = 0 <= i < len(self.rows) and isinstance(self.rows[i], tuple)
+        except TypeError:
+            whole = False  # an `Emitted` handle, as in `value`
+        if whole:
             return self.rows[i][:len(values)] == values
         return all(self.value(i, n) == want for n, want in enumerate(values))
 

@@ -12,9 +12,13 @@ re-entrance and depth cuts of EVB, whose outcomes the memo stores under
 the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
 as the reference runs it, is never decoded again, and is encoded once
-however often it is emitted; a composed program's handle runs as its
-index does and is encoded only when its index is read.
+however often it is emitted; a handle (a composed program, a
+dovetailer) runs as its index does and is encoded only when its index is
+read, and the chain guard keeps the re-entrance cut exact for a handle
+of an EVB program.
 """
+
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,7 @@ from godellab.learners import LearnerConfig, amalgamation_learn, bounded_min_lea
 from godellab.numbering import (
     BudgetExceeded,
     Copy,
+    Emitted,
     Halted,
     Inc,
     Loop,
@@ -33,6 +38,7 @@ from godellab.numbering import (
     decode,
     encode,
     evaluate,
+    first_value_program,
     index_of,
     parse_program,
     precompose_affine,
@@ -41,7 +47,12 @@ from godellab.numbering import (
 )
 from godellab.oracles import OracleConfig
 from godellab.spaces import Constant, Generated, Literal, Periodic, compile_literal
-from machine_reference import OffChain, reference, reference_outcome
+from machine_reference import (
+    OffChain,
+    reference,
+    reference_outcome,
+    reference_program_outcome,
+)
 
 
 def _direct(index, arg, budget):
@@ -290,8 +301,8 @@ EMITTERS = {
                         s_const(_JUMPS, 0)],
     "precompose_affine": lambda: [precompose_affine(2, 1, 3).index,
                                   precompose_affine(_stride_tuples()[0], 2, 1).index],
-    "dovetailer": lambda: [amalgamation_learn(_ZERO, 1, _LEARN).index,
-                           bounded_min_learner(Generated(0, 1), 2, _LEARN).index],
+    "dovetailer": lambda: [operator.index(learned.index) for learned in (
+        amalgamation_learn(_ZERO, 1, _LEARN), bounded_min_learner(Generated(0, 1), 2, _LEARN))],
     "gen_families": lambda: [e.descriptor.index for e in gen_families(8, 5)],
     "compile_literal": lambda: [compile_literal(Literal((1,), Constant(0))),
                                 compile_literal(Literal((), Periodic((0, 1))))],
@@ -354,8 +365,9 @@ def test_emitted_indices_are_not_decoded(monkeypatch):
 
     decoded.clear()
     learned = amalgamation_learn(_ZERO, 1, _LEARN)
-    assert learned.verified and learned.index > _LEARN.oracle.index_bound
-    assert max(decoded, default=0) < learned.index.bit_length()
+    index = operator.index(learned.index)
+    assert learned.verified and index > _LEARN.oracle.index_bound
+    assert max(decoded, default=0) < index.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +402,21 @@ def test_index_memo_holds_encode_and_is_read_on_a_second_emission(emitter, encod
 
 def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
     clear_eval_cache()
-    # the successor's least index is 2: both learners dovetail the same set
+    # the successor's least index is 2: both learners dovetail the same
+    # set, under one record, and encode it only when the index is read
     succ = Generated(2, 40)
     amalgamated = amalgamation_learn(succ, 2, _LEARN)
     shrunk = bounded_min_learner(succ, 2, _LEARN)
     assert amalgamated.verified and shrunk.verified
-    assert amalgamated.index == shrunk.index
-    assert encodes.count(shrunk.index) == 1
+    assert encodes == []
+    assert amalgamated.index.program == shrunk.index.program
+    assert shrunk.index.program in numbering._records
+    index = operator.index(amalgamated.index)
+    assert operator.index(shrunk.index) == index == encode(first_value_program([2]))
+    assert encodes.count(index) == 1
     clear_eval_cache()
-    assert bounded_min_learner(succ, 2, _LEARN).index == shrunk.index
-    assert encodes.count(shrunk.index) == 2
+    assert operator.index(bounded_min_learner(succ, 2, _LEARN).index) == index
+    assert encodes.count(index) == 2
 
 
 def test_precompose_affine_twice_encodes_once(encodes):
@@ -437,6 +454,17 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
 # a composed program is encoded when its index is read
 
 
+def _in_either_order(handle, runs, handle_first):
+    """The outcomes of `runs` through the handle and through its index."""
+    if handle_first:
+        via_handle = [evaluate(handle, n, budget) for n, budget in runs]
+        via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
+    else:
+        via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
+        via_handle = [evaluate(handle, n, budget) for n, budget in runs]
+    return via_handle, via_index
+
+
 @pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
 def test_a_handle_runs_as_its_index_in_either_order(handle_first):
     tupled = _stride_tuples()[0]
@@ -444,15 +472,55 @@ def test_a_handle_runs_as_its_index_in_either_order(handle_first):
     for suffix, mul, add in [(tupled, 2, 1), (tupled, 2, 0), (2, 1, 3), (_JUMPS, 3, 2)]:
         clear_eval_cache()
         handle = precompose_affine(suffix, mul, add)
-        if handle_first:
-            via_handle = [evaluate(handle, n, budget) for n, budget in runs]
-            via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
-        else:
-            via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
-            via_handle = [evaluate(handle, n, budget) for n, budget in runs]
-        assert via_handle == via_index == [_cold(handle.index, n, budget)
+        via_handle, via_index = _in_either_order(handle, runs, handle_first)
+        # a fresh, unmemoized run of the decoded index; with no EVB no run
+        # reads the chain, which run_program leaves off at the top
+        program = decode(handle.index)
+        assert not any(m % 5 == 4 for m in program.codes)
+        assert via_handle == via_index == [run_program(program, n, budget)
                                            for n, budget in runs]
         assert any(isinstance(out, Halted) for out in via_handle)
+
+
+@pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
+def test_a_dovetailer_handle_runs_as_its_index_in_either_order(handle_first):
+    # the dovetailer of [1] holds an EVB, so its handle puts its program on
+    # the chain; the reference decodes the 19,529-bit index cold
+    program = first_value_program([1])
+    index = encode(program)
+    runs = [(n, budget) for budget in (3, 40, 5000) for n in range(6)]
+    clear_eval_cache()
+    handle = Emitted(program)
+    record = numbering._records[program]
+    via_handle, via_index = _in_either_order(handle, runs, handle_first)
+    assert via_handle == via_index == [reference_outcome(index, n, budget)
+                                       for n, budget in runs]
+    assert any(isinstance(out, Halted) for out in via_handle)
+    # reading the index moved the record under it
+    assert [key for key, rec in numbering._records.items() if rec is record] == [index]
+    assert numbering._index_cache == {program: index}
+
+
+def test_a_dovetailer_over_an_evb_member_runs_as_the_reference(monkeypatch):
+    # its member decode(11) is EVB 0 0 0 0, whose runs nest under the
+    # handle's program on the chain, and on input 11 calls itself.  The
+    # index has 28,196,724 bits (about 10 s to encode), so the handle is
+    # checked against the reference run of the program; no register
+    # reaches the index, so leaving the top off the chain changes nothing
+    program = first_value_program([11])
+    runs = [(n, budget) for budget in (3, 40, 500) for n in (0, 1, 2, 3, 11, 12)]
+    want = [reference_program_outcome(monkeypatch, program, n, budget)
+            for n, budget in runs]
+    assert want == [run_program(program, n, budget) for n, budget in runs]
+    assert any(isinstance(out, Halted) for out in want)
+    for member_first in (True, False):
+        clear_eval_cache()
+        if member_first:
+            for n, budget in runs:
+                evaluate(11, n, budget)
+        handle = Emitted(program)
+        assert [evaluate(handle, n, budget) for n, budget in runs] == want
+        assert not numbering._index_cache
 
 
 def test_reading_the_index_moves_the_record_under_it():
@@ -487,18 +555,65 @@ def test_a_composition_with_no_macro_keeps_the_suffix_record(encodes):
     assert encodes == []
 
 
-def test_a_composed_program_with_an_evb_is_encoded_at_emission(encodes):
-    # decode(11) is EVB 0 0 0 0: the re-entrance cut compares register
-    # values with the indices on the chain, so this index must exist
+def test_only_a_short_program_with_an_evb_is_encoded_at_emission(encodes):
+    # decode(11) is EVB 0 0 0 0; after 6 S 0 it is 7 instructions long,
+    # short enough to encode at once, and after 7 (or the 7-instruction
+    # mul 2, add 1 macro) it is deferred, its index at least 2^82
+    assert numbering._DEFER_LENGTH == 8
+    assert numbering._DEFER_FLOOR == numbering.encode_list([0] * 8) >= 2 ** 82
     clear_eval_cache()
-    handle = precompose_affine(11, 2, 1)
-    assert len(encodes) == 1
-    assert handle.index == encodes[0]
-    assert len(encodes) == 1
-    assert handle.program not in numbering._records
-    assert numbering._records[handle.index].evb
-    outs = [evaluate(handle, n, 60) for n in range(4)]
-    assert outs == [reference_outcome(handle.index, n, 60) for n in range(4)]
+    short = precompose_affine(11, 1, 6)
+    assert len(short.program) == 7 and len(encodes) == 1
+    assert short.program not in numbering._records
+    assert numbering._records[encodes[0]].evb
+    for mul, add in [(1, 7), (2, 1)]:
+        encodes.clear()
+        handle = precompose_affine(11, mul, add)
+        assert len(handle.program) == 8 and encodes == []
+        assert numbering._records[handle.program].evb
+        outs = [evaluate(handle, n, 60) for n in range(4)]
+        assert encodes == []
+        assert outs == [reference_outcome(handle.index, n, 60) for n in range(4)]
+    outs = [evaluate(short, n, 60) for n in range(4)]
+    assert outs == [reference_outcome(short.index, n, 60) for n in range(4)]
+
+
+def test_the_chain_guard_cuts_a_deferred_program_at_the_floor(monkeypatch):
+    # with the floor lowered to 1, the one instruction EVB 0 0 0 0
+    # (decode(11)) is deferred, so its handle keys the chain by the program
+    # and only the guard sees that it calls itself on input 11
+    monkeypatch.setattr(numbering, "_DEFER_LENGTH", 1)
+    monkeypatch.setattr(numbering, "_DEFER_FLOOR", numbering.encode_list([0]))
+    clear_eval_cache()
+    handle = Emitted(decode(11))
+    assert handle.program in numbering._records and not numbering._index_cache
+    assert evaluate(handle, 11, 100) == evaluate(11, 11, 100) == Halted(0, 1)
+    assert run_program(decode(11), 11, 100) == Halted(1, 1)
+    # the guard's first encode moves the record under the index, while the
+    # chain still holds the program for the second call
+    twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0")
+    index = encode(twice)
+    clear_eval_cache()
+    handle = Emitted(twice)
+    assert evaluate(handle, index, 100) == Halted(0, 3) == \
+        reference_outcome(index, index, 100)
+    assert numbering._index_cache == {twice: index}
+    assert twice not in numbering._records
+
+
+def test_the_chain_guard_reaches_the_real_floor():
+    # an 8-instruction program run on its own index, which is past the
+    # floor: both of its self-calls are cut, as when it runs as its index
+    twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0" + "\nZ 3" * 5)
+    index = encode(twice)
+    assert index >= numbering._DEFER_FLOOR
+    clear_eval_cache()
+    handle = Emitted(twice)
+    assert not numbering._index_cache
+    out = evaluate(handle, index, 100)
+    assert out == Halted(0, 8) == reference_outcome(index, index, 100)
+    assert numbering._index_cache == {twice: index}
+    assert evaluate(index, index, 100) == _cold(index, index, 100) == out
 
 
 def test_a_handle_encodes_through_the_module_encode(encodes):
