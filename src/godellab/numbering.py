@@ -172,10 +172,11 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # free for the caller and runs under the budget read from R[s].
 #
 # Each index has one record (`_Record`): its lowering, whether its code
-# holds an EVB, and an entry per completed run: the `Halted` that `_run`
-# built, which a hit within its steps returns itself (outcomes are
-# immutable); `_NEVER` (infinity) for a run proven never to halt; or the
-# int count of steps explored without a halt.
+# holds an EVB, the path of a free program (below), and an entry per
+# completed run: the `Halted` that `_run` built, which a hit within its
+# steps returns itself (outcomes are immutable); `_NEVER` (infinity) for a
+# run proven never to halt; or the int count of steps explored without a
+# halt.
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
@@ -197,6 +198,24 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # the control slots, so a run whose pc and control slots repeat never
 # halts, however the other registers grow.  `_run` looks for such a repeat
 # at doubling step counts.
+#
+# An input-oblivious program runs once for every input.  Call a record
+# free when it holds no EVB and slot 0 is not a control slot.  Then no
+# comparison reads a value derived from the input, so the pc sequence,
+# the step count, halting and a divergence proof are the same on every
+# input, and every register holds d*arg + c with d in {0, 1}: Z, S and T
+# keep that form, and c is at most the steps taken, since only S adds and
+# each S is one step.  One `_run` at a probe input p above its budget
+# therefore gives d = (value >= p) and c = value - d*p.  The record keeps
+# that run as its path: a halt with d = 0 as the probe's `Halted`, which
+# is every input's outcome, and with d = 1 as the pair (c, steps); a
+# proof as _NEVER; or the int count of steps explored.  A miss on a free
+# record is answered from the path when the path covers its budget, and
+# otherwise one probe run under that budget replaces the path.  The
+# per-input entry is stored as for any run, so a hit returns the stored
+# `Halted` (for d = 0 the one object every input shares).  An input
+# answered from a proven path stores _NEVER even under a budget short of
+# the step where the proof closed, since the proof holds on it too.
 #
 # Indices the lab builds itself arrive lowered, by one of two emission
 # paths, and both lower the instruction codes the Program holds.
@@ -238,13 +257,18 @@ _DEFER_FLOOR = encode_list((0,) * _DEFER_LENGTH)
 
 
 class _Record:
-    """`_lower`'s four fields, whether the code holds an EVB, entries by key."""
+    """`_lower`'s four fields, whether the code holds an EVB, entries by
+    key, and the path: None unless the program is free (no EVB, and its
+    input reaches no comparison), else the run every input shares (a
+    `Halted`, a (c, steps) pair, _NEVER or the steps explored), with -1
+    for no run yet, since an EVB may run a program under budget 0."""
 
-    __slots__ = ("code", "nregs", "top", "ctrl", "evb", "outcomes")
+    __slots__ = ("code", "nregs", "top", "ctrl", "evb", "path", "outcomes")
 
     def __init__(self, lowered: tuple):
         self.code, self.nregs, self.top, self.ctrl = lowered
         self.evb = any(ins[0] == 4 for ins in self.code)
+        self.path = None if self.evb or self.ctrl is None or 0 in self.ctrl else -1
         self.outcomes: dict[int | tuple, Halted | int | float] = {}
 
 
@@ -386,7 +410,9 @@ def evaluate(index: ProgramIndex | Emitted, arg: Nat, budget: Nat) -> EvalOutcom
 
 def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
     """`chain` holds the (index, input) pairs of the EVB runs above."""
-    rec = _record(index)
+    rec = _records.get(index)
+    if rec is None:
+        rec = _records[index] = _Record(_lower(decode_list(index)))
     key = (arg, chain) if rec.evb and chain else arg
     ent = rec.outcomes.get(key)
     if ent is not None:
@@ -394,10 +420,33 @@ def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
             return ent if budget >= ent.steps else BudgetExceeded(budget)
         if budget <= ent:
             return BudgetExceeded(budget)
+    if rec.path is not None:
+        out, rec.outcomes[key] = _follow(rec, arg, budget)
+        return out
     if rec.evb:
         chain = chain | {(index, arg)}
     out, rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
     return out
+
+
+def _follow(rec: _Record, arg: int, budget: int) -> tuple:
+    """A free record's run on `arg`, read from its path: (outcome, entry)."""
+    path = rec.path
+    if type(path) is int and budget > path:
+        probe = budget + 1
+        out, path = _run(rec.code, rec.nregs, rec.ctrl, probe, budget, frozenset())
+        if type(out) is Halted:
+            path = out if out.value < probe else (out.value - probe, out.steps)
+        rec.path = path
+    if type(path) is Halted:
+        out = path
+    elif type(path) is tuple:
+        out = Halted(arg + path[0], path[1])
+    else:
+        return BudgetExceeded(budget), path if path == _NEVER else budget
+    if budget < out.steps:
+        return BudgetExceeded(budget), budget
+    return out, out
 
 
 def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset) -> tuple:

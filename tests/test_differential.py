@@ -15,10 +15,13 @@ as the reference runs it, is never decoded again, and is encoded once
 however often it is emitted; a handle (a composed program, a
 dovetailer) runs as its index does and is encoded only when its index is
 read, and the chain guard keeps the re-entrance cut exact for a handle
-of an EVB program.
+of an EVB program.  A free program (no EVB, and no comparison reads its
+input) runs once for all its inputs, and each of them must still get
+the reference's outcome.
 """
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +156,83 @@ def test_universe_cells_match_reference_cold_and_warm(cap):
     clear_eval_cache()
     assert [evaluate(i, n, cap) for i, n in cells] == want
     assert [evaluate(i, n, cap) for i, n in cells] == want
+
+
+# ---------------------------------------------------------------------------
+# free programs: no EVB, and no comparison reads the input, so one run
+# answers every input
+
+_FREE_INPUTS = [*range(17), 10**6]
+
+
+def _free(program):
+    """Whether the evaluator answers every input of `program` from one run."""
+    return numbering._Record(numbering._lower(program.codes)).path is not None
+
+
+def test_free_programs_match_reference_cold_and_warm():
+    # the free indices as the evaluator classes them, so a rule that lets
+    # in a program it should not brings that program's cells in here
+    free = [i for i in range(2001) if _free(decode(i))]
+    assert len(free) > 1000 and {0, 7, 9} <= set(free)
+    cells, want = [], []
+    for i in free:
+        for n in _FREE_INPUTS:
+            # the machine is deterministic, so one reference run at the top
+            # budget gives the outcome under each smaller one
+            top = reference_outcome(i, n, 10**4)
+            budgets = {400, 10**4}
+            if isinstance(top, Halted):
+                budgets |= {top.steps - 1, top.steps} - {0, -1}
+            for b in sorted(budgets):
+                cells.append((i, n, b))
+                halts = isinstance(top, Halted) and b >= top.steps
+                want.append(top if halts else BudgetExceeded(b))
+    rng = random.Random(22)
+    for _ in range(2):
+        order = list(range(len(cells)))
+        rng.shuffle(order)
+        clear_eval_cache()
+        for _ in ("cold", "warm"):
+            got = {k: evaluate(*cells[k]) for k in order}
+            assert [got[k] for k in range(len(cells))] == want
+
+
+def test_free_programs_by_hand(monkeypatch):
+    runs = []
+    real = numbering._run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numbering, "_run", counting)
+    # divergent on every input, proven by one run
+    index = encode(parse_program("S 1\nJ 0 0 0"))
+    clear_eval_cache()
+    assert [evaluate(index, n, 400) for n in _FREE_INPUTS] == [BudgetExceeded(400)] * 18
+    assert len(runs) == 1 and numbering._records[index].path == numbering._NEVER
+    # the value is the input (d = 1), also on input 0
+    index = encode(parse_program("T 0 3\nZ 0\nT 3 0"))
+    assert [evaluate(index, n, 10) for n in _FREE_INPUTS] == [Halted(n, 3) for n in _FREE_INPUTS]
+    assert numbering._records[index].path == (0, 3)
+    # a constant (d = 0), under a budget short of its steps and then as
+    # one outcome every input's entry holds
+    index = encode(parse_program("Z 0\nS 0"))
+    assert evaluate(index, 5, 1) == BudgetExceeded(1)
+    assert evaluate(index, 5, 10) == Halted(1, 2)
+    path = numbering._records[index].path
+    assert path == Halted(1, 2)
+    assert all(evaluate(index, n, 10) is path for n in _FREE_INPUTS)
+    assert len(runs) == 4
+    # the input reaches a comparison, directly or through a T, with every
+    # slot a control slot or (with an S 3 besides) not
+    for lines in ("J 0 1 2\nS 0", "T 0 1\nJ 1 2 0"):
+        assert not _free(parse_program(lines))
+        assert not _free(parse_program(lines + "\nS 3"))
+    # an EVB's value can be any function of its argument
+    assert not any(_free(decode(i)) for i in _EVB_INDICES)
+    assert not _free(parse_program("EVB 1 0 2 0\nJ 0 0 0"))
 
 
 # ---------------------------------------------------------------------------

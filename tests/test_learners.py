@@ -172,10 +172,11 @@ def test_cold_enum_learner_reads_each_cell_once(monkeypatch):
     clear_eval_cache()
     clear_oracle_cache()
     assert enum_learner(PLUS2, FULL, CFG).guesses[-1] == 9
-    # 13 target runs of index 9 under its own budget, then each candidate
-    # read only up to its first miss: one cell for each of 0..8 (7's is
-    # the cap running out), and 9's 13 cells, which the memo already holds
-    assert len(runs) == 22
+    # index 9 (S 0; S 0) reads no input in a comparison, so its 13 target
+    # cells under its own budget share one run; then each candidate is
+    # read only up to its first miss: one run for each of 0..8 (7's is the
+    # cap running out), and 9's 13 cells, which the memo already holds
+    assert len(runs) == 10
     assert sum(len(row) for row in universe(CFG.oracle).rows) == 22
 
 

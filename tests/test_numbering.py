@@ -446,6 +446,27 @@ def test_evaluator_state_of_a_universe_scan_stays_small():
     assert retained < 2_400_000
 
 
+def test_a_cold_universe_scan_runs_a_free_program_once_per_cap(monkeypatch):
+    # the same cells took 17,192 runs when every missed cell ran on its
+    # own; a program whose input reaches no comparison (639 of the
+    # indices, such as 9, S 0; S 0) runs at most once per cap for all 17
+    runs = []
+    real = numbering._run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numbering, "_run", counting)
+    clear_eval_cache()
+    for cap in (400, 10**4):
+        for i in range(1001):
+            for n in range(17):
+                evaluate(i, n, cap)
+    clear_eval_cache()
+    assert len(runs) < 17_192 // 2
+
+
 # ---------------------------------------------------------------------------
 # index transformers
 
