@@ -402,16 +402,17 @@ def main(argv=None) -> int:
     try:
         values = resolve_config(args)
         code, outputs = args.run(args, values)
-    except ValueError as err:
+        if outputs:
+            manifest = {"command": args.command, "config": values,
+                        "seed": getattr(args, "seed", None),
+                        "inputs": [args.corpus] if "corpus" in args else [],
+                        "outputs": outputs, "elapsed_s": time.monotonic() - t0}
+            _write_text(os.path.join(args.out_dir, "manifest.json"),
+                        json.dumps(manifest, sort_keys=True) + "\n")
+    except (OSError, ValueError) as err:
+        # a usage error, or an output that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if outputs:
-        manifest = {"command": args.command, "config": values,
-                    "seed": getattr(args, "seed", None),
-                    "inputs": [args.corpus] if "corpus" in args else [],
-                    "outputs": outputs, "elapsed_s": time.monotonic() - t0}
-        _write_text(os.path.join(args.out_dir, "manifest.json"),
-                    json.dumps(manifest, sort_keys=True) + "\n")
     return code
 
 

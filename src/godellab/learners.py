@@ -15,7 +15,7 @@ Capped-halting conventions used by the learners:
     halting disagreement; divergence keeps it (the dovetailed output
     program skips non-halting members on its own).
 
-Emitted programs go through first_value_program, so final member sets
+The promise learners answer with first_value_program, so final member sets
 must stay tiny: an index's digit count doubles per instruction, and the
 dovetailer costs max(members) + 3*len(members) + 10 instructions.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numbering import Emitted, Nat, ProgramIndex, first_value_program
+from .numbering import Nat, Program, ProgramIndex, first_value_program
 from .oracles import (
     OracleConfig,
     compatible,
@@ -61,11 +61,11 @@ class GuessTrace:
 
 @dataclass(frozen=True)
 class Dovetailed:
-    """A promise learner's answer: the handle of the first-value program
-    that dovetails its final set, whose index is encoded only when read,
-    and the guesses that led there."""
+    """A promise learner's answer: the first-value program that dovetails
+    its final set, whose index is encoded only when read, and the guesses
+    that led there."""
 
-    index: Emitted
+    index: Program
     trace: GuessTrace
     verified: bool
 
@@ -223,7 +223,7 @@ def amalgamation_learn(
     if len(alive) != 1:
         return PromiseViolation(
             f"{len(alive)} pockets survive the scan; the promise needs exactly 1")
-    index = Emitted(first_value_program(sorted(alive[0].members)))
+    index = first_value_program(sorted(alive[0].members))
     return Dovetailed(index, trace, window_verify(index, p, oracle))
 
 
@@ -268,7 +268,7 @@ def bounded_min_learner(
     if not members:
         return PromiseViolation(
             "every index of 0..k was refuted; promise k >= Kol(p) fails")
-    index = Emitted(first_value_program(sorted(members)))
+    index = first_value_program(sorted(members))
     if not window_verify(index, p, oracle):
         return PromiseViolation(
             "final dovetailed program fails window verification")

@@ -97,7 +97,8 @@ class Program:
     """Its instruction codes, whose list code is its index.  Every natural
     number is one instruction's code (`_fields` reads it), so any tuple of
     naturals is a program; `parse_program` and `format_program` give the
-    text form."""
+    text form.  `operator.index` gives the index through `index_of`, and
+    `evaluate` runs a program as its index without encoding it."""
 
     codes: tuple[Nat, ...] = ()
 
@@ -107,6 +108,9 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    def __index__(self) -> ProgramIndex:
+        return index_of(self)
 
 
 def encode(program: Program) -> ProgramIndex:
@@ -164,19 +168,19 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # ---------------------------------------------------------------------------
 # Budgeted evaluator.
 #
-# One core serves both `evaluate` and `run_program`: lowering turns a list
-# of instruction codes into tuples over densely renumbered registers, and
-# `_run` is the only machine step loop.
+# `evaluate` is the one entry: lowering turns a list of instruction codes
+# into tuples over densely renumbered registers, and `_run` is the only
+# machine step loop.
 #
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].
 #
-# Each index has one record (`_Record`): its lowering, whether its code
-# holds an EVB, the path of a free program (below), and an entry per
-# completed run: the `Halted` that `_run` built, which a hit within its
-# steps returns itself (outcomes are immutable); `_NEVER` (infinity) for a
-# run proven never to halt; or the int count of steps explored without a
-# halt.
+# Each index, and each program the lab builds, has a record (`_Record`):
+# its lowering, whether its code holds an EVB, the path of a free program
+# (below), and an entry per completed run: the `Halted` that `_run`
+# built, which a hit within its steps returns itself (outcomes are
+# immutable); `_NEVER` (infinity) for a run proven never to halt; or the
+# int count of steps explored without a halt.
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
@@ -217,38 +221,37 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # answered from a proven path stores _NEVER even under a budget short of
 # the step where the proof closed, since the proof holds on it too.
 #
-# Indices the lab builds itself arrive lowered, by one of two emission
-# paths, and both lower the instruction codes the Program holds.
-# `index_of` (the macro of `s_const`, `LoopCompiler.compile`, and the
-# corpus' and literal compiler's encodings) encodes at once.  An `Emitted`
-# handle (`precompose_affine`, the promise learners' dovetailer) defers the
-# encode: its record is keyed by the program until something reads the
-# index (a reduction witness, the offset_h mutant), and `index_of` then
-# moves the record under the index, so the program's entries live under
-# one key.  Either way is exact: the index is the list code of those codes,
-# so the stored lowering is the one a cache miss would compute by decoding,
-# and no outcome or entry can change; only the encode or the unpairing of a
-# number of up to 734,059 bits is skipped.  `index_of` also memoizes the
-# index by program value, so a program emitted twice is encoded once, and
-# equal handles share one record.
+# A program the lab builds runs as it is.  `evaluate` takes a Program as
+# well as an index and runs it under a record keyed by the program and
+# lowered from its codes, so the evaluator never decodes an index the lab
+# emitted.  `index_of` (and `operator.index`, through `Program.__index__`)
+# encodes the program on the first read, sets the record's index and
+# stores the same record under the index too, unless the index has one
+# already; nothing moves, a program emitted twice is encoded once, and a
+# record made by decoding has its index from the start.  Either key is
+# exact: the index is the list code of the program's codes, so the
+# lowering is the one decoding would give and no outcome or entry can
+# change; only the encode or the unpairing of a number of up to 734,059
+# bits is skipped.  `s_const`, `LoopCompiler.compile` and the corpus' and
+# literal compiler's encodings return the index, which their callers
+# read; `precompose_affine` and the promise learners' dovetailer return
+# the program, whose index only a reduction witness or the offset_h
+# mutant reads.
 #
-# A handle keyed by its program is exact for an EVB-free program, whose
-# runs never read the chain.  An EVB program's handle puts the program on
-# the chain, where the re-entrance cut compares register values with
-# indices.  The cut stays exact through one fact: the list code grows with
-# each code and with the length, so a program of _DEFER_LENGTH (8) or more
-# instructions has an index of at least _DEFER_FLOOR, the code of as many
-# zero codes (83 bits).  A handle of a shorter EVB program is encoded when
-# it is made, which is cheap, and an EVB step whose index register reaches
-# the floor encodes the program on the chain and compares (`_reenters`);
-# below it the check costs one comparison.  It reads the chain, not the
-# record store, because its own `index_of` moves the record while the chain
-# still holds the program.  An entry stored under a chain that holds the
-# program stays exact after the move, though a run under the index's chain
-# does not hit it; such entries are left in place until
-# `clear_eval_cache()`.  `encode` itself stays a pure codec and fills no
-# cache.  Indices the lab did not build (corpus files, universe scans,
-# command-line arguments) are still decoded on first use.
+# A program keyed by itself is exact when it holds no EVB, whose runs
+# never read the chain.  A program with an EVB is on the chain, where the
+# re-entrance cut compares register values with indices.  The cut stays
+# exact through one fact: the list code grows with each code and with the
+# length, so a program of _DEFER_LENGTH (8) or more instructions has an
+# index of at least _DEFER_FLOOR, the code of as many zero codes (83
+# bits).  A shorter EVB program is encoded the first time it runs, which
+# is cheap, and runs under its index; an EVB step whose index register
+# reaches the floor encodes each program on the chain and compares
+# (`_reenters`); below it the check costs one comparison.  An entry
+# stored under a chain that holds the program is exact, though a run
+# under the index's chain does not hit it.  `encode` itself stays a pure
+# codec and fills no cache.  Indices the lab did not build (corpus files,
+# universe scans, command-line arguments) are decoded on first use.
 
 _DEPTH_LIMIT = 64
 _NEVER = inf
@@ -257,33 +260,32 @@ _DEFER_FLOOR = encode_list((0,) * _DEFER_LENGTH)
 
 
 class _Record:
-    """`_lower`'s four fields, whether the code holds an EVB, entries by
-    key, and the path: None unless the program is free (no EVB, and its
-    input reaches no comparison), else the run every input shares (a
-    `Halted`, a (c, steps) pair, _NEVER or the steps explored), with -1
-    for no run yet, since an EVB may run a program under budget 0."""
+    """Its index (None for a lab-built program until `index_of` reads it),
+    `_lower`'s four fields, whether the code holds an EVB, entries by key,
+    and the path: None unless the program is free (no EVB, and its input
+    reaches no comparison), else the run every input shares (a `Halted`, a
+    (c, steps) pair, _NEVER or the steps explored), with -1 for no run yet,
+    since an EVB may run a program under budget 0."""
 
-    __slots__ = ("code", "nregs", "top", "ctrl", "evb", "path", "outcomes")
+    __slots__ = ("index", "code", "nregs", "top", "ctrl", "evb", "path", "outcomes")
 
-    def __init__(self, lowered: tuple):
+    def __init__(self, lowered: tuple, index: ProgramIndex | None = None):
+        self.index = index
         self.code, self.nregs, self.top, self.ctrl = lowered
         self.evb = any(ins[0] == 4 for ins in self.code)
         self.path = None if self.evb or self.ctrl is None or 0 in self.ctrl else -1
         self.outcomes: dict[int | tuple, Halted | int | float] = {}
 
 
-# index -> its record; lowered on first use by decoding, and by `index_of`
-# for emitted indices, with the same lowering either way; `index_of` leaves
-# a record that is already there in place.  An `Emitted` handle's program
-# keys its record until its index is encoded.
+# index or lab-built program -> its record, lowered on first use: an index
+# by decoding it, a program from its codes.  A program's record is also
+# stored under its index once `index_of` reads it.  The only cache of
+# this module.
 _records: dict[int | Program, _Record] = {}
-# emitted program -> encode(program): the index memo of `index_of`
-_index_cache: dict[Program, ProgramIndex] = {}
 
 
 def clear_eval_cache() -> None:
     _records.clear()
-    _index_cache.clear()
 
 
 def _lower(codes: Sequence[Nat]) -> tuple:
@@ -331,60 +333,29 @@ def _lower(codes: Sequence[Nat]) -> tuple:
     return tuple(code), len(order), order[-1], ctrl
 
 
-def _record(index: int) -> _Record:
-    rec = _records.get(index)
+def _record(key: ProgramIndex | Program) -> _Record:
+    rec = _records.get(key)
     if rec is None:
-        rec = _records[index] = _Record(_lower(decode_list(index)))
+        if type(key) is Program:
+            rec = _records[key] = _Record(_lower(key.codes))
+        else:
+            rec = _records[key] = _Record(_lower(decode_list(key)), key)
     return rec
 
 
 def index_of(program: Program) -> ProgramIndex:
-    """encode(program), with its lowering stored for the evaluator, so an
-    index the lab emits is never decoded again, and memoized by program
-    value, so a program the lab emits twice is encoded once.  The first
-    encode moves the record an `Emitted` handle keyed by the program
-    under the index, entries and all."""
-    index = _index_cache.get(program)
-    if index is None:
-        index = _index_cache[program] = encode(program)
-        deferred = _records.pop(program, None)
-        if deferred is not None:
-            _records.setdefault(index, deferred)
-    if index not in _records:
-        _records[index] = _Record(_lower(program.codes))
-    return index
+    """encode(program), kept in the program's record: the first read
+    stores the record under the index too, unless the index has one, so an
+    index the lab emits is never decoded and a program emitted twice is
+    encoded once."""
+    rec = _record(program)
+    if rec.index is None:
+        rec.index = encode(program)
+        _records.setdefault(rec.index, rec)
+    return rec.index
 
 
-class Emitted:
-    """An emitted program whose index is encoded on the first read of
-    `.index` (or `operator.index`); until then `evaluate` runs it under a
-    record keyed by the program.  A program with an EVB and fewer than
-    _DEFER_LENGTH instructions is encoded at once (see the evaluator
-    comment above)."""
-
-    __slots__ = ("program",)
-
-    def __init__(self, program: Program):
-        self.program = program
-        self._key()  # lowers the program, and encodes a short one with an EVB
-
-    def _key(self) -> ProgramIndex | Program:
-        """The key of the program's record, lowered if it has none."""
-        program = self.program
-        key = _index_cache.get(program, program)
-        if key not in _records:
-            record = _records[key] = _Record(_lower(program.codes))
-            if record.evb and len(program) < _DEFER_LENGTH:
-                return index_of(program)
-        return key
-
-    def __index__(self) -> ProgramIndex:
-        return index_of(self.program)
-
-    index = property(__index__)
-
-
-def evaluate(index: ProgramIndex | Emitted, arg: Nat, budget: Nat) -> EvalOutcome:
+def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> EvalOutcome:
     """Run decode(index) on `arg` for at most `budget` steps.
 
     Returns Halted(value, steps) with steps <= budget, or
@@ -392,7 +363,7 @@ def evaluate(index: ProgramIndex | Emitted, arg: Nat, budget: Nat) -> EvalOutcom
     a Halted outcome is reproduced unchanged under any larger budget.
     One hash of `index` fetches its record; its entry for `arg` (the Halted,
     never-halts, or the steps explored) answers a hit, and a miss stores one.
-    An `Emitted` handle runs its program without encoding it.
+    A Program runs as its index does, without encoding it (see above).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -400,11 +371,12 @@ def evaluate(index: ProgramIndex | Emitted, arg: Nat, budget: Nat) -> EvalOutcom
         if arg < 0 or index < 0:
             raise ValueError("index and argument must be naturals")
     except TypeError:
-        # a handle does not compare with 0 (arg was checked first); taking
+        # a Program does not compare with 0 (arg was checked first); taking
         # it here, not by a type test up front, costs the int path nothing
-        if type(index) is not Emitted:
+        if type(index) is not Program:
             raise
-        index = index._key()
+        if _record(index).evb and len(index) < _DEFER_LENGTH:
+            index = index_of(index)
     return _eval(index, arg, budget)
 
 
@@ -412,7 +384,7 @@ def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
     """`chain` holds the (index, input) pairs of the EVB runs above."""
     rec = _records.get(index)
     if rec is None:
-        rec = _records[index] = _Record(_lower(decode_list(index)))
+        rec = _records[index] = _Record(_lower(decode_list(index)), index)
     key = (arg, chain) if rec.evb and chain else arg
     ent = rec.outcomes.get(key)
     if ent is not None:
@@ -503,33 +475,11 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
 
 
 def _reenters(sub: tuple, chain: frozenset) -> bool:
-    """Whether a handle's program on `chain` is sub's index on sub's input.
-    It is encoded through `index_of`, and stays on the chain as a program
-    after its record moves under the index."""
+    """Whether a program on `chain` is sub's index on sub's input; each is
+    encoded through `index_of`, once per record."""
     index, arg = sub
     return any(type(key) is Program and a == arg and index_of(key) == index
                for key, a in chain)
-
-
-def run_program(program: Program, arg: Nat, budget: Nat) -> EvalOutcome:
-    """Run a Program object directly, without going through its index.
-
-    Semantics agree with evaluate(encode(program), arg, budget), with one
-    exception: the top-level run is neither memoized nor on the EVB chain,
-    so an EVB call back to (encode(program), arg) is evaluated instead of
-    cut as re-entrant.  decode(11) is the single instruction EVB 0 0 0 0:
-    run_program(decode(11), 11, 100) is Halted(1, 1), while
-    evaluate(11, 11, 100) is Halted(0, 1).  The point is that wide programs
-    (long unary loads) stay cheap because the astronomically large index
-    is never materialized.  EVB subcalls share the evaluator cache as usual.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if arg < 0:
-        raise ValueError("argument must be a natural")
-    code, nregs, _, ctrl = _lower(program.codes)
-    out, _ = _run(code, nregs, ctrl, arg, budget, frozenset())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +523,7 @@ class _Asm:
 # Index transformers.
 #
 # The list code squares roughly once per instruction, so an index has about
-# 2^L digits for an L-instruction program.  Emitted programs therefore have
+# 2^L digits for an L-instruction program.  The programs the lab emits have
 # a hard desk-scale length ceiling; beyond it the index is mathematically
 # fine but cannot be materialized.  Macros use scratch registers above the
 # suffix's register space, so no zeroing pass is needed before the original
@@ -642,18 +592,19 @@ def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
             + const * const + const + 8 + inner)
 
 
-def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Emitted:
-    """Handle of the program computing n -> decode(index)(mul * n + add),
-    whose index (over 200,000 bits for a 15-instruction suffix) is
-    encoded only when read."""
+def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
+    """The program computing n -> decode(index)(mul * n + add), whose index
+    (over 200,000 bits for a 15-instruction suffix) is encoded only when
+    read."""
     if mul < 0 or add < 0:
         raise ValueError("mul and add must be naturals")
     suffix = decode(index)
-    # with no macro (mul 1, add 0) the handle's program is the suffix, which
-    # then keeps the one record its index has
-    _index_cache[suffix] = index
     _check_emit_length((add if mul == 1 else mul + add + 4) + len(suffix),
                        f"precompose_affine(..., {mul}, {add})")
+    if mul == 1 and add == 0:
+        # no macro: the program is the suffix, which shares its index's record
+        _records.setdefault(suffix, _record(index))
+        return suffix
     a = _Asm()
     if mul == 1:
         for _ in range(add):
@@ -671,7 +622,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Emitted:
         for _ in range(add):
             a.emit("S", acc)
         a.emit("T", acc, 0)
-    return Emitted(_prepend(a.assemble(), suffix))
+    return _prepend(a.assemble(), suffix)
 
 
 def affine_budget(mul: Nat, add: Nat, arg: Nat, inner: Nat) -> Nat:

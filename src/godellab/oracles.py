@@ -88,8 +88,8 @@ class Universe:
         try:
             inside = 0 <= i <= self.cfg.index_bound and 0 <= n <= self.cfg.window
         except TypeError:
-            # an `Emitted` handle does not compare with 0; `evaluate` takes
-            # it, and taking it here costs the int path no type test
+            # a Program does not compare with 0; `evaluate` takes it, and
+            # taking it here costs the int path no type test
             inside = False
         if not inside:
             return _value_of(evaluate(i, n, self.cfg.cap))
@@ -118,7 +118,7 @@ class Universe:
         try:
             whole = 0 <= i < len(self.rows) and isinstance(self.rows[i], tuple)
         except TypeError:
-            whole = False  # an `Emitted` handle, as in `value`
+            whole = False  # a Program, as in `value`
         if whole:
             return self.rows[i][:len(values)] == values
         return all(self.value(i, n) == want for n, want in enumerate(values))

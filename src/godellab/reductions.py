@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .learners import LearnerConfig, enum_learner
-from .numbering import Emitted, Halted, Nat, affine_budget, evaluate, precompose_affine
+from .numbering import Halted, Nat, Program, affine_budget, evaluate, precompose_affine
 from .oracles import min_index, search_R, total_on_window, verified_indices, window_verify
 from .problems import ProblemConfig, ProblemSpec, problem_registry
 from .spaces import (
@@ -71,7 +71,7 @@ class FailureWitness:
     instance_id: int
     kind: str  # f_domain | g_domain | construction | verification
     inner: Optional[Nat] = None
-    outer: Optional[Nat | Emitted] = None
+    outer: Optional[Nat | Program] = None
     note: str = ""
 
 
@@ -135,10 +135,10 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
     return ReductionReport(r.name, tuple(records), tuple(witnesses), passed)
 
 
-def _json_nat(v: Optional[Nat | Emitted]):
+def _json_nat(v: Optional[Nat | Program]):
     # composed program indices run to thousands of digits; past the
     # int-to-str conversion guard only the magnitude is reportable.  A
-    # composed answer (`precompose_affine`'s handle) is encoded here, in a
+    # composed answer (`precompose_affine`'s program) is encoded here, in a
     # witness, and a passing check encodes none
     if v is None:
         return v
@@ -341,7 +341,7 @@ def _component_targets(tupled: Generated, stride: int, which: int,
     return targets
 
 
-def _extract(i: Nat, stride: int, which: int) -> Emitted:
+def _extract(i: Nat, stride: int, which: int) -> Program:
     try:
         return precompose_affine(i, stride, which)
     except ValueError as stop:
@@ -362,7 +362,7 @@ def _component_spec(name: str, unpack) -> ProblemSpec:
     `unpack` reads an instance as (tupled Generated descriptor, stride,
     component), or gives None for a wrong shape; an answer is any index
     computing that component on the window.  `verify` also takes an
-    extracted answer as `precompose_affine`'s handle, and runs it without
+    extracted answer as `precompose_affine`'s program, and runs it without
     encoding its index.
     """
 

@@ -19,29 +19,22 @@ import reference  # noqa: E402
 _SENTINEL = -1
 
 
-def reference_outcome(index, arg, budget, chain=frozenset()):
+def reference_outcome(index, arg, budget):
     """The reference run of `index` on `arg`, as Halted or BudgetExceeded."""
-    out = reference.run(index, arg, budget, chain)
+    out = reference.run(index, arg, budget)
     return BudgetExceeded(budget) if out is None else Halted(*out)
 
 
-class OffChain(frozenset):
-    """An empty EVB chain that stays empty when the reference puts its
-    top-level run on it, as run_program leaves its top-level run off."""
-
-    def __or__(self, other):
-        return frozenset()
-
-
 def reference_program_outcome(monkeypatch, program, arg, budget):
-    """The reference run of a Program with its top level off the EVB
-    chain, which is what run_program runs.
+    """The reference run of a Program, which the lab runs without its index.
 
-    Emitted programs can be too wide to encode and decode cheaply:
+    The programs the lab emits can be too wide to encode and decode cheaply:
     `first_value_program([3, 4])` has a 7.6 Mbit index.  So the program
     runs as a sentinel index, which `monkeypatch` has the reference decode
     from the program's codes, one code at a time with its own
-    `decode_instruction`.
+    `decode_instruction`.  The sentinel stands for the index on the EVB
+    chain, so the run equals the lab's unless a register of it reaches the
+    program's real index, which the lab would cut as re-entrant.
     """
     decode_program = reference.decode_program
 
@@ -51,4 +44,4 @@ def reference_program_outcome(monkeypatch, program, arg, budget):
         return decode_program(index)
 
     monkeypatch.setattr(reference, "decode_program", decode)
-    return reference_outcome(_SENTINEL, arg, budget, OffChain())
+    return reference_outcome(_SENTINEL, arg, budget)

@@ -27,7 +27,6 @@ from godellab.numbering import (
     evaluate,
     pair,
     parse_program,
-    run_program,
     s_const,
     s_const_budget,
     unpair,
@@ -84,7 +83,7 @@ def test_criterion_1_numbering_laws():
         for n in range(5):
             for s in (6, 60):
                 body = ["S 1"] * n + ["S 2"] * s + ["EVB 0 1 2 3", "T 3 0"]
-                out = run_program(parse_program("\n".join(body)), i, len(body) + 1)
+                out = evaluate(parse_program("\n".join(body)), i, len(body) + 1)
                 inner = evaluate(i, n, s)
                 want = inner.value + 1 if isinstance(inner, Halted) else 0
                 probes += 1

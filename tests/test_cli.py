@@ -1,7 +1,7 @@
 """Driver tests, run in-process through main(argv).
 
 Exit code contract: 0 all checks pass, 1 semantic failure recorded in
-the outputs, 2 usage or parse error.
+the outputs, 2 usage or parse error, or an output that cannot be written.
 """
 
 import hashlib
@@ -519,6 +519,24 @@ def test_unreadable_config_is_a_usage_error(tmp_path, capsys, argv):
         assert run(*argv, "--config", config) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}:")
         assert not rundir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus-gen", "families", "--size", "3"],
+    ["kolmogorov", "--corpus", "c.corpus"],
+])
+def test_an_unwritable_out_dir_is_a_usage_error(tmp_path, capsys, argv):
+    # an --out-dir under a regular file cannot be made: no traceback and
+    # no exit 1, which is kept for a semantic failure
+    (tmp_path / "c.corpus").write_text("lit tail=const:0\n")
+    argv = [str(tmp_path / a) if a.endswith(".corpus") else a for a in argv]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(*argv, "--out-dir", blocker / "r") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "r") in err
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_family_without_which_is_a_usage_error(tmp_path, capsys):

@@ -12,10 +12,10 @@ re-entrance and depth cuts of EVB, whose outcomes the memo stores under
 the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
 as the reference runs it, is never decoded again, and is encoded once
-however often it is emitted; a handle (a composed program, a
-dovetailer) runs as its index does and is encoded only when its index is
-read, and the chain guard keeps the re-entrance cut exact for a handle
-of an EVB program.  A free program (no EVB, and no comparison reads its
+however often it is emitted; a program the lab builds (a composed
+program, a dovetailer) runs as its index does and is encoded only when
+its index is read, and the chain guard keeps the re-entrance cut exact
+for a program with an EVB.  A free program (no EVB, and no comparison reads its
 input) runs once for all its inputs, and each of them must still get
 the reference's outcome.
 """
@@ -32,7 +32,6 @@ from godellab.learners import LearnerConfig, amalgamation_learn, bounded_min_lea
 from godellab.numbering import (
     BudgetExceeded,
     Copy,
-    Emitted,
     Halted,
     Inc,
     Loop,
@@ -43,34 +42,25 @@ from godellab.numbering import (
     evaluate,
     first_value_program,
     index_of,
+    Program,
     parse_program,
     precompose_affine,
-    run_program,
     s_const,
 )
 from godellab.oracles import OracleConfig
 from godellab.spaces import Constant, Generated, Literal, Periodic, compile_literal
-from machine_reference import (
-    OffChain,
-    reference,
-    reference_outcome,
-    reference_program_outcome,
-)
-
-
-def _direct(index, arg, budget):
-    return run_program(decode(index), arg, budget)
-
-
-def _off_chain(index, arg, budget):
-    """The reference run with its top level off the EVB chain, which is
-    what run_program runs."""
-    return reference_outcome(index, arg, budget, OffChain())
+from machine_reference import reference, reference_outcome, reference_program_outcome
 
 
 def _cold(index, arg, budget):
     clear_eval_cache()
     return evaluate(index, arg, budget)
+
+
+def _direct(index, arg, budget):
+    """The cold run of the decoded program, keyed by the program unless it
+    is a short one with an EVB."""
+    return _cold(decode(index), arg, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +94,7 @@ def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng)
     cells = [(encode(p), arg, budget) for p in programs for arg in range(3)]
     want = [reference_outcome(*cell) for cell in cells]
     assert [_cold(*cell) for cell in cells] == want
-    assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
+    assert [_direct(*cell) for cell in cells] == want
     order = list(range(len(cells)))
     rng.shuffle(order)
     clear_eval_cache()
@@ -135,7 +125,7 @@ def test_cuts_are_the_same_warm_cold_direct_and_in_the_reference(evbs, other, bu
         mp.setattr(reference, "DEPTH_LIMIT", 2)
         want = [reference_outcome(*cell) for cell in cells]
         assert [_cold(*cell) for cell in cells] == want
-        assert [_direct(*cell) for cell in cells] == [_off_chain(*cell) for cell in cells]
+        assert [_direct(*cell) for cell in cells] == want
         order = list(range(len(cells)))
         rng.shuffle(order)
         clear_eval_cache()
@@ -150,12 +140,15 @@ def test_cuts_are_the_same_warm_cold_direct_and_in_the_reference(evbs, other, bu
 @pytest.mark.parametrize("cap", [200, 10**4])
 def test_universe_cells_match_reference_cold_and_warm(cap):
     # a warm pass reads the memo's stored outcomes where the cold one built
-    # them; both must equal the reference, cell by cell
+    # them, and each decoded program runs as its index; all must equal the
+    # reference, cell by cell
     cells = [(i, n) for i in range(2001) for n in range(5)]
     want = [reference_outcome(i, n, cap) for i, n in cells]
     clear_eval_cache()
     assert [evaluate(i, n, cap) for i, n in cells] == want
     assert [evaluate(i, n, cap) for i, n in cells] == want
+    programs = [decode(i) for i in range(2001)]
+    assert [evaluate(programs[i], n, cap) for i, n in cells] == want
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +265,8 @@ def test_growth_that_reaches_a_comparison_halts():
         assert isinstance(want, Halted)
         assert want.steps > 16  # outlives the first snapshot comparisons
         for budget in (want.steps, 1000, 10**6):
-            clear_eval_cache()
-            assert evaluate(index, arg, budget) == want
-            assert run_program(program, arg, budget) == want
+            assert _cold(index, arg, budget) == want
+            assert _cold(program, arg, budget) == want
         assert evaluate(index, arg, want.steps - 1) == BudgetExceeded(want.steps - 1)
 
 
@@ -379,8 +371,8 @@ _JUMPS = encode(parse_program("J 0 1 4\nS 1\nJ 0 0 0"))
 EMITTERS = {
     "s_const": lambda: [s_const(2, 1), s_const(encode(parse_program("T 0 1\nS 1\nT 1 0")), 0),
                         s_const(_JUMPS, 0)],
-    "precompose_affine": lambda: [precompose_affine(2, 1, 3).index,
-                                  precompose_affine(_stride_tuples()[0], 2, 1).index],
+    "precompose_affine": lambda: [operator.index(precompose_affine(2, 1, 3)),
+                                  operator.index(precompose_affine(_stride_tuples()[0], 2, 1))],
     "dovetailer": lambda: [operator.index(learned.index) for learned in (
         amalgamation_learn(_ZERO, 1, _LEARN), bounded_min_learner(Generated(0, 1), 2, _LEARN))],
     "gen_families": lambda: [e.descriptor.index for e in gen_families(8, 5)],
@@ -441,7 +433,7 @@ def test_emitted_indices_are_not_decoded(monkeypatch):
     composed = precompose_affine(tupled, 2, 1)
     outs = [evaluate(composed, n, 5000) for n in range(9)]
     assert all(isinstance(out, Halted) for out in outs)
-    assert decoded and max(decoded) < composed.index.bit_length()
+    assert decoded and max(decoded) < operator.index(composed).bit_length()
 
     decoded.clear()
     learned = amalgamation_learn(_ZERO, 1, _LEARN)
@@ -472,9 +464,13 @@ def encodes(monkeypatch):
 def test_index_memo_holds_encode_and_is_read_on_a_second_emission(emitter, encodes):
     clear_eval_cache()
     first = EMITTERS[emitter]()
-    assert numbering._index_cache
-    for program, index in numbering._index_cache.items():
-        assert index == encode(program)
+    # each emitted index is held by its program's record, also under the index
+    read = [(key, rec) for key, rec in numbering._records.items()
+            if type(key) is Program and rec.index is not None]
+    assert read
+    for program, record in read:
+        assert record.index == encode(program)
+        assert numbering._records[record.index] is record
     encodes.clear()
     assert EMITTERS[emitter]() == first
     assert encodes == []
@@ -489,8 +485,8 @@ def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
     shrunk = bounded_min_learner(succ, 2, _LEARN)
     assert amalgamated.verified and shrunk.verified
     assert encodes == []
-    assert amalgamated.index.program == shrunk.index.program
-    assert shrunk.index.program in numbering._records
+    assert amalgamated.index == shrunk.index
+    assert numbering._records[shrunk.index].index is None
     index = operator.index(amalgamated.index)
     assert operator.index(shrunk.index) == index == encode(first_value_program([2]))
     assert encodes.count(index) == 1
@@ -502,8 +498,8 @@ def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
 def test_precompose_affine_twice_encodes_once(encodes):
     clear_eval_cache()
     tupled = _stride_tuples()[0]
-    composed = precompose_affine(tupled, 2, 1).index
-    assert precompose_affine(tupled, 2, 1).index == composed
+    composed = operator.index(precompose_affine(tupled, 2, 1))
+    assert operator.index(precompose_affine(tupled, 2, 1)) == composed
     assert encodes.count(composed) == 1
 
 
@@ -531,18 +527,19 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
 
 
 # ---------------------------------------------------------------------------
-# a composed program is encoded when its index is read
+# a program the lab builds is its own handle: it runs without its index,
+# which is encoded when something reads it
 
 
-def _in_either_order(handle, runs, handle_first):
-    """The outcomes of `runs` through the handle and through its index."""
+def _in_either_order(program, runs, handle_first):
+    """The outcomes of `runs` through the program and through its index."""
     if handle_first:
-        via_handle = [evaluate(handle, n, budget) for n, budget in runs]
-        via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
+        via_program = [evaluate(program, n, budget) for n, budget in runs]
+        via_index = [evaluate(operator.index(program), n, budget) for n, budget in runs]
     else:
-        via_index = [evaluate(handle.index, n, budget) for n, budget in runs]
-        via_handle = [evaluate(handle, n, budget) for n, budget in runs]
-    return via_handle, via_index
+        via_index = [evaluate(operator.index(program), n, budget) for n, budget in runs]
+        via_program = [evaluate(program, n, budget) for n, budget in runs]
+    return via_program, via_index
 
 
 @pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
@@ -551,73 +548,69 @@ def test_a_handle_runs_as_its_index_in_either_order(handle_first):
     runs = [(n, budget) for budget in (4, 5000, 9) for n in range(6)]
     for suffix, mul, add in [(tupled, 2, 1), (tupled, 2, 0), (2, 1, 3), (_JUMPS, 3, 2)]:
         clear_eval_cache()
-        handle = precompose_affine(suffix, mul, add)
-        via_handle, via_index = _in_either_order(handle, runs, handle_first)
-        # a fresh, unmemoized run of the decoded index; with no EVB no run
-        # reads the chain, which run_program leaves off at the top
-        program = decode(handle.index)
-        assert not any(m % 5 == 4 for m in program.codes)
-        assert via_handle == via_index == [run_program(program, n, budget)
-                                           for n, budget in runs]
-        assert any(isinstance(out, Halted) for out in via_handle)
+        program = precompose_affine(suffix, mul, add)
+        via_program, via_index = _in_either_order(program, runs, handle_first)
+        # each run cold, of the program the index decodes to; with no EVB
+        # no run reads the chain
+        decoded = decode(operator.index(program))
+        assert decoded == program
+        assert not any(m % 5 == 4 for m in decoded.codes)
+        assert via_program == via_index == [_cold(decoded, n, budget) for n, budget in runs]
+        assert any(isinstance(out, Halted) for out in via_program)
 
 
 @pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
 def test_a_dovetailer_handle_runs_as_its_index_in_either_order(handle_first):
-    # the dovetailer of [1] holds an EVB, so its handle puts its program on
-    # the chain; the reference decodes the 19,529-bit index cold
+    # the dovetailer of [1] holds an EVB, so it puts itself on the chain
+    # as a program; the reference decodes the 19,529-bit index cold
     program = first_value_program([1])
     index = encode(program)
     runs = [(n, budget) for budget in (3, 40, 5000) for n in range(6)]
     clear_eval_cache()
-    handle = Emitted(program)
+    via_program, via_index = _in_either_order(program, runs, handle_first)
+    assert via_program == via_index == [reference_outcome(index, n, budget)
+                                        for n, budget in runs]
+    assert any(isinstance(out, Halted) for out in via_program)
+    # one record, under the program and under the index it read
     record = numbering._records[program]
-    via_handle, via_index = _in_either_order(handle, runs, handle_first)
-    assert via_handle == via_index == [reference_outcome(index, n, budget)
-                                       for n, budget in runs]
-    assert any(isinstance(out, Halted) for out in via_handle)
-    # reading the index moved the record under it
-    assert [key for key, rec in numbering._records.items() if rec is record] == [index]
-    assert numbering._index_cache == {program: index}
+    assert record.index == index
+    assert [key for key, rec in numbering._records.items() if rec is record] == [program, index]
 
 
 def test_a_dovetailer_over_an_evb_member_runs_as_the_reference(monkeypatch):
     # its member decode(11) is EVB 0 0 0 0, whose runs nest under the
-    # handle's program on the chain, and on input 11 calls itself.  The
-    # index has 28,196,724 bits (about 10 s to encode), so the handle is
-    # checked against the reference run of the program; no register
-    # reaches the index, so leaving the top off the chain changes nothing
+    # program on the chain, and on input 11 calls itself.  The index has
+    # 28,196,724 bits (about 10 s to encode), so the program is checked
+    # against the reference run of its codes, and its index is never read
     program = first_value_program([11])
     runs = [(n, budget) for budget in (3, 40, 500) for n in (0, 1, 2, 3, 11, 12)]
     want = [reference_program_outcome(monkeypatch, program, n, budget)
             for n, budget in runs]
-    assert want == [run_program(program, n, budget) for n, budget in runs]
     assert any(isinstance(out, Halted) for out in want)
     for member_first in (True, False):
         clear_eval_cache()
         if member_first:
             for n, budget in runs:
                 evaluate(11, n, budget)
-        handle = Emitted(program)
-        assert [evaluate(handle, n, budget) for n, budget in runs] == want
-        assert not numbering._index_cache
+        assert [evaluate(program, n, budget) for n, budget in runs] == want
+        assert numbering._records[program].index is None
 
 
-def test_reading_the_index_moves_the_record_under_it():
+def test_reading_the_index_stores_the_record_under_it_too():
     clear_eval_cache()
     tupled = _stride_tuples()[0]
-    handle = precompose_affine(tupled, 2, 1)
-    record = numbering._records[handle.program]
-    out = evaluate(handle, 3, 5000)
-    assert record.outcomes == {3: out}
-    assert handle.program not in numbering._index_cache
-    index = handle.index
-    assert [key for key, rec in numbering._records.items() if rec is record] == [index]
-    # a second handle of the program runs under the same record
+    program = precompose_affine(tupled, 2, 1)
+    out = evaluate(program, 3, 5000)
+    record = numbering._records[program]
+    assert record.outcomes == {3: out} and record.index is None
+    index = operator.index(program)
+    assert record.index == index
+    assert [key for key, rec in numbering._records.items() if rec is record] == [program, index]
+    # the index and an equal program built again run under the same record
+    assert evaluate(index, 3, 5000) is out
     again = precompose_affine(tupled, 2, 1)
-    assert evaluate(again, 3, 5000) is out
-    assert evaluate(again, 4, 5000) is record.outcomes[4]
-    assert handle.program not in numbering._records
+    assert again is not program
+    assert evaluate(again, 4, 5000) is evaluate(index, 4, 5000) is record.outcomes[4]
     clear_eval_cache()
     assert not numbering._records
 
@@ -627,85 +620,96 @@ def test_a_composition_with_no_macro_keeps_the_suffix_record(encodes):
     clear_eval_cache()
     out = evaluate(_JUMPS, 3, 100)
     record = numbering._records[_JUMPS]
-    handle = precompose_affine(_JUMPS, 1, 0)
-    assert evaluate(handle, 3, 100) is out
-    assert [key for key, rec in numbering._records.items() if rec is record] == [_JUMPS]
-    assert handle.program not in numbering._records
-    assert handle.index == _JUMPS
+    program = precompose_affine(_JUMPS, 1, 0)
+    assert program == decode(_JUMPS)
+    assert numbering._records[program] is record
+    assert evaluate(program, 3, 100) is out
+    assert operator.index(program) == _JUMPS
     assert encodes == []
 
 
-def test_only_a_short_program_with_an_evb_is_encoded_at_emission(encodes):
+def test_a_composition_with_a_macro_keys_no_record_by_its_suffix():
+    tupled = _stride_tuples()[0]
+    clear_eval_cache()
+    program = precompose_affine(tupled, 2, 1)
+    evaluate(program, 3, 5000)
+    assert decode(tupled) not in numbering._records
+    assert set(numbering._records) == {tupled, program}
+
+
+def test_only_a_short_program_with_an_evb_is_encoded_when_it_runs(encodes):
     # decode(11) is EVB 0 0 0 0; after 6 S 0 it is 7 instructions long,
-    # short enough to encode at once, and after 7 (or the 7-instruction
-    # mul 2, add 1 macro) it is deferred, its index at least 2^82
+    # short enough to encode when it first runs, and after 7 (or the
+    # 7-instruction mul 2, add 1 macro) it is not, its index at least 2^82
     assert numbering._DEFER_LENGTH == 8
     assert numbering._DEFER_FLOOR == numbering.encode_list([0] * 8) >= 2 ** 82
     clear_eval_cache()
     short = precompose_affine(11, 1, 6)
-    assert len(short.program) == 7 and len(encodes) == 1
-    assert short.program not in numbering._records
-    assert numbering._records[encodes[0]].evb
+    assert len(short) == 7 and encodes == []
+    short_outs = [evaluate(short, n, 60) for n in range(4)]
+    assert len(encodes) == 1
+    record = numbering._records[short]
+    assert record.evb and record.index == encodes[0]
+    assert numbering._records[encodes[0]] is record
     for mul, add in [(1, 7), (2, 1)]:
         encodes.clear()
-        handle = precompose_affine(11, mul, add)
-        assert len(handle.program) == 8 and encodes == []
-        assert numbering._records[handle.program].evb
-        outs = [evaluate(handle, n, 60) for n in range(4)]
+        program = precompose_affine(11, mul, add)
+        assert len(program) == 8
+        outs = [evaluate(program, n, 60) for n in range(4)]
         assert encodes == []
-        assert outs == [reference_outcome(handle.index, n, 60) for n in range(4)]
-    outs = [evaluate(short, n, 60) for n in range(4)]
-    assert outs == [reference_outcome(short.index, n, 60) for n in range(4)]
+        assert numbering._records[program].evb
+        assert outs == [reference_outcome(operator.index(program), n, 60) for n in range(4)]
+    assert short_outs == [reference_outcome(operator.index(short), n, 60) for n in range(4)]
 
 
 def test_the_chain_guard_cuts_a_deferred_program_at_the_floor(monkeypatch):
     # with the floor lowered to 1, the one instruction EVB 0 0 0 0
-    # (decode(11)) is deferred, so its handle keys the chain by the program
-    # and only the guard sees that it calls itself on input 11
+    # (decode(11)) runs keyed by the program, so the chain holds the
+    # program and only the guard sees that it calls itself on input 11
     monkeypatch.setattr(numbering, "_DEFER_LENGTH", 1)
     monkeypatch.setattr(numbering, "_DEFER_FLOOR", numbering.encode_list([0]))
     clear_eval_cache()
-    handle = Emitted(decode(11))
-    assert handle.program in numbering._records and not numbering._index_cache
-    assert evaluate(handle, 11, 100) == evaluate(11, 11, 100) == Halted(0, 1)
-    assert run_program(decode(11), 11, 100) == Halted(1, 1)
-    # the guard's first encode moves the record under the index, while the
-    # chain still holds the program for the second call
+    program = decode(11)
+    assert evaluate(program, 11, 100) == Halted(0, 1) == reference_outcome(11, 11, 100)
+    assert numbering._records[program].index == 11
+    assert _cold(11, 11, 100) == Halted(0, 1)
+    # the guard's first encode stores the record under the index too,
+    # while the chain holds the program for the second call
     twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0")
     index = encode(twice)
     clear_eval_cache()
-    handle = Emitted(twice)
-    assert evaluate(handle, index, 100) == Halted(0, 3) == \
+    assert evaluate(twice, index, 100) == Halted(0, 3) == \
         reference_outcome(index, index, 100)
-    assert numbering._index_cache == {twice: index}
-    assert twice not in numbering._records
+    record = numbering._records[twice]
+    assert record.index == index and numbering._records[index] is record
 
 
-def test_the_chain_guard_reaches_the_real_floor():
+def test_the_chain_guard_reaches_the_real_floor(encodes):
     # an 8-instruction program run on its own index, which is past the
-    # floor: both of its self-calls are cut, as when it runs as its index
+    # floor: both of its self-calls are cut, as when it runs as its index,
+    # and the guard encodes it once for both
     twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0" + "\nZ 3" * 5)
     index = encode(twice)
     assert index >= numbering._DEFER_FLOOR
     clear_eval_cache()
-    handle = Emitted(twice)
-    assert not numbering._index_cache
-    out = evaluate(handle, index, 100)
+    out = evaluate(twice, index, 100)
     assert out == Halted(0, 8) == reference_outcome(index, index, 100)
-    assert numbering._index_cache == {twice: index}
+    assert encodes == [index]
+    assert numbering._records[twice].index == index
     assert evaluate(index, index, 100) == _cold(index, index, 100) == out
 
 
 def test_a_handle_encodes_through_the_module_encode(encodes):
     # godelbench/tracer.py counts `numbering.encode.bits` by rebinding
     # numbering's module-global `encode`, as `encodes` does here, so a
-    # handle that encoded any other way would drop out of the count
+    # program that encoded any other way would drop out of the count
     clear_eval_cache()
     tupled = _stride_tuples()[0]
     encodes.clear()
-    handle = precompose_affine(tupled, 2, 1)
+    program = precompose_affine(tupled, 2, 1)
+    evaluate(program, 3, 5000)
     assert encodes == []
-    first = handle.index
+    first = operator.index(program)
     assert encodes == [first]
-    assert handle.index == first
+    assert operator.index(program) == first
     assert encodes == [first]

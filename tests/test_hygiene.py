@@ -98,9 +98,6 @@ TEST_ONLY_ALLOWED = {
     # the loop language's reference interpreter, against which the tests
     # check the compiled machine code
     "run_loop",
-    # runs a decoded program without an index: criterion 1's EVB probe
-    # runs programs too wide to encode
-    "run_program",
     # emitters no workload reaches, which the tracer wraps by name: the
     # s-m-n index transformer, checked against direct calls and the
     # reference, and the literal compiler, whose indices the tests check

@@ -41,7 +41,6 @@ from godellab.numbering import (
     parse_program,
     precompose_affine,
     run_loop,
-    run_program,
     stride_tuple_budget,
     stride_tuple_program,
     s_const,
@@ -326,7 +325,8 @@ def test_growing_loops_are_proven_divergent_at_once():
             clear_eval_cache()
             assert evaluate(index, arg, 10**9) == BudgetExceeded(10**9)
             assert _records[index].outcomes[arg] is _NEVER
-            assert run_program(program, arg, 10**9) == BudgetExceeded(10**9)
+            clear_eval_cache()
+            assert evaluate(program, arg, 10**9) == BudgetExceeded(10**9)
 
 
 _pool = st.one_of(
@@ -372,42 +372,48 @@ def test_memo_is_transparent(index, arg, budgets):
 
 @settings(max_examples=60, deadline=None)
 @given(_pool, st.integers(0, 8), st.integers(1, 300))
-def test_run_program_agrees_with_indexed_evaluation(index, arg, budget):
-    assert run_program(decode(index), arg, budget) == evaluate(index, arg, budget)
+def test_a_decoded_program_runs_as_its_index(index, arg, budget):
+    clear_eval_cache()
+    by_program = evaluate(decode(index), arg, budget)
+    clear_eval_cache()
+    assert by_program == evaluate(index, arg, budget)
 
 
-def test_run_program_top_level_is_off_the_evb_chain():
-    # EVB 0 0 0 0 calls (11, 11): evaluate cuts it as re-entrant, while
-    # run_program's top-level run is not on the chain, so the call runs
+def test_a_program_calling_itself_is_cut_as_its_index_is():
+    # EVB 0 0 0 0 calls (11, 11), which is re-entrant whether the run
+    # starts from the index or from the program
     assert decode(11) == _prog("EVB 0 0 0 0")
-    assert run_program(decode(11), 11, 100) == Halted(1, 1)
+    clear_eval_cache()
+    assert evaluate(decode(11), 11, 100) == Halted(0, 1)
+    clear_eval_cache()
     assert evaluate(11, 11, 100) == Halted(0, 1)
 
 
 def test_programs_hold_natural_codes_only():
     # _fields(-5) would read Z -1, and lowering would move R0 off slot 0
     with pytest.raises(ValueError, match="naturals"):
-        run_program(Program((-5,)), 0, 5)
+        evaluate(Program((-5,)), 0, 5)
     with pytest.raises(ValueError, match="naturals"):
         Program((1, 6, -1))
     p = _prog("J 0 1 3", "Z 0", "S 0")
     assert p.codes == (523, 0, 1)
 
 
-def test_run_program_handles_wide_unary_programs():
+def test_evaluate_runs_wide_unary_programs_without_their_index():
     wide = Program((1,) * 500)
     assert wide == _prog(*["S 0"] * 500)
-    assert run_program(wide, 3, 500) == Halted(503, 500)
-    assert run_program(wide, 3, 499) == BudgetExceeded(499)
+    assert evaluate(wide, 3, 500) == Halted(503, 500)
+    assert evaluate(wide, 3, 499) == BudgetExceeded(499)
+    assert _records[wide].index is None
 
 
-def test_run_program_evb_probe_matches_host_evaluator():
+def test_an_evb_probe_program_matches_host_evaluator():
     # wide probe: R0 = index under test, unary loads for argument and
     # inner budget, one EVB, result moved to R0
     for i, n, s in [(0, 3, 5), (2, 7, 2), (7, 0, 40), (11, 4, 9), (140192, 1, 64)]:
         body = ["S 1"] * n + ["S 2"] * s + ["EVB 0 1 2 3", "T 3 0"]
         probe = _prog(*body)
-        out = run_program(probe, i, len(body) + 1)
+        out = evaluate(probe, i, len(body) + 1)
         assert isinstance(out, Halted)
         inner = evaluate(i, n, s)
         want = inner.value + 1 if isinstance(inner, Halted) else 0
@@ -416,11 +422,12 @@ def test_run_program_evb_probe_matches_host_evaluator():
 
 def test_clear_eval_cache_empties_every_cache_of_numbering():
     # every module-level dict of numbering but a CONSTANT is a cache, and
-    # a cache left out of the clear would carry one run into the next
+    # a cache left out of the clear would carry one run into the next;
+    # `_records` is the only one, the one store whose size a bound needs
     caches = {name: value for name, value in vars(numbering).items()
               if isinstance(value, dict) and not name.startswith("__")
               and not name.isupper()}
-    assert {"_records", "_index_cache"} <= set(caches)
+    assert set(caches) == {"_records"}
     clear_eval_cache()
     evaluate(s_const(2, 1), 0, 100)
     assert all(caches.values())
@@ -518,9 +525,8 @@ def test_emitters_refuse_before_building():
 
 
 def _emitted_length(emit, *args, **kwargs):
-    """Instructions emit(...) builds, a Program or the program of an index
-    (an int or a handle, whose index is read), or the count its refusal
-    names."""
+    """Instructions emit(...) builds, a Program or the program of an
+    index, or the count its refusal names."""
     try:
         out = emit(*args, **kwargs)
     except ValueError as err:
@@ -562,7 +568,7 @@ def test_huge_register_names_evaluate_like_small_ones():
     for n in range(4):
         out = evaluate(index, n, 10)
         assert out == Halted(n, 1)
-        assert run_program(_HUGE, n, 10) == out
+        assert evaluate(_HUGE, n, 10) == out
         assert reference_outcome(index, n, 10) == out
 
 
@@ -622,13 +628,13 @@ def test_first_value_skips_member_too_slow_for_round(monkeypatch):
     budget = first_value_budget([3, 4], 1, 9)
     out = reference_program_outcome(monkeypatch, prog, 9, budget)
     assert isinstance(out, Halted) and out.value == 9
-    assert run_program(prog, 9, budget) == out
+    assert evaluate(prog, 9, budget) == out
 
 
 def test_first_value_all_divergent_never_halts(monkeypatch):
     prog = first_value_program([7])
     assert reference_program_outcome(monkeypatch, prog, 0, 3000) == BudgetExceeded(3000)
-    assert run_program(prog, 0, 3000) == BudgetExceeded(3000)
+    assert evaluate(prog, 0, 3000) == BudgetExceeded(3000)
 
 
 def test_first_value_rejects_bad_member_lists():
@@ -746,7 +752,7 @@ def test_value_table_longer_word_on_reference_interpreter(monkeypatch):
         budget = value_table_budget([5], None, [2, 0, 1], n)
         out = reference_program_outcome(monkeypatch, prog, n, budget)
         assert isinstance(out, Halted) and out.value == v
-        assert run_program(prog, n, budget) == out
+        assert evaluate(prog, n, budget) == out
 
 
 def test_value_table_argument_validation():
@@ -782,7 +788,7 @@ def test_stride_tuple_interleaves_components(bodies, component):
     s = len(bodies)
     assert len(prog) == 2 * s + 2 + sum(len(b) for b in bodies) + (s - 1)
     for m in range(4 * s):
-        out = run_program(prog, m, stride_tuple_budget(s, m, 4))
+        out = evaluate(prog, m, stride_tuple_budget(s, m, 4))
         assert isinstance(out, Halted)
         assert out.value == component[m % s](m // s)
 
@@ -791,7 +797,7 @@ def test_stride_tuple_single_body_is_a_prelude():
     prog = stride_tuple_program([_SUCC_BODY])
     assert len(prog) == 1 + len(_SUCC_BODY)
     for n in range(12):
-        out = run_program(prog, n, stride_tuple_budget(1, n, 4))
+        out = evaluate(prog, n, stride_tuple_budget(1, n, 4))
         assert out == Halted(n + 1, out.steps)
 
 
@@ -820,5 +826,5 @@ def test_stride_extraction_composes_with_affine_precomposition():
 @settings(max_examples=40, deadline=None)
 def test_stride_tuple_budget_is_sufficient(s, m):
     bodies = [_ZERO_BODY, _SUCC_BODY, _PLUS2_BODY][:s]
-    out = run_program(stride_tuple_program(bodies), m, stride_tuple_budget(s, m, 4))
+    out = evaluate(stride_tuple_program(bodies), m, stride_tuple_budget(s, m, 4))
     assert isinstance(out, Halted)
