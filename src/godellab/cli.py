@@ -54,7 +54,6 @@ from .learners import (
     trace_to_csv,
 )
 from .numbering import (
-    BudgetExceeded,
     Copy,
     Inc,
     Loop,
@@ -170,8 +169,7 @@ def cmd_enumerate(args, values) -> tuple[int, list[str]]:
         cells = []
         for n in range(values["window"] + 1):
             out = evaluate(index, n, values["cap"])
-            cells.append(str(out.value) if not isinstance(out, BudgetExceeded)
-                         else "?")
+            cells.append("?" if out is None else str(out.value))
         print(f"{index}\t{text}\t{','.join(cells)}")
     return 0, []
 

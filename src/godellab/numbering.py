@@ -154,16 +154,11 @@ def parse_program(text: str) -> Program:
 
 @dataclass(frozen=True, slots=True)
 class Halted:
+    """A run that halted within its budget; one that did not is None."""
+
     value: Nat
     steps: Nat
 
-
-@dataclass(frozen=True, slots=True)
-class BudgetExceeded:
-    budget: Nat
-
-
-EvalOutcome = Union[Halted, BudgetExceeded]
 
 # ---------------------------------------------------------------------------
 # Budgeted evaluator.
@@ -180,7 +175,8 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # (below), and an entry per completed run: the `Halted` that `_run`
 # built, which a hit within its steps returns itself (outcomes are
 # immutable); `_NEVER` (infinity) for a run proven never to halt; or the
-# int count of steps explored without a halt.
+# int count of steps explored without a halt.  `_run` and `_follow`
+# return the entry, and `_eval` answers the Halted or None.
 #
 # Re-entrant self-interpretation (an EVB chain reaching an (index, input)
 # pair that is already being evaluated) has no consistent solution, so such
@@ -225,18 +221,18 @@ EvalOutcome = Union[Halted, BudgetExceeded]
 # well as an index and runs it under a record keyed by the program and
 # lowered from its codes, so the evaluator never decodes an index the lab
 # emitted.  `index_of` (and `operator.index`, through `Program.__index__`)
-# encodes the program on the first read, sets the record's index and
-# stores the same record under the index too, unless the index has one
-# already; nothing moves, a program emitted twice is encoded once, and a
-# record made by decoding has its index from the start.  Either key is
-# exact: the index is the list code of the program's codes, so the
-# lowering is the one decoding would give and no outcome or entry can
-# change; only the encode or the unpairing of a number of up to 734,059
-# bits is skipped.  `s_const`, `LoopCompiler.compile` and the corpus' and
-# literal compiler's encodings return the index, which their callers
-# read; `precompose_affine` and the promise learners' dovetailer return
-# the program, whose index only a reduction witness or the offset_h
-# mutant reads.
+# encodes the program on the first read and from then on keys one record
+# by both: the program's own with its index set, or, when the index has a
+# record already, that one, with no lowering of the program.  A program
+# emitted twice is encoded once, and a record made by decoding has its
+# index from the start.  Either key is exact: the index is the list code
+# of the program's codes, so the lowering is the one decoding would give
+# and no outcome or entry can change; only the encode or the unpairing of
+# a number of up to 734,059 bits is skipped.  `s_const`,
+# `LoopCompiler.compile` and the corpus' and literal compiler's encodings
+# return the index, which their callers read; `precompose_affine` and the
+# promise learners' dovetailer return the program, whose index only a
+# reduction witness or the offset_h mutant reads.
 #
 # A program keyed by itself is exact when it holds no EVB, whose runs
 # never read the chain.  A program with an EVB is on the chain, where the
@@ -278,9 +274,9 @@ class _Record:
 
 
 # index or lab-built program -> its record, lowered on first use: an index
-# by decoding it, a program from its codes.  A program's record is also
-# stored under its index once `index_of` reads it.  The only cache of
-# this module.
+# by decoding it, a program from its codes.  Once `index_of` reads a
+# program's index, the program and the index key one record.  The only
+# cache of this module.
 _records: dict[int | Program, _Record] = {}
 
 
@@ -344,26 +340,30 @@ def _record(key: ProgramIndex | Program) -> _Record:
 
 
 def index_of(program: Program) -> ProgramIndex:
-    """encode(program), kept in the program's record: the first read
-    stores the record under the index too, unless the index has one, so an
-    index the lab emits is never decoded and a program emitted twice is
-    encoded once."""
-    rec = _record(program)
-    if rec.index is None:
-        rec.index = encode(program)
-        _records.setdefault(rec.index, rec)
+    """encode(program), kept in the program's record: the first read keys
+    one record by both the program and the index, the index's own when it
+    has one, so an index the lab emits is never decoded, a program emitted
+    twice is encoded once and no program keeps a second lowering beside
+    its decoded index."""
+    rec = _records.get(program)
+    if rec is None or rec.index is None:
+        index = encode(program)
+        rec = _records.get(index) or rec or _Record(_lower(program.codes))
+        rec.index = index
+        _records[program] = _records[index] = rec
     return rec.index
 
 
-def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> EvalOutcome:
+def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> Halted | None:
     """Run decode(index) on `arg` for at most `budget` steps.
 
-    Returns Halted(value, steps) with steps <= budget, or
-    BudgetExceeded(budget).  Deterministic and monotone in the budget:
-    a Halted outcome is reproduced unchanged under any larger budget.
-    One hash of `index` fetches its record; its entry for `arg` (the Halted,
-    never-halts, or the steps explored) answers a hit, and a miss stores one.
-    A Program runs as its index does, without encoding it (see above).
+    Returns Halted(value, steps) with steps <= budget, or None when the
+    run does not halt within the budget.  Deterministic and monotone in
+    the budget: a Halted outcome is reproduced unchanged under any larger
+    budget.  One hash of `index` fetches its record; its entry for `arg`
+    (the Halted, never-halts, or the steps explored) answers a hit, and a
+    miss stores one.  A Program runs as its index does, without encoding
+    it (see above).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -380,7 +380,7 @@ def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> EvalOutcom
     return _eval(index, arg, budget)
 
 
-def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
+def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> Halted | None:
     """`chain` holds the (index, input) pairs of the EVB runs above."""
     rec = _records.get(index)
     if rec is None:
@@ -389,45 +389,41 @@ def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> EvalOutcome:
     ent = rec.outcomes.get(key)
     if ent is not None:
         if type(ent) is Halted:
-            return ent if budget >= ent.steps else BudgetExceeded(budget)
+            return ent if budget >= ent.steps else None
         if budget <= ent:
-            return BudgetExceeded(budget)
+            return None
     if rec.path is not None:
-        out, rec.outcomes[key] = _follow(rec, arg, budget)
-        return out
-    if rec.evb:
-        chain = chain | {(index, arg)}
-    out, rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
-    return out
+        ent = rec.outcomes[key] = _follow(rec, arg, budget)
+    else:
+        if rec.evb:
+            chain = chain | {(index, arg)}
+        ent = rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
+    return ent if type(ent) is Halted else None
 
 
-def _follow(rec: _Record, arg: int, budget: int) -> tuple:
-    """A free record's run on `arg`, read from its path: (outcome, entry)."""
+def _follow(rec: _Record, arg: int, budget: int):
+    """A free record's run on `arg`, read from its path: its memo entry."""
     path = rec.path
     if type(path) is int and budget > path:
         probe = budget + 1
-        out, path = _run(rec.code, rec.nregs, rec.ctrl, probe, budget, frozenset())
-        if type(out) is Halted:
-            path = out if out.value < probe else (out.value - probe, out.steps)
+        path = _run(rec.code, rec.nregs, rec.ctrl, probe, budget, frozenset())
+        if type(path) is Halted and path.value >= probe:
+            path = (path.value - probe, path.steps)
         rec.path = path
-    if type(path) is Halted:
-        out = path
-    elif type(path) is tuple:
-        out = Halted(arg + path[0], path[1])
-    else:
-        return BudgetExceeded(budget), path if path == _NEVER else budget
-    if budget < out.steps:
-        return BudgetExceeded(budget), budget
-    return out, out
+    if type(path) is tuple:
+        path = Halted(arg + path[0], path[1])
+    elif type(path) is not Halted:
+        return path if path == _NEVER else budget
+    return path if budget >= path.steps else budget
 
 
-def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset) -> tuple:
-    """The machine step loop: (outcome, memo entry).
+def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset):
+    """The machine step loop: its memo entry, a Halted or the steps explored.
 
     The pc and the control slots `ctrl` (every slot when None) are
     snapshotted at doubling step counts.  When both repeat, the run
-    provably never halts, whatever the other registers hold: the outcome
-    is BudgetExceeded(budget) with the memo entry _NEVER.
+    provably never halts, whatever the other registers hold: the entry
+    is _NEVER.
     """
     regs = [0] * nregs
     regs[0] = arg
@@ -439,10 +435,9 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
     next_snap = 8
     while True:
         if pc >= ncode:
-            out = Halted(regs[0], steps)
-            return out, out
+            return Halted(regs[0], steps)
         if steps >= budget:
-            return BudgetExceeded(budget), budget
+            return budget
         ins = code[pc]
         tag = ins[0]
         if tag == 0:
@@ -463,11 +458,11 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
                 regs[ins[4]] = 0
             else:
                 out = _eval(sub[0], sub[1], regs[ins[3]], chain)
-                regs[ins[4]] = out.value + 1 if type(out) is Halted else 0
+                regs[ins[4]] = 0 if out is None else out.value + 1
             pc += 1
         steps += 1
         if pc == snap_pc and (regs if ctrl is None else [regs[c] for c in ctrl]) == snap:
-            return BudgetExceeded(budget), _NEVER
+            return _NEVER
         if steps == next_snap:
             snap_pc = pc
             snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]

@@ -33,8 +33,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
-from .numbering import EvalOutcome, Halted, Nat, ProgramIndex, evaluate
-from .spaces import PARTIAL, SeqDescriptor, descriptor_get
+from .numbering import Nat, ProgramIndex, evaluate
+from .spaces import SeqDescriptor, descriptor_get
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -55,10 +55,6 @@ class OracleConfig:
 # the universe table
 
 Row = tuple[Optional[Nat], ...]
-
-
-def _value_of(out: EvalOutcome) -> Optional[Nat]:
-    return out.value if isinstance(out, Halted) else None
 
 
 class Universe:
@@ -92,13 +88,15 @@ class Universe:
             # taking it here costs the int path no type test
             inside = False
         if not inside:
-            return _value_of(evaluate(i, n, self.cfg.cap))
+            out = evaluate(i, n, self.cfg.cap)
+            return None if out is None else out.value
         rows = self.rows
         while len(rows) <= i:
             rows.append([])
         known = rows[i]
         while len(known) <= n:
-            known.append(_value_of(evaluate(i, len(known), self.cfg.cap)))
+            out = evaluate(i, len(known), self.cfg.cap)
+            known.append(None if out is None else out.value)
             if len(known) > self.cfg.window:
                 rows[i] = known = tuple(known)
                 insort(self.inverted.setdefault(known, []), i)
@@ -141,13 +139,13 @@ class Universe:
         return tuple(self.inverted.get(targets, ()))
 
     def prefix(self, d: SeqDescriptor) -> tuple[Nat, ...]:
-        """d's values on 0..window before its first PARTIAL position."""
+        """d's values on 0..window before its first partial position."""
         out = self.prefixes.get(d)
         if out is None:
             values = []
             for n in range(self.cfg.window + 1):
                 v = descriptor_get(d, n)
-                if v is PARTIAL:
+                if v is None:
                     break
                 values.append(v)
             out = self.prefixes[d] = tuple(values)
@@ -176,12 +174,12 @@ def _require_total(values: tuple[Nat, ...], cfg: OracleConfig) -> tuple[Nat, ...
 
 
 def window_targets(d: SeqDescriptor, cfg: OracleConfig) -> tuple[Nat, ...]:
-    """d(0), ..., d(window); ValueError when d is PARTIAL on the window."""
+    """d(0), ..., d(window); ValueError when d is partial on the window."""
     return _require_total(universe(cfg).prefix(d), cfg)
 
 
 def total_on_window(d: SeqDescriptor, cfg: OracleConfig) -> bool:
-    """True iff no position of 0..window reads PARTIAL."""
+    """True iff no position of 0..window is partial."""
     return len(universe(cfg).prefix(d)) > cfg.window
 
 
@@ -211,7 +209,7 @@ def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> bool:
 def window_verify(i: ProgramIndex, d: SeqDescriptor, cfg: OracleConfig) -> bool:
     """Capped stand-in for phi_i = d: agreement on all of 0..window.
 
-    A candidate that disagrees with d before d's first PARTIAL position
+    A candidate that disagrees with d before d's first partial position
     is rejected; one that agrees up to it raises ValueError.
     """
     table = universe(cfg)
@@ -229,9 +227,10 @@ def window_verify(i: ProgramIndex, d: SeqDescriptor, cfg: OracleConfig) -> bool:
 def in_R(k: Nat, n: Nat, cfg: OracleConfig) -> bool:
     """True iff no candidate i < n (within the universe) maps k to n.
 
-    Exact relative to true halting whenever n <= cfg.index_bound, since
-    the defining condition only quantifies over i < n.  phi_i(k) is a
-    table cell when k lies inside the window.
+    Exact only relative to the capped universe: a candidate i < n that
+    maps k to n past the cap, or lies above cfg.index_bound, is not seen,
+    so a True may be a false positive of the true set R (see the module
+    docstring).  phi_i(k) is a table cell when k lies inside the window.
     """
     if k < 0 or n < 0:
         raise ValueError("R is indexed by naturals")

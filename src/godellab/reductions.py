@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .learners import LearnerConfig, enum_learner
-from .numbering import Halted, Nat, Program, affine_budget, evaluate, precompose_affine
+from .numbering import Nat, Program, affine_budget, evaluate, precompose_affine
 from .oracles import min_index, search_R, total_on_window, verified_indices, window_verify
 from .problems import ProblemConfig, ProblemSpec, problem_registry
 from .spaces import (
-    PARTIAL,
     Constant,
     Generated,
     Literal,
@@ -335,7 +334,7 @@ def _component_targets(tupled: Generated, stride: int, which: int,
     targets = []
     for n in range((window - which) // stride + 1):
         v = descriptor_get(tupled, stride * n + which)
-        if v is PARTIAL:
+        if v is None:
             return None
         targets.append(v)
     return targets
@@ -388,7 +387,7 @@ def _component_spec(name: str, unpack) -> ProblemSpec:
             # tupled index cannot masquerade as divergence
             budget = affine_budget(stride, which, n, cfg.oracle.cap)
             out = evaluate(a, n, budget)
-            if not isinstance(out, Halted) or out.value != want:
+            if out is None or out.value != want:
                 return False
         return True
 

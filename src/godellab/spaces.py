@@ -6,17 +6,16 @@ budget.  Literal descriptors are the exactly-analyzable fragment: every
 question asked about them downstream (is it the zero sequence, which
 values occur, what is the limit) has a closed-form answer computed here.
 Generated descriptors answer pointwise through the evaluator, with budget
-exhaustion surfacing as an explicit PARTIAL marker rather than an error.
+exhaustion surfacing as None rather than an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 from .numbering import (
-    Halted,
     Nat,
     ProgramIndex,
     evaluate,
@@ -81,18 +80,6 @@ class Generated:
 SeqDescriptor = Union[Literal, Generated]
 
 
-class _Partial:
-    """Marker for a query the stored budget could not settle."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "PARTIAL"
-
-
-PARTIAL = _Partial()
-
-
 def tail_word(tail: Tail) -> tuple[Nat, ...]:
     """The word a tail repeats: a constant is a word of one letter."""
     return (tail.value,) if isinstance(tail, Constant) else tail.word
@@ -108,12 +95,12 @@ def literal_value(d: Literal, n: Nat) -> Nat:
     return w[(n - len(d.prefix)) % len(w)]
 
 
-def descriptor_get(d: SeqDescriptor, n: Nat):
-    """d(n), or PARTIAL when a Generated descriptor's budget runs out."""
+def descriptor_get(d: SeqDescriptor, n: Nat) -> Optional[Nat]:
+    """d(n), or None when a Generated descriptor's budget runs out."""
     if isinstance(d, Literal):
         return literal_value(d, n)
     out = evaluate(d.index, n, d.budget)
-    return out.value if isinstance(out, Halted) else PARTIAL
+    return None if out is None else out.value
 
 
 # ---------------------------------------------------------------------------

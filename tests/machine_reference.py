@@ -9,7 +9,7 @@ the helpers here.
 import sys
 from pathlib import Path
 
-from godellab.numbering import BudgetExceeded, Halted
+from godellab.numbering import Halted
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "godelbench"))
 
@@ -20,9 +20,9 @@ _SENTINEL = -1
 
 
 def reference_outcome(index, arg, budget):
-    """The reference run of `index` on `arg`, as Halted or BudgetExceeded."""
+    """The reference run of `index` on `arg`, as Halted or None."""
     out = reference.run(index, arg, budget)
-    return BudgetExceeded(budget) if out is None else Halted(*out)
+    return None if out is None else Halted(*out)
 
 
 def reference_program_outcome(monkeypatch, program, arg, budget):

@@ -30,7 +30,6 @@ from godellab import numbering
 from godellab.corpus import gen_families
 from godellab.learners import LearnerConfig, amalgamation_learn, bounded_min_learner
 from godellab.numbering import (
-    BudgetExceeded,
     Copy,
     Halted,
     Inc,
@@ -180,7 +179,7 @@ def test_free_programs_match_reference_cold_and_warm():
             for b in sorted(budgets):
                 cells.append((i, n, b))
                 halts = isinstance(top, Halted) and b >= top.steps
-                want.append(top if halts else BudgetExceeded(b))
+                want.append(top if halts else None)
     rng = random.Random(22)
     for _ in range(2):
         order = list(range(len(cells)))
@@ -203,7 +202,7 @@ def test_free_programs_by_hand(monkeypatch):
     # divergent on every input, proven by one run
     index = encode(parse_program("S 1\nJ 0 0 0"))
     clear_eval_cache()
-    assert [evaluate(index, n, 400) for n in _FREE_INPUTS] == [BudgetExceeded(400)] * 18
+    assert [evaluate(index, n, 400) for n in _FREE_INPUTS] == [None] * 18
     assert len(runs) == 1 and numbering._records[index].path == numbering._NEVER
     # the value is the input (d = 1), also on input 0
     index = encode(parse_program("T 0 3\nZ 0\nT 3 0"))
@@ -212,7 +211,7 @@ def test_free_programs_by_hand(monkeypatch):
     # a constant (d = 0), under a budget short of its steps and then as
     # one outcome every input's entry holds
     index = encode(parse_program("Z 0\nS 0"))
-    assert evaluate(index, 5, 1) == BudgetExceeded(1)
+    assert evaluate(index, 5, 1) is None
     assert evaluate(index, 5, 10) == Halted(1, 2)
     path = numbering._records[index].path
     assert path == Halted(1, 2)
@@ -267,7 +266,7 @@ def test_growth_that_reaches_a_comparison_halts():
         for budget in (want.steps, 1000, 10**6):
             assert _cold(index, arg, budget) == want
             assert _cold(program, arg, budget) == want
-        assert evaluate(index, arg, want.steps - 1) == BudgetExceeded(want.steps - 1)
+        assert evaluate(index, arg, want.steps - 1) is None
 
 
 
@@ -524,16 +523,26 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
     assert index_of(program) == index
     assert encodes == [index]
     assert numbering._records[index] is record
+    assert numbering._records[program] is record
+    # a program that ran under its own record before the index was decoded
+    # is keyed to the decoded record once its index is read
+    clear_eval_cache()
+    out = evaluate(program, 0, 10)
+    assert evaluate(index, 0, 10) == out
+    record = numbering._records[index]
+    assert numbering._records[program] is not record
+    assert index_of(program) == index
+    assert numbering._records[program] is record
 
 
 # ---------------------------------------------------------------------------
-# a program the lab builds is its own handle: it runs without its index,
-# which is encoded when something reads it
+# a program the lab builds runs without its index, which is encoded when
+# something reads it
 
 
-def _in_either_order(program, runs, handle_first):
+def _in_either_order(program, runs, program_first):
     """The outcomes of `runs` through the program and through its index."""
-    if handle_first:
+    if program_first:
         via_program = [evaluate(program, n, budget) for n, budget in runs]
         via_index = [evaluate(operator.index(program), n, budget) for n, budget in runs]
     else:
@@ -542,14 +551,14 @@ def _in_either_order(program, runs, handle_first):
     return via_program, via_index
 
 
-@pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
-def test_a_handle_runs_as_its_index_in_either_order(handle_first):
+@pytest.mark.parametrize("program_first", [True, False], ids=["program-first", "index-first"])
+def test_a_composed_program_runs_as_its_index_in_either_order(program_first):
     tupled = _stride_tuples()[0]
     runs = [(n, budget) for budget in (4, 5000, 9) for n in range(6)]
     for suffix, mul, add in [(tupled, 2, 1), (tupled, 2, 0), (2, 1, 3), (_JUMPS, 3, 2)]:
         clear_eval_cache()
         program = precompose_affine(suffix, mul, add)
-        via_program, via_index = _in_either_order(program, runs, handle_first)
+        via_program, via_index = _in_either_order(program, runs, program_first)
         # each run cold, of the program the index decodes to; with no EVB
         # no run reads the chain
         decoded = decode(operator.index(program))
@@ -559,15 +568,15 @@ def test_a_handle_runs_as_its_index_in_either_order(handle_first):
         assert any(isinstance(out, Halted) for out in via_program)
 
 
-@pytest.mark.parametrize("handle_first", [True, False], ids=["handle-first", "index-first"])
-def test_a_dovetailer_handle_runs_as_its_index_in_either_order(handle_first):
+@pytest.mark.parametrize("program_first", [True, False], ids=["program-first", "index-first"])
+def test_a_dovetailer_program_runs_as_its_index_in_either_order(program_first):
     # the dovetailer of [1] holds an EVB, so it puts itself on the chain
     # as a program; the reference decodes the 19,529-bit index cold
     program = first_value_program([1])
     index = encode(program)
     runs = [(n, budget) for budget in (3, 40, 5000) for n in range(6)]
     clear_eval_cache()
-    via_program, via_index = _in_either_order(program, runs, handle_first)
+    via_program, via_index = _in_either_order(program, runs, program_first)
     assert via_program == via_index == [reference_outcome(index, n, budget)
                                         for n, budget in runs]
     assert any(isinstance(out, Halted) for out in via_program)
@@ -699,7 +708,7 @@ def test_the_chain_guard_reaches_the_real_floor(encodes):
     assert evaluate(index, index, 100) == _cold(index, index, 100) == out
 
 
-def test_a_handle_encodes_through_the_module_encode(encodes):
+def test_a_program_encodes_through_the_module_encode(encodes):
     # godelbench/tracer.py counts `numbering.encode.bits` by rebinding
     # numbering's module-global `encode`, as `encodes` does here, so a
     # program that encoded any other way would drop out of the count

@@ -11,10 +11,11 @@ class, counts as used when code outside its own body refers to it
 across the Python files of src/, scripts/ and godelbench/: as a name or
 as an attribute.  Strings, docstrings and comments name nothing, so the
 function names godelbench/tracer.py wraps by string are no users either;
-but each of them must still name a function of the lab.  A dataclass
-field counts as used when the same files read an attribute of its name
-(`spec.verify`, `res.trace`); passing it by keyword or position fills
-the slot but reads nothing.
+but each of them must still name a function of the lab, and so must each
+`lab.<module>.<name>` the benchmark reads.  A dataclass field counts as
+used when the same files read an attribute of its name (`spec.verify`,
+`res.trace`); passing it by keyword or position fills the slot but reads
+nothing.
 
 A use is matched by name alone, so any name or attribute spelled like
 a definition counts as its user, and a member with no caller can still
@@ -274,3 +275,66 @@ def test_the_tracer_wraps_names_the_lab_has():
                *(("corpus", name) for name in tracer.GENERATORS)]
     assert [f"{module}.{name}" for module, name in wrapped
             if not hasattr(importlib.import_module(f"godellab.{module}"), name)] == []
+
+
+def lab_reads(tree: ast.Module) -> set[str]:
+    """The `<module>.<name>` that `tree` reads as `lab.<module>.<name>` or
+    `mods.<module>.<name>`, the benchmark's names for the imported lab,
+    also through an alias such as `C = lab.corpus`."""
+
+    def module_of(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("lab", "mods")):
+            return node.attr
+        return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            module = module_of(node.value)
+            if module is not None:
+                aliases[node.targets[0].id] = module
+    return {f"{module_of(node.value)}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and module_of(node.value) is not None}
+
+
+def missing_lab_names(sources: dict[str, str]) -> list[str]:
+    """The lab names each source reads (`lab_reads`) that the lab lacks."""
+    missing = []
+    for path, text in sorted(sources.items()):
+        for read in sorted(lab_reads(ast.parse(text, path))):
+            module, name = read.split(".")
+            try:
+                found = hasattr(importlib.import_module(f"godellab.{module}"), name)
+            except ModuleNotFoundError:
+                found = False
+            if not found:
+                missing.append(f"{path}: {read}")
+    return missing
+
+
+def test_the_benchmark_reads_names_the_lab_has():
+    # godelbench/ reads the lab as attributes of the imported modules, so
+    # a lab name deleted or renamed under it breaks run.py at run time
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in (ROOT / "godelbench").glob("*.py")}
+    assert missing_lab_names(sources) == []
+    # the aliases are followed: workloads.py reads these as C.* and P.*
+    reads = lab_reads(ast.parse(sources["godelbench/workloads.py"]))
+    assert {"corpus.gen_families", "corpus.write_corpus",
+            "problems.ProblemConfig", "problems.problem_registry"} <= reads
+
+
+def test_the_check_sees_a_missing_lab_name():
+    sources = {
+        "godelbench/w.py": "def build(lab):\n"
+                           "    C = lab.corpus\n"
+                           "    C.write_corpus, C.gone\n"
+                           "    return lab.numbering.nowhere(lab.spaces.Literal)\n",
+        "godelbench/t.py": "def install(mods):\n"
+                           "    mods.numbering.Halted, mods.nomodule.f, mods.all()\n",
+    }
+    assert missing_lab_names(sources) == ["godelbench/t.py: nomodule.f",
+                                          "godelbench/w.py: corpus.gone",
+                                          "godelbench/w.py: numbering.nowhere"]

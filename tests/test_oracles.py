@@ -225,7 +225,7 @@ def test_min_cache_is_transparent():
 # window verification against a partial descriptor
 
 # [J 0 1 3, S 1, J 0 0 0] counts R1 up to the argument: the identity in
-# 3n + 1 steps, so under budget 7 it settles 0, 1, 2 and is PARTIAL from 3
+# 3n + 1 steps, so under budget 7 it settles 0, 1, 2 and is partial from 3
 COUNT_UP = Generated(193853, 7)
 
 
@@ -233,7 +233,7 @@ COUNT_UP = Generated(193853, 7)
 def test_window_verify_partial_descriptor_direction(index_bound):
     # the same verdicts inside the table (120) and above it (1)
     cfg = OracleConfig(cap=200, window=8, index_bound=index_bound)
-    # disagreeing before the first PARTIAL position is a plain False
+    # disagreeing before the first partial position is a plain False
     assert window_verify(1, COUNT_UP, cfg) is False   # 0, 0: differs at 1
     assert window_verify(2, COUNT_UP, cfg) is False   # 1: differs at 0
     assert window_verify(7, COUNT_UP, cfg) is False   # diverges at 0

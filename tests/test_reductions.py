@@ -248,6 +248,23 @@ def test_gstar_width_one_is_the_identity_embedding():
     assert spec.verify(x, TUP_SUCC.index, CFG)
 
 
+@pytest.mark.parametrize("make_spec, x, least", [
+    (make_ghat_spec, (TUP_ZERO_ID, 0), 1),
+    (make_ghat_spec, (TUP_ZERO_ID, 1), 0),
+    (make_gstar_spec, (1, TUP_SUCC, 0), 2),
+], ids=["ghat-zero", "ghat-ident", "gstar-succ"])
+def test_component_answers_are_verified_indices(make_spec, x, least):
+    # the indices of the bounded universe that compute the component; no
+    # catalog reduction has ghat or gstar as its target, so only this
+    # test enumerates them
+    spec = make_spec()
+    answers = spec.enumerate_answers(x, CFG)
+    assert min(answers) == least
+    assert all(spec.verify(x, a, CFG) for a in answers)
+    # decode(7) is J 0 0 0, which halts nowhere
+    assert 7 not in answers and not spec.verify(x, 7, CFG)
+
+
 def test_family_g_answers_include_the_generating_index():
     spec = make_family_g_spec()
     answers = spec.enumerate_answers(TUP_ZERO_ID, CFG)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from godellab.numbering import Halted, evaluate
 from godellab.spaces import (
-    PARTIAL,
     Constant,
     Generated,
     Literal,
@@ -70,7 +69,7 @@ def test_literal_value_matches_window_oracle(d):
 
 
 def test_generated_descriptor_reports_partiality():
-    assert descriptor_get(Generated(7, 10), 0) is PARTIAL
+    assert descriptor_get(Generated(7, 10), 0) is None
     assert descriptor_get(Generated(2, 10), 4) == 5
 
 
