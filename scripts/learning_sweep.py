@@ -27,6 +27,9 @@ def run_sweep(kind: str, size: int, seed: int, out_dir: pathlib.Path) -> int:
         rdir = out_dir / learner.replace("-", "_")
         rc = main(["learn", "--learner", learner, "--corpus", str(corpus),
                    "--out-dir", str(rdir)])
+        # exit 1 still writes the summary (its failure rows); 2 writes none
+        if rc == 2:
+            return rc
         worst = max(worst, rc)
         summary = json.loads((rdir / "summary.json").read_text())
         # the mean is null when every row of the learner is a failure row

@@ -170,22 +170,22 @@ class Halted:
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].
 #
-# Each index, and each program the lab builds, has a record (`_Record`):
-# its lowering, whether its code holds an EVB, the path of a free program
-# (below), and an entry per completed run: the `Halted` that `_run`
-# built, which a hit within its steps returns itself (outcomes are
-# immutable); `_NEVER` (infinity) for a run proven never to halt; or the
-# int count of steps explored without a halt.  `_run` and `_follow`
-# return the entry, and `_eval` answers the Halted or None.
+# Each program has one record (`_Record`): its lowering, whether its code
+# holds an EVB, the path of a free program (below), and an entry per
+# completed run: the `Halted` that `_run` built, which a hit within its
+# steps returns itself (outcomes are immutable); `_NEVER` (infinity) for a
+# run proven never to halt; or the int count of steps explored without a
+# halt.  `_run` and `_follow` return the entry, and `_eval` answers the
+# Halted or None.
 #
-# Re-entrant self-interpretation (an EVB chain reaching an (index, input)
+# Re-entrant self-interpretation (an EVB chain reaching a (program, input)
 # pair that is already being evaluated) has no consistent solution, so such
 # inner calls are treated as divergent, as are chains nested deeper than
 # _DEPTH_LIMIT.  Both cuts are independent of the outer budget, which keeps
 # budget monotonicity intact.
 #
-# An entry is keyed by what its run reads besides index and budget: its
-# input and, at an EVB, the chain of (index, input) pairs of the EVB runs
+# An entry is keyed by what its run reads besides program and budget: its
+# input and, at an EVB, the chain of (record, input) pairs of the EVB runs
 # above, which both cuts read.  So an EVB program's entry is keyed by
 # (input, chain) below the top of the chain, any other by input: every
 # completed run is stored, exact for every caller, and a nested call
@@ -218,66 +218,57 @@ class Halted:
 # the step where the proof closed, since the proof holds on it too.
 #
 # A program the lab builds runs as it is.  `evaluate` takes a Program as
-# well as an index and runs it under a record keyed by the program and
-# lowered from its codes, so the evaluator never decodes an index the lab
-# emitted.  `index_of` (and `operator.index`, through `Program.__index__`)
-# encodes the program on the first read and from then on keys one record
-# by both: the program's own with its index set, or, when the index has a
-# record already, that one, with no lowering of the program.  A program
-# emitted twice is encoded once, and a record made by decoding has its
-# index from the start.  Either key is exact: the index is the list code
-# of the program's codes, so the lowering is the one decoding would give
-# and no outcome or entry can change; only the encode or the unpairing of
-# a number of up to 734,059 bits is skipped.  `s_const`,
-# `LoopCompiler.compile` and the corpus' and literal compiler's encodings
-# return the index, which their callers read; `precompose_affine` and the
-# promise learners' dovetailer return the program, whose index only a
-# reduction witness or the offset_h mutant reads.
+# well as an index and runs it under the record keyed by its codes tuple,
+# lowered from the codes, so the evaluator never decodes an index the lab
+# emitted.  An index is decoded to its codes on first use (corpus files,
+# universe scans, command-line arguments, EVB index registers) and keys
+# the record those codes have, which a program the lab built may have made
+# already.  `index_of` (and `operator.index`, through `Program.__index__`)
+# encodes the program on the first read and adds the index as a key of its
+# record.  So every program has one record however it is reached: by its
+# codes, by its index, in either order.  A program emitted twice is
+# encoded once, and a record made by decoding has its index from the
+# start.  The key is the codes tuple, not the Program, because a tuple
+# hashes in C.
 #
-# A program keyed by itself is exact when it holds no EVB, whose runs
-# never read the chain.  A program with an EVB is on the chain, where the
-# re-entrance cut compares register values with indices.  The cut stays
-# exact through one fact: the list code grows with each code and with the
-# length, so a program of _DEFER_LENGTH (8) or more instructions has an
-# index of at least _DEFER_FLOOR, the code of as many zero codes (83
-# bits).  A shorter EVB program is encoded the first time it runs, which
-# is cheap, and runs under its index; an EVB step whose index register
-# reaches the floor encodes each program on the chain and compares
-# (`_reenters`); below it the check costs one comparison.  An entry
-# stored under a chain that holds the program is exact, though a run
-# under the index's chain does not hit it.  `encode` itself stays a pure
-# codec and fills no cache.  Indices the lab did not build (corpus files,
-# universe scans, command-line arguments) are decoded on first use.
+# The chain holds records, so the re-entrance cut is exact for any program:
+# an EVB step fetches the record of the index in its register and cuts when
+# (record, input) is on the chain, whether the program above runs from its
+# codes or from its index.  Only the unpairing of an index register is
+# paid, never an encode of a program on the chain; `encode` itself stays
+# a pure codec and fills no cache.  `s_const`, `LoopCompiler.compile` and
+# the corpus' and literal compiler's encodings return the index, which
+# their callers read; `precompose_affine` and the promise learners'
+# dovetailer return the program, whose index (up to 734,059 bits) only a
+# reduction witness or the offset_h mutant reads.
 
 _DEPTH_LIMIT = 64
 _NEVER = inf
-_DEFER_LENGTH = 8
-_DEFER_FLOOR = encode_list((0,) * _DEFER_LENGTH)
 
 
 class _Record:
-    """Its index (None for a lab-built program until `index_of` reads it),
-    `_lower`'s four fields, whether the code holds an EVB, entries by key,
-    and the path: None unless the program is free (no EVB, and its input
-    reaches no comparison), else the run every input shares (a `Halted`, a
-    (c, steps) pair, _NEVER or the steps explored), with -1 for no run yet,
-    since an EVB may run a program under budget 0."""
+    """The one record of a program: its index (None until the index is
+    decoded or `index_of` reads it), `_lower`'s four fields, whether the
+    code holds an EVB, entries by key, and the path: None unless the
+    program is free (no EVB, and its input reaches no comparison), else the
+    run every input shares (a `Halted`, a (c, steps) pair, _NEVER or the
+    steps explored), with -1 for no run yet, since an EVB may run a program
+    under budget 0."""
 
     __slots__ = ("index", "code", "nregs", "top", "ctrl", "evb", "path", "outcomes")
 
-    def __init__(self, lowered: tuple, index: ProgramIndex | None = None):
-        self.index = index
+    def __init__(self, lowered: tuple):
+        self.index = None
         self.code, self.nregs, self.top, self.ctrl = lowered
         self.evb = any(ins[0] == 4 for ins in self.code)
         self.path = None if self.evb or self.ctrl is None or 0 in self.ctrl else -1
         self.outcomes: dict[int | tuple, Halted | int | float] = {}
 
 
-# index or lab-built program -> its record, lowered on first use: an index
-# by decoding it, a program from its codes.  Once `index_of` reads a
-# program's index, the program and the index key one record.  The only
-# cache of this module.
-_records: dict[int | Program, _Record] = {}
+# codes tuple -> the program's one record, lowered on first use, and index
+# -> the same record once the index is decoded or `index_of` reads it.  The
+# only cache of this module.
+_records: dict[int | tuple, _Record] = {}
 
 
 def clear_eval_cache() -> None:
@@ -329,28 +320,27 @@ def _lower(codes: Sequence[Nat]) -> tuple:
     return tuple(code), len(order), order[-1], ctrl
 
 
-def _record(key: ProgramIndex | Program) -> _Record:
+def _record(key: ProgramIndex | tuple) -> _Record:
+    """The record of the codes tuple `key`, or of the index `key`, which is
+    decoded on first use and keys the record its codes have."""
     rec = _records.get(key)
     if rec is None:
-        if type(key) is Program:
-            rec = _records[key] = _Record(_lower(key.codes))
+        if type(key) is tuple:
+            rec = _records[key] = _Record(_lower(key))
         else:
-            rec = _records[key] = _Record(_lower(decode_list(key)), key)
+            rec = _records[key] = _record(tuple(decode_list(key)))
+            rec.index = key
     return rec
 
 
 def index_of(program: Program) -> ProgramIndex:
-    """encode(program), kept in the program's record: the first read keys
-    one record by both the program and the index, the index's own when it
-    has one, so an index the lab emits is never decoded, a program emitted
-    twice is encoded once and no program keeps a second lowering beside
-    its decoded index."""
-    rec = _records.get(program)
-    if rec is None or rec.index is None:
-        index = encode(program)
-        rec = _records.get(index) or rec or _Record(_lower(program.codes))
-        rec.index = index
-        _records[program] = _records[index] = rec
+    """encode(program), kept in the program's record, which the first read
+    also keys by the index: an index the lab emits is never decoded, and a
+    program emitted twice is encoded once."""
+    rec = _record(program.codes)
+    if rec.index is None:
+        rec.index = encode(program)
+        _records[rec.index] = rec
     return rec.index
 
 
@@ -360,10 +350,10 @@ def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> Halted | N
     Returns Halted(value, steps) with steps <= budget, or None when the
     run does not halt within the budget.  Deterministic and monotone in
     the budget: a Halted outcome is reproduced unchanged under any larger
-    budget.  One hash of `index` fetches its record; its entry for `arg`
-    (the Halted, never-halts, or the steps explored) answers a hit, and a
-    miss stores one.  A Program runs as its index does, without encoding
-    it (see above).
+    budget.  One hash of the index, or of a Program's codes, fetches the
+    program's record; its entry for `arg` (the Halted, never-halts, or the
+    steps explored) answers a hit, and a miss stores one.  A Program runs
+    as its index does, without encoding it (see above).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -375,16 +365,12 @@ def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> Halted | N
         # it here, not by a type test up front, costs the int path nothing
         if type(index) is not Program:
             raise
-        if _record(index).evb and len(index) < _DEFER_LENGTH:
-            index = index_of(index)
-    return _eval(index, arg, budget)
+        index = index.codes
+    return _eval(_records.get(index) or _record(index), arg, budget)
 
 
-def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> Halted | None:
-    """`chain` holds the (index, input) pairs of the EVB runs above."""
-    rec = _records.get(index)
-    if rec is None:
-        rec = _records[index] = _Record(_lower(decode_list(index)), index)
+def _eval(rec: _Record, arg: int, budget: int, chain=frozenset()) -> Halted | None:
+    """`chain` holds the (record, input) pairs of the EVB runs above."""
     key = (arg, chain) if rec.evb and chain else arg
     ent = rec.outcomes.get(key)
     if ent is not None:
@@ -396,7 +382,7 @@ def _eval(index: int, arg: int, budget: int, chain=frozenset()) -> Halted | None
         ent = rec.outcomes[key] = _follow(rec, arg, budget)
     else:
         if rec.evb:
-            chain = chain | {(index, arg)}
+            chain = chain | {(rec, arg)}
         ent = rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
     return ent if type(ent) is Halted else None
 
@@ -452,13 +438,12 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
         elif tag == 3:
             pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
         else:
-            sub = (regs[ins[1]], regs[ins[2]])
-            if (sub in chain or len(chain) >= _DEPTH_LIMIT
-                    or sub[0] >= _DEFER_FLOOR and _reenters(sub, chain)):
-                regs[ins[4]] = 0
-            else:
-                out = _eval(sub[0], sub[1], regs[ins[3]], chain)
-                regs[ins[4]] = 0 if out is None else out.value + 1
+            out = None
+            if len(chain) < _DEPTH_LIMIT:
+                sub = (_record(regs[ins[1]]), regs[ins[2]])
+                if sub not in chain:
+                    out = _eval(sub[0], sub[1], regs[ins[3]], chain)
+            regs[ins[4]] = 0 if out is None else out.value + 1
             pc += 1
         steps += 1
         if pc == snap_pc and (regs if ctrl is None else [regs[c] for c in ctrl]) == snap:
@@ -467,14 +452,6 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
             snap_pc = pc
             snap = regs.copy() if ctrl is None else [regs[c] for c in ctrl]
             next_snap <<= 1
-
-
-def _reenters(sub: tuple, chain: frozenset) -> bool:
-    """Whether a program on `chain` is sub's index on sub's input; each is
-    encoded through `index_of`, once per record."""
-    index, arg = sub
-    return any(type(key) is Program and a == arg and index_of(key) == index
-               for key, a in chain)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +574,6 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
     _check_emit_length((add if mul == 1 else mul + add + 4) + len(suffix),
                        f"precompose_affine(..., {mul}, {add})")
     if mul == 1 and add == 0:
-        # no macro: the program is the suffix, which shares its index's record
-        _records.setdefault(suffix, _record(index))
         return suffix
     a = _Asm()
     if mul == 1:

@@ -338,6 +338,17 @@ def test_kolmogorov_caps_stops_on_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "cap400").exists()
 
 
+def test_learning_sweep_stops_on_a_usage_error(tmp_path, capsys):
+    run_sweep = _script("learning_sweep.py")["run_sweep"]
+    # the first learner's run directory is a file, which learn refuses
+    # before it writes a summary
+    (tmp_path / "enum_full").write_text("")
+    assert run_sweep("literal-sequences", 1, 1, tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "exit=" not in out
+    assert not (tmp_path / "enum_total").exists()
+
+
 def test_learning_sweep_digests_a_learner_with_no_finished_row(tmp_path, capsys):
     # the one literal of this corpus has no index inside the universe, so
     # both promise learners write only failure rows and no mean

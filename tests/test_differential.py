@@ -14,8 +14,9 @@ the lab builds arrives with the lowering its decoding would give, runs
 as the reference runs it, is never decoded again, and is encoded once
 however often it is emitted; a program the lab builds (a composed
 program, a dovetailer) runs as its index does and is encoded only when
-its index is read, and the chain guard keeps the re-entrance cut exact
-for a program with an EVB.  A free program (no EVB, and no comparison reads its
+its index is read.  Each program has one record, reached by its codes
+and by its index alike, so the re-entrance cut, which compares records,
+is exact for a program with an EVB that runs on its own index.  A free program (no EVB, and no comparison reads its
 input) runs once for all its inputs, and each of them must still get
 the reference's outcome.
 """
@@ -57,8 +58,7 @@ def _cold(index, arg, budget):
 
 
 def _direct(index, arg, budget):
-    """The cold run of the decoded program, keyed by the program unless it
-    is a short one with an EVB."""
+    """The cold run of the decoded program, keyed by its codes."""
     return _cold(decode(index), arg, budget)
 
 
@@ -99,6 +99,45 @@ def test_evaluator_matches_reference_cold_warm_and_direct(programs, budget, rng)
     clear_eval_cache()
     warm = {k: evaluate(*cells[k]) for k in order}
     assert [warm[k] for k in range(len(cells))] == want
+    _assert_one_record_per_program()
+
+
+def _assert_one_record_per_program():
+    """Each index keys the record of the codes it decodes to, and each
+    record with its index set sits under that index, the list code of the
+    codes that key it; no two codes share a record."""
+    records = numbering._records
+    by_codes = {key: rec for key, rec in records.items() if type(key) is tuple}
+    assert len({id(rec) for rec in by_codes.values()}) == len(by_codes)
+    for key, rec in records.items():
+        assert type(key) in (int, tuple)
+        if type(key) is int:
+            assert records[tuple(numbering.decode_list(key))] is rec
+    for codes, rec in by_codes.items():
+        if rec.index is not None:
+            assert rec.index == numbering.encode_list(codes)
+            assert records[rec.index] is rec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_programs, min_size=1, max_size=4), st.integers(1, 40),
+       st.randoms(use_true_random=False))
+def test_each_program_has_one_record_however_it_is_reached(programs, budget, rng):
+    # a shuffled mix of runs of the index, runs of the program and reads
+    # of the index; the inputs include the indices, which the EVBs call
+    indices = [encode(p) for p in programs]
+    inputs = sorted({0, 1, *indices})
+    calls = [(how, k, n) for how in ("index", "program") for k in range(len(programs))
+             for n in inputs] + [("index_of", k, None) for k in range(len(programs))]
+    rng.shuffle(calls)
+    clear_eval_cache()
+    for how, k, n in calls:
+        if how == "index_of":
+            assert index_of(programs[k]) == indices[k]
+        else:
+            out = evaluate(indices[k] if how == "index" else programs[k], n, budget)
+            assert out == reference_outcome(indices[k], n, budget)
+    _assert_one_record_per_program()
 
 
 # indices 0..2000 whose programs hold an EVB, a code of tag 4 (556 of
@@ -300,12 +339,12 @@ def test_depth_cut_matches_reference(monkeypatch, limit, want):
     assert records[_TWO_NESTED_CALLS].outcomes == {11: out}
     # index 11 below the top is stored under its input and the chain
     # above it; index 0, cut at limit 2, is never run
-    above = frozenset({(_TWO_NESTED_CALLS, 11)})
+    above = frozenset({(records[_TWO_NESTED_CALLS], 11)})
     assert records[11].outcomes == {(0, above): Halted(int(limit > 2), 1)}
     if limit > 2:
         assert records[0].outcomes == {0: Halted(0, 0)}
     else:
-        assert 0 not in records
+        assert 0 not in records and () not in records
 
 
 def test_depth_cut_is_the_same_warm_and_cold(monkeypatch):
@@ -346,7 +385,8 @@ def test_a_nested_call_repeated_under_one_chain_runs_once(monkeypatch):
     # at the top of the chain, index 11 reads another chain: a new entry
     assert evaluate(11, 11, 100) == Halted(0, 1)
     assert runs == [inner]
-    assert set(numbering._records[11].outcomes) == {11, (11, frozenset({(_FOUR_CALLS, 11)}))}
+    above = frozenset({(numbering._records[_FOUR_CALLS], 11)})
+    assert set(numbering._records[11].outcomes) == {11, (11, above)}
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +505,10 @@ def test_index_memo_holds_encode_and_is_read_on_a_second_emission(emitter, encod
     first = EMITTERS[emitter]()
     # each emitted index is held by its program's record, also under the index
     read = [(key, rec) for key, rec in numbering._records.items()
-            if type(key) is Program and rec.index is not None]
+            if type(key) is tuple and rec.index is not None]
     assert read
-    for program, record in read:
-        assert record.index == encode(program)
+    for codes, record in read:
+        assert record.index == encode(Program(codes))
         assert numbering._records[record.index] is record
     encodes.clear()
     assert EMITTERS[emitter]() == first
@@ -485,7 +525,7 @@ def test_one_dovetailer_for_both_promise_learners_is_encoded_once(encodes):
     assert amalgamated.verified and shrunk.verified
     assert encodes == []
     assert amalgamated.index == shrunk.index
-    assert numbering._records[shrunk.index].index is None
+    assert numbering._records[shrunk.index.codes].index is None
     index = operator.index(amalgamated.index)
     assert operator.index(shrunk.index) == index == encode(first_value_program([2]))
     assert encodes.count(index) == 1
@@ -520,19 +560,23 @@ def test_index_of_keeps_a_lowering_made_by_decoding(encodes):
     index = encode(program)
     evaluate(index, 0, 10)
     record = numbering._records[index]
+    assert numbering._records[program.codes] is record
+    # decoding gave the record its index, so reading it encodes nothing
     assert index_of(program) == index
-    assert encodes == [index]
+    assert encodes == []
     assert numbering._records[index] is record
-    assert numbering._records[program] is record
-    # a program that ran under its own record before the index was decoded
-    # is keyed to the decoded record once its index is read
+    assert numbering._records[program.codes] is record
+    # a program that ran before its index was decoded: decoding finds the
+    # program's record by its codes and adds the index to it
     clear_eval_cache()
     out = evaluate(program, 0, 10)
-    assert evaluate(index, 0, 10) == out
-    record = numbering._records[index]
-    assert numbering._records[program] is not record
+    record = numbering._records[program.codes]
+    assert evaluate(index, 0, 10) is out
+    assert numbering._records[index] is record and record.index == index
     assert index_of(program) == index
-    assert numbering._records[program] is record
+    assert encodes == []
+    assert [key for key, rec in numbering._records.items() if rec is record] == [
+        program.codes, index]
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +624,11 @@ def test_a_dovetailer_program_runs_as_its_index_in_either_order(program_first):
     assert via_program == via_index == [reference_outcome(index, n, budget)
                                         for n, budget in runs]
     assert any(isinstance(out, Halted) for out in via_program)
-    # one record, under the program and under the index it read
-    record = numbering._records[program]
+    # one record, under the program's codes and under the index it read
+    record = numbering._records[program.codes]
     assert record.index == index
-    assert [key for key, rec in numbering._records.items() if rec is record] == [program, index]
+    assert [key for key, rec in numbering._records.items() if rec is record] == [
+        program.codes, index]
 
 
 def test_a_dovetailer_over_an_evb_member_runs_as_the_reference(monkeypatch):
@@ -602,7 +647,7 @@ def test_a_dovetailer_over_an_evb_member_runs_as_the_reference(monkeypatch):
             for n, budget in runs:
                 evaluate(11, n, budget)
         assert [evaluate(program, n, budget) for n, budget in runs] == want
-        assert numbering._records[program].index is None
+        assert numbering._records[program.codes].index is None
 
 
 def test_reading_the_index_stores_the_record_under_it_too():
@@ -610,11 +655,12 @@ def test_reading_the_index_stores_the_record_under_it_too():
     tupled = _stride_tuples()[0]
     program = precompose_affine(tupled, 2, 1)
     out = evaluate(program, 3, 5000)
-    record = numbering._records[program]
+    record = numbering._records[program.codes]
     assert record.outcomes == {3: out} and record.index is None
     index = operator.index(program)
     assert record.index == index
-    assert [key for key, rec in numbering._records.items() if rec is record] == [program, index]
+    assert [key for key, rec in numbering._records.items() if rec is record] == [
+        program.codes, index]
     # the index and an equal program built again run under the same record
     assert evaluate(index, 3, 5000) is out
     again = precompose_affine(tupled, 2, 1)
@@ -631,7 +677,7 @@ def test_a_composition_with_no_macro_keeps_the_suffix_record(encodes):
     record = numbering._records[_JUMPS]
     program = precompose_affine(_JUMPS, 1, 0)
     assert program == decode(_JUMPS)
-    assert numbering._records[program] is record
+    assert numbering._records[program.codes] is record
     assert evaluate(program, 3, 100) is out
     assert operator.index(program) == _JUMPS
     assert encodes == []
@@ -642,70 +688,40 @@ def test_a_composition_with_a_macro_keys_no_record_by_its_suffix():
     clear_eval_cache()
     program = precompose_affine(tupled, 2, 1)
     evaluate(program, 3, 5000)
-    assert decode(tupled) not in numbering._records
-    assert set(numbering._records) == {tupled, program}
+    records = numbering._records
+    # the suffix's record, decoded for its registers, is its own; the
+    # composed program has another
+    assert records[decode(tupled).codes] is records[tupled]
+    assert records[program.codes] is not records[tupled]
+    assert set(records) == {tupled, decode(tupled).codes, program.codes}
 
 
-def test_only_a_short_program_with_an_evb_is_encoded_when_it_runs(encodes):
-    # decode(11) is EVB 0 0 0 0; after 6 S 0 it is 7 instructions long,
-    # short enough to encode when it first runs, and after 7 (or the
-    # 7-instruction mul 2, add 1 macro) it is not, its index at least 2^82
-    assert numbering._DEFER_LENGTH == 8
-    assert numbering._DEFER_FLOOR == numbering.encode_list([0] * 8) >= 2 ** 82
+# EVB programs of 1, 3 and 8 instructions whose self-calls on their own
+# index are cut: decode(11), and two EVB calls of R0 on R0 that return
+# the second call's result, bare and padded
+_TWICE = "EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0"
+_SELF_CALLERS = {1: decode(11), 3: parse_program(_TWICE),
+                 8: parse_program(_TWICE + "\nZ 3" * 5)}
+
+
+@pytest.mark.parametrize("program_first", [True, False], ids=["program-first", "index-first"])
+@pytest.mark.parametrize("length", sorted(_SELF_CALLERS))
+def test_an_evb_program_on_its_own_index_is_cut_as_its_index_is(length, program_first, encodes):
+    # run from its codes the program is on the chain as its record, which
+    # its index decodes to, so each self-call is cut as in the reference,
+    # in either order and with its index never encoded
+    program = _SELF_CALLERS[length]
+    assert len(program) == length
+    index = encode(program)
+    runs = [(n, budget) for budget in (100, 1) for n in (index, 0, 11)]
+    want = [reference_outcome(index, n, budget) for n, budget in runs]
+    assert want[0] == Halted(0, length)
     clear_eval_cache()
-    short = precompose_affine(11, 1, 6)
-    assert len(short) == 7 and encodes == []
-    short_outs = [evaluate(short, n, 60) for n in range(4)]
-    assert len(encodes) == 1
-    record = numbering._records[short]
-    assert record.evb and record.index == encodes[0]
-    assert numbering._records[encodes[0]] is record
-    for mul, add in [(1, 7), (2, 1)]:
-        encodes.clear()
-        program = precompose_affine(11, mul, add)
-        assert len(program) == 8
-        outs = [evaluate(program, n, 60) for n in range(4)]
-        assert encodes == []
-        assert numbering._records[program].evb
-        assert outs == [reference_outcome(operator.index(program), n, 60) for n in range(4)]
-    assert short_outs == [reference_outcome(operator.index(short), n, 60) for n in range(4)]
-
-
-def test_the_chain_guard_cuts_a_deferred_program_at_the_floor(monkeypatch):
-    # with the floor lowered to 1, the one instruction EVB 0 0 0 0
-    # (decode(11)) runs keyed by the program, so the chain holds the
-    # program and only the guard sees that it calls itself on input 11
-    monkeypatch.setattr(numbering, "_DEFER_LENGTH", 1)
-    monkeypatch.setattr(numbering, "_DEFER_FLOOR", numbering.encode_list([0]))
-    clear_eval_cache()
-    program = decode(11)
-    assert evaluate(program, 11, 100) == Halted(0, 1) == reference_outcome(11, 11, 100)
-    assert numbering._records[program].index == 11
-    assert _cold(11, 11, 100) == Halted(0, 1)
-    # the guard's first encode stores the record under the index too,
-    # while the chain holds the program for the second call
-    twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0")
-    index = encode(twice)
-    clear_eval_cache()
-    assert evaluate(twice, index, 100) == Halted(0, 3) == \
-        reference_outcome(index, index, 100)
-    record = numbering._records[twice]
-    assert record.index == index and numbering._records[index] is record
-
-
-def test_the_chain_guard_reaches_the_real_floor(encodes):
-    # an 8-instruction program run on its own index, which is past the
-    # floor: both of its self-calls are cut, as when it runs as its index,
-    # and the guard encodes it once for both
-    twice = parse_program("EVB 0 0 0 1\nEVB 0 0 0 2\nT 2 0" + "\nZ 3" * 5)
-    index = encode(twice)
-    assert index >= numbering._DEFER_FLOOR
-    clear_eval_cache()
-    out = evaluate(twice, index, 100)
-    assert out == Halted(0, 8) == reference_outcome(index, index, 100)
-    assert encodes == [index]
-    assert numbering._records[twice].index == index
-    assert evaluate(index, index, 100) == _cold(index, index, 100) == out
+    sides = [program, index] if program_first else [index, program]
+    first, second = [[evaluate(side, n, budget) for n, budget in runs] for side in sides]
+    assert first == second == want
+    assert numbering._records[program.codes] is numbering._records[index]
+    assert encodes == []
 
 
 def test_a_program_encodes_through_the_module_encode(encodes):

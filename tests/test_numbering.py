@@ -399,7 +399,7 @@ def test_evaluate_runs_wide_unary_programs_without_their_index():
     assert wide == _prog(*["S 0"] * 500)
     assert evaluate(wide, 3, 500) == Halted(503, 500)
     assert evaluate(wide, 3, 499) is None
-    assert _records[wide].index is None
+    assert _records[wide.codes].index is None
 
 
 def test_an_evb_probe_program_matches_host_evaluator():
