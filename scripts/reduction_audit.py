@@ -40,33 +40,39 @@ def _write(path: pathlib.Path, entries) -> str:
     return str(path)
 
 
-def audit(out_dir: pathlib.Path, seed: int) -> int:
+# the corpus each reduction's domain supports
+CORPUS_FOR = {
+    "cn_limn": "lit", "inf_cn": "lit", "liminf_minhat": "lit",
+    "limn_cn": "conv",
+    "kol_limn": "tot", "kolgeq_b": "tot",
+    "b_kolgeq": "const", "limn_g": "const01",
+    "lpo_kol": "lpo",
+    "ghat_g": "fam", "gstar_g": "fam",
+}
+
+
+def corpora(seed: int) -> dict:
+    """The entries of each corpus named in CORPUS_FOR."""
     lit = gen_literal_sequences(24, seed)
-    corpora = {
-        "lit": _write(out_dir / "lit.corpus", lit),
-        "conv": _write(out_dir / "conv.corpus",
-                       [e for e in lit if isinstance(e.descriptor.tail, Constant)]),
-        "tot": _write(out_dir / "tot.corpus", gen_total_programs(16, seed + 1)),
-        "fam": _write(out_dir / "fam.corpus", gen_families(8, seed + 2)),
-        "lpo": _write(out_dir / "lpo.corpus", gen_lpo_mixed(30, seed + 3)),
-        "const": _write(out_dir / "const.corpus",
-                        _constants(12, seed + 4, (0, 1, 2))),
-        "const01": _write(out_dir / "const01.corpus",
-                          _constants(10, seed + 5, (0, 1))),
+    return {
+        "lit": lit,
+        "conv": [e for e in lit if isinstance(e.descriptor.tail, Constant)],
+        "tot": gen_total_programs(16, seed + 1),
+        "fam": gen_families(8, seed + 2),
+        "lpo": gen_lpo_mixed(30, seed + 3),
+        "const": _constants(12, seed + 4, (0, 1, 2)),
+        "const01": _constants(10, seed + 5, (0, 1)),
     }
-    corpus_for = {
-        "cn_limn": "lit", "inf_cn": "lit", "liminf_minhat": "lit",
-        "limn_cn": "conv",
-        "kol_limn": "tot", "kolgeq_b": "tot",
-        "b_kolgeq": "const", "limn_g": "const01",
-        "lpo_kol": "lpo",
-        "ghat_g": "fam", "gstar_g": "fam",
-    }
+
+
+def audit(out_dir: pathlib.Path, seed: int) -> int:
+    paths = {key: _write(out_dir / f"{key}.corpus", entries)
+             for key, entries in corpora(seed).items()}
 
     registry = reduction_registry(problem_config(DEFAULTS))
     bad = 0
     for name in sorted(registry):
-        corpus = corpora[corpus_for[name]]
+        corpus = paths[CORPUS_FOR[name]]
         rc = main(["reduce-check", "--reduction", name, "--corpus", corpus,
                    "--out-dir", str(out_dir / name)])
         detected = []

@@ -13,11 +13,12 @@ import time
 import pytest
 
 from godellab import cli
-from godellab.cli import DEFAULTS, build_parser, main, read_config, resolve_config
-from godellab.corpus import CORPUS_KINDS, CorpusEntry
+from godellab.cli import (
+    DEFAULTS, build_parser, main, problem_config, read_config, resolve_config)
+from godellab.corpus import CORPUS_KINDS, CorpusEntry, write_corpus
 from godellab.numbering import Copy, Inc, Loop, clear_eval_cache, compile_loop
 from godellab.oracles import clear_oracle_cache
-from godellab.reductions import MUTATION_MODES
+from godellab.reductions import MUTATION_MODES, reduction_registry
 from godellab.spaces import Generated
 
 
@@ -441,6 +442,71 @@ def test_every_mutant_of_the_component_reductions_is_pinned(tmp_path):
         assert hashlib.sha256(report).hexdigest() == digest, (name, mode)
     report = (tmp_path / "ghat_g" / "offset_h" / "report.json").read_text()
     assert '"outer": "#bits=214"' in report
+
+
+# sha256 of report.json for every catalog reduction's base run and its
+# declared mutants, over the corpora `scripts/reduction_audit.py` builds
+# at its default seed 19, each reduction on the corpus the script assigns
+# it; the family corpus is `corpus-gen families --size 4 --seed 4`.
+# Every base exits 0 and every mutant 1
+CATALOG_REPORTS = {
+    ("b_kolgeq", "base"): "7d08c73b0d1805a9e2e98fce6143d6b33dfaa3b3975cec44652d2b471ce269e9",
+    ("b_kolgeq", "constant_h"): "b359a8189696825de5219c0b8092e7be649324b17c14ff3ea4ac67bd029e18b1",
+    ("b_kolgeq", "collapse_k"): "f4d00fdb8ce68aab3b8dfa61376fab9fe57d55139d3e1faa292b4199a2d92afa",
+    ("cn_limn", "base"): "bc89d36053a9a5c2f6d5ec957f61a9ae2dce2064ed1505924b3ac7b8226c8eb4",
+    ("cn_limn", "constant_h"): "55dd13f2facaf22e3e72e79a36edb425b415a964478385502ac07564f4831ba1",
+    ("cn_limn", "offset_h"): "57c7d66edeeca6d520c71b5aaa408d33ffe40016669594ff3331c18957f7448b",
+    ("ghat_g", "base"): "7921e2779f17e3e1a8b1de4c9650ac5114d6fa9789ac93a00f534aa5bd44aeb8",
+    ("ghat_g", "feed_zero"): "c322ee3fcbb1625bd107ad4247df56d90de23a50dc7aaa59d8f84c4ef8b5fb59",
+    ("ghat_g", "drop_k"): "15b8a6745cb37b97637fb580ed2f6c1db3340e1343e62bd21a41ef24f51aa5c2",
+    ("gstar_g", "base"): "00fb538a9d579135501baf9582fe23a3b1275bdbf84fe5915b70d6d70968e4ae",
+    ("gstar_g", "feed_zero"): "ecc2ae20e9cca5b54051d09d2a381ad22a69b658877d9bb65f4b6ad355ff4044",
+    ("gstar_g", "drop_k"): "7287cb024698df70dff538895996689b92b682ae21e1494659c10bfcdd00c02a",
+    ("inf_cn", "base"): "4121c1b9c586408e0c58dcca18996d3db3fbf679bbaeb9b5b1d01c848bdae80b",
+    ("inf_cn", "constant_h"): "322007a63c1ce1296f7758110f9e2f43ba1c4b03583c2d5056deb9e8bf4efce9",
+    ("inf_cn", "offset_h"): "c97caff11aa29affdaf94dec72e98ef2b08de439da82b19fd72864697a6f2844",
+    ("kol_limn", "base"): "410af93c4ec5c36ddecdf8311dbde0ef2f752503d9cdbc9d6f641c909338b36c",
+    ("kol_limn", "constant_h"): "26c1d2407370322290414c5cb096b4040301fbbd6ed85aaa61ffab5a6f7c1d18",
+    ("kol_limn", "offset_h"): "b08328a3f8d6e476210375deda349f8807143f2bbbcc4498054e5d644aefde10",
+    ("kolgeq_b", "base"): "7312360b75f7b2ec1760e479c9063baabc31613999e24d238ea8f526db290345",
+    ("kolgeq_b", "constant_h"): "bcae26bf8bcbb4e6c2ef302caff2a308fc019ca04453fadc5fa635dfe30e6f4e",
+    ("kolgeq_b", "collapse_k"): "a331cb5cd40903b90de8e35ab8517c636839b92ae433dab42f09d180f61907f5",
+    ("liminf_minhat", "base"): "58201a2fda9e5a58cac627aabbd8a2142ecf4498b52f3290a47bf36d162880e5",
+    ("liminf_minhat", "constant_h"): "f01dfa5b24a46e93b6affcc29a7d599331a3fa60459b71578d430d3a41bde893",
+    ("liminf_minhat", "offset_h"): "2c07ddc206cf4d5f180ed6d3592c8abd155d3b250bae5e522691a09b0a0598c7",
+    ("limn_cn", "base"): "5fe95735f58e85fe262ef1d359e8535ffef2b7b25c189a99ddf37f9994594009",
+    ("limn_cn", "constant_h"): "7c27c2c00f84fd3eff6b9e979751698cc397df5ee2bb18052ce7e24e22facd77",
+    ("limn_cn", "offset_h"): "f5ccb05da3521bf65a00ac608682f94ef21dbb1508d1aaada49b464770ee6291",
+    ("limn_g", "base"): "f13d6750ce6d551853d82595e6d11f59b9c2fd8a863cb3c90ce84735ce9eaf47",
+    ("limn_g", "constant_h"): "33f223a6caefe090ebd50b56818eecbb2fdd310e29b63ba2fc77698dc9b8ff24",
+    ("limn_g", "offset_h"): "0ef94a47ff7fc039408b540592426f125cb53e4da72d209f0288490f0bdac2d5",
+    ("lpo_kol", "base"): "c7adb0928f76458f1e9d875944a3b5a847243bd07fdffca94dd6581e9fe2f9db",
+    ("lpo_kol", "constant_h"): "a8cf8a0057f87217b73bfbe939307fa6d4252cbc72fdbf770197ffffdb6d08ce",
+    ("lpo_kol", "drop_k"): "99aec373efcb33ddaa468e5c494a53c87abf14ddbd7f8664e2bb7ef90e634a28",
+}
+
+
+def test_every_catalog_reduction_and_declared_mutant_is_pinned(tmp_path):
+    audit = _script("reduction_audit.py")
+    run("corpus-gen", "families", "--size", 4, "--seed", 4, "--out-dir", tmp_path)
+    paths = {"fam": tmp_path / "families.corpus"}
+    for key, entries in audit["corpora"](19).items():
+        if key != "fam":
+            paths[key] = tmp_path / f"{key}.corpus"
+            write_corpus(paths[key], entries)
+    registry = reduction_registry(problem_config(DEFAULTS))
+    assert set(CATALOG_REPORTS) == {
+        (name, mode) for name, case in registry.items()
+        for mode in ("base",) + case.mutant_modes}
+    for (name, mode), digest in CATALOG_REPORTS.items():
+        out = tmp_path / name / mode
+        argv = ["reduce-check", "--reduction", name,
+                "--corpus", paths[audit["CORPUS_FOR"][name]], "--out-dir", out]
+        if mode != "base":
+            argv += ["--mutant", mode]
+        assert run(*argv) == (0 if mode == "base" else 1), (name, mode)
+        report = (out / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest, (name, mode)
 
 
 # sha256 of each result file of the promise learners over
