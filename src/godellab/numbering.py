@@ -272,6 +272,11 @@ _records: dict[int | tuple, _Record] = {}
 
 
 def clear_eval_cache() -> None:
+    # an entry below the top of an EVB chain is keyed by the chain's
+    # records, so a program that runs itself holds its own record; clearing
+    # the entries first leaves no cycle for the collector
+    for rec in _records.values():
+        rec.outcomes.clear()
     _records.clear()
 
 

@@ -27,6 +27,7 @@ universe forces a choice:
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass
@@ -96,7 +97,9 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
     Passes iff on every instance the image lands in g's domain and every
     enumerated g-answer transports to a verified f-answer.  Domain
     violations, construction aborts, and verification failures all leave
-    witnesses in the report.
+    witnesses in the report.  Every answer is tried and each failing one
+    recorded, but an f-answer that H returns again within an instance is
+    verified once: the verdict depends only on the instance and it.
     """
     records = []
     witnesses = []
@@ -117,6 +120,7 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
             continue
         tried = []
         good = True
+        verdicts: dict = {}
         for a in sorted(g.enumerate_answers(y, cfg)):
             tried.append(a)
             try:
@@ -126,7 +130,9 @@ def check_reduction(f: ProblemSpec, g: ProblemSpec, r: ReductionPair,
                     FailureWitness(xid, "construction", inner=a, note=str(stop)))
                 good = False
                 continue
-            if not f.verify(x, b, cfg):
+            if b not in verdicts:
+                verdicts[b] = f.verify(x, b, cfg)
+            if not verdicts[b]:
                 witnesses.append(FailureWitness(xid, "verification", a, b))
                 good = False
         records.append(InstanceRecord(xid, tuple(tried), good))
@@ -262,10 +268,15 @@ def catalog_limn_g(cfg: ProblemConfig) -> ReductionPair:
     """Limits from Godel numbers: interleave R-markers with the guesses;
     any verified index lands past the markers, where the constructed
     sequence already sits at the limit, so reading it off at the index
-    position recovers the limit."""
+    position recovers the limit.
+
+    K keeps its image of each instance for as long as the pair lives, and
+    H reads K(x) from that memo instead of rebuilding it for every answer.
+    A mutant that `mutate` gives another K still reads this one in H."""
 
     oracle = cfg.oracle
 
+    @functools.cache
     def K(x):
         lim = literal_limit(x)
         cells = []

@@ -7,6 +7,7 @@ no code with the lab, through tests/machine_reference.py; the wider
 differential checks are in tests/test_differential.py.
 """
 
+import gc
 import operator
 import random
 import tracemalloc
@@ -428,6 +429,27 @@ def test_clear_eval_cache_empties_every_cache_of_numbering():
     assert all(caches.values())
     clear_eval_cache()
     assert not any(caches.values())
+
+
+def test_clear_eval_cache_leaves_no_record_for_the_collector():
+    # an entry below the top of an EVB chain is keyed by the chain's
+    # records, so a program that runs itself on its own index holds its own
+    # record; with the collector off, a record left in such a cycle would
+    # outlive the clear
+    gc.collect()
+    gc.disable()
+    try:
+        clear_eval_cache()
+        for i in range(2000):
+            for n in (*range(17), i):
+                evaluate(i, n, 400)
+        assert sum(any(rec in {r for r, _ in key[1]}
+                       for key in rec.outcomes if type(key) is tuple)
+                   for rec in set(numbering._records.values())) == 62
+        clear_eval_cache()
+        assert not [o for o in gc.get_objects() if type(o) is numbering._Record]
+    finally:
+        gc.enable()
 
 
 def test_evaluator_state_of_a_universe_scan_stays_small():

@@ -59,6 +59,12 @@ def test_compatible_frozen_examples():
     assert compatible(1, 3, CFG) is True
 
 
+def test_compatible_reads_the_last_window_position():
+    # the identity (0) and zero (1) agree at 0 and differ first at 1, the
+    # last position of window 1
+    assert compatible(0, 1, OracleConfig(cap=200, window=1, index_bound=400)) is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 500))
 def test_compatible_reflexive(i):
@@ -97,6 +103,13 @@ def test_in_R_frozen_examples():
     assert in_R(0, 1, CFG)
     # identity(1) = 1, witnessed
     assert not in_R(1, 1, CFG)
+
+
+def test_in_R_sees_the_candidate_at_index_bound():
+    # past index_bound the candidates are 0..index_bound; of 0..9 only
+    # 9 = [S 0, S 0] maps 8 to 10
+    assert not in_R(8, 10, OracleConfig(cap=200, window=16, index_bound=9))
+    assert in_R(8, 10, OracleConfig(cap=200, window=16, index_bound=8))
 
 
 def test_in_R_has_large_members_for_k0():
@@ -161,6 +174,16 @@ def test_min_index_not_found_reported_as_none():
     # nothing tiny computes the 5,6,7,... sequence within a 3-index universe
     cramped = OracleConfig(cap=50, window=4, index_bound=3)
     assert min_index(Literal((5,), Constant(6)), cramped) is None
+
+
+def test_min_index_finds_a_least_index_at_index_bound():
+    # 9 is PLUS_TWO's least index, and the last candidate of this universe;
+    # the second query reads the table the first one filled
+    cfg = OracleConfig(cap=200, window=16, index_bound=9)
+    clear_oracle_cache()
+    assert min_index(PLUS_TWO, cfg) == 9
+    assert min_index(PLUS_TWO, cfg) == 9
+    assert min_index(PLUS_TWO, OracleConfig(cap=200, window=16, index_bound=8)) is None
 
 
 def test_min_index_rejects_partial_descriptor():

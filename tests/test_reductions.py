@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godellab import numbering
+from godellab import numbering, reductions
 from godellab.numbering import (
     clear_eval_cache,
     encode,
@@ -31,7 +31,7 @@ from godellab.numbering import (
     stride_tuple_program,
 )
 from godellab.oracles import OracleConfig, min_index
-from godellab.problems import ProblemConfig, make_cn, make_lim_n
+from godellab.problems import ProblemConfig, ProblemSpec, make_cn, make_lim_n
 from godellab.reductions import (
     FailureWitness,
     ReductionAbort,
@@ -122,6 +122,34 @@ def test_constant_h_fails_when_answers_are_pinned():
     # every enumerated answer was tried before the verdict
     assert rep.records[0].tried == tuple(sorted(cn.enumerate_answers(
         Literal((0, 2), Constant(4)), CFG)))
+
+
+def test_a_repeated_f_answer_is_verified_once_per_instance():
+    # H sends the answers of an instance to two f-answers, 0 and 1; each
+    # is verified once per instance, the repeated instance included, yet
+    # every answer is tried and each failing one leaves its own witness
+    cn = make_cn()
+    calls = []
+
+    def verify(x, b, cfg):
+        calls.append((x, b))
+        return cn.verify(x, b, cfg)
+
+    counted = ProblemSpec("cn", cn.domain_check, verify, cn.enumerate_answers)
+    corpus = [Literal((0, 2), Constant(4)), Literal((1,), Constant(1)),
+              Literal((0, 2), Constant(4))]
+    rep = check_reduction(counted, cn, ReductionPair("parity", lambda x: x,
+                                                     lambda x, a: a % 2),
+                          corpus, CFG)
+    answers = [sorted(cn.enumerate_answers(x, CFG)) for x in corpus]
+    assert calls == [(x, b) for x, tried in zip(corpus, answers)
+                     for b in dict.fromkeys(a % 2 for a in tried)]
+    assert [rec.tried for rec in rep.records] == [tuple(t) for t in answers]
+    assert rep.witnesses == tuple(
+        FailureWitness(xid, "verification", a, a % 2)
+        for xid, (x, tried) in enumerate(zip(corpus, answers))
+        for a in tried if not cn.verify(x, a % 2, CFG))
+    assert [rec.verified for rec in rep.records] == [False, False, False]
 
 
 def test_domain_violations_leave_witnesses():
@@ -219,6 +247,29 @@ def test_limn_g_readout_is_the_limit():
             assert literal_value(y, i) == lim
         least = min_index(y, CFG.oracle)
         assert least is not None and r.H(inst, least) == lim
+
+
+def test_each_limn_g_pair_keeps_its_own_images(monkeypatch):
+    # H reads the image K keeps for its pair, so it searches R for no
+    # answer; a pair from a second registry builds the image again
+    searches = []
+    real = reductions.search_R
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reductions, "search_R", counting)
+    first, second = (reduction_registry(CFG)["limn_g"].pair for _ in range(2))
+    x = Literal((1,), Constant(1))
+    y = first.K(x)
+    built = len(searches)
+    assert built == len(x.prefix) + 1
+    assert [first.H(x, i) for i in range(len(y.prefix) + 2)] == list(y.prefix) + [1, 1]
+    assert mutate(first, "drop_k").H(x, 0) == y.prefix[0]
+    assert len(searches) == built
+    assert second.K(x) == y
+    assert len(searches) == 2 * built
 
 
 def test_lpo_kol_collapses_then_compares():
