@@ -12,18 +12,12 @@ equality of functions.
 Domain conventions, following the source definitions:
 
   * lpo: answer 1 iff the sequence is identically zero, else 0.
-  * llpo: the instance is a stride-2 interleaved pair; answer i is valid
-    iff component i is not identically zero; the all-zero pair is
-    outside the domain.
   * lim_n: domain is the convergent (eventually constant) literals.
   * b: valid answers are the upper bounds of the value set.
   * inf: least value NOT enumerated by the sequence (min of the closed
     choice solution set).
-  * min: least value enumerated by the sequence.
-  * cn / kn: the sequence enumerates forbidden values; any value not in
-    its range (and, for kn, at most the packaged bound m) is valid.
-  * cl_n / bwt_n: cluster points; every literal is bounded, so bwt_n is
-    cl_n with an explicit boundedness reading.
+  * cn: the sequence enumerates forbidden values; any value not in its
+    range is valid.
   * liminf_n: least cluster point.
   * g / kol / g_geq / kol_geq: window-verified indices within the
     universe; kol pins the least one; the _geq forms carry or produce
@@ -32,7 +26,7 @@ Domain conventions, following the source definitions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, FrozenSet
 
 from .numbering import Nat
@@ -47,14 +41,11 @@ from .spaces import (
     Generated,
     Literal,
     SeqDescriptor,
-    cluster_values,
-    component_literal,
     is_convergent,
     literal_is_zero,
     literal_least_absent,
     literal_limit,
     literal_liminf,
-    literal_min,
     literal_sup,
     literal_values,
 )
@@ -108,23 +99,6 @@ def make_lpo() -> ProblemSpec:
     return _single_valued("lpo", lambda inst, cfg: _is_literal(inst), answer)
 
 
-def make_llpo() -> ProblemSpec:
-    def in_domain(inst, cfg):
-        if not _is_literal(inst):
-            return False
-        return not literal_is_zero(inst)
-
-    def verify(inst, a, cfg):
-        if a not in (0, 1):
-            return False
-        return not literal_is_zero(component_literal(inst, a))
-
-    def enumerate_answers(inst, cfg):
-        return frozenset(a for a in (0, 1) if verify(inst, a, cfg))
-
-    return ProblemSpec("llpo", in_domain, verify, enumerate_answers)
-
-
 # ---------------------------------------------------------------------------
 # limits and bounds
 
@@ -160,14 +134,6 @@ def make_inf() -> ProblemSpec:
     )
 
 
-def make_min() -> ProblemSpec:
-    return _single_valued(
-        "min",
-        lambda inst, cfg: _is_literal(inst),
-        lambda inst, cfg: literal_min(inst),
-    )
-
-
 # ---------------------------------------------------------------------------
 # choice
 
@@ -187,48 +153,8 @@ def make_cn() -> ProblemSpec:
     return ProblemSpec("cn", in_domain, verify, enumerate_answers)
 
 
-def make_kn() -> ProblemSpec:
-    def _shaped(inst) -> bool:
-        return (
-            isinstance(inst, tuple)
-            and len(inst) == 2
-            and _is_literal(inst[0])
-            and isinstance(inst[1], int)
-            and inst[1] >= 0
-        )
-
-    def in_domain(inst, cfg):
-        if not _shaped(inst):
-            return False
-        d, m = inst
-        return literal_values(d) < set(range(m + 1))
-
-    def verify(inst, a, cfg):
-        d, m = inst
-        return 0 <= a <= m and a not in literal_values(d)
-
-    def enumerate_answers(inst, cfg):
-        d, m = inst
-        present = literal_values(d)
-        return frozenset(a for a in range(m + 1) if a not in present)
-
-    return ProblemSpec("kn", in_domain, verify, enumerate_answers)
-
-
 # ---------------------------------------------------------------------------
 # cluster structure
-
-
-def make_cl_n() -> ProblemSpec:
-    def verify(inst, a, cfg):
-        return a in cluster_values(inst)
-
-    return ProblemSpec(
-        "cl_n",
-        lambda inst, cfg: _is_literal(inst),
-        verify,
-        lambda inst, cfg: cluster_values(inst),
-    )
 
 
 def make_liminf_n() -> ProblemSpec:
@@ -323,15 +249,10 @@ def make_kol_geq() -> ProblemSpec:
 def problem_registry() -> dict[str, ProblemSpec]:
     specs = [
         make_lpo(),
-        make_llpo(),
         make_lim_n(),
         make_b(),
         make_inf(),
-        make_min(),
         make_cn(),
-        make_kn(),
-        make_cl_n(),
-        replace(make_cl_n(), name="bwt_n"),
         make_liminf_n(),
         make_g(),
         make_kol(),

@@ -12,7 +12,6 @@ exhaustion surfacing as None rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Union
 
 from .numbering import (
@@ -135,10 +134,6 @@ def literal_limit(d: Literal) -> Nat:
     return tail_word(d.tail)[0]
 
 
-def literal_min(d: Literal) -> Nat:
-    return min(literal_values(d))
-
-
 def literal_sup(d: Literal) -> Nat:
     return max(literal_values(d))
 
@@ -158,30 +153,6 @@ def least_absent(present) -> Nat:
 def literal_least_absent(d: Literal) -> Nat:
     """Least value the sequence never takes."""
     return least_absent(literal_values(d))
-
-
-def subsample_literal(d: Literal, stride: Nat, offset: Nat) -> Literal:
-    """The sequence n -> d(stride*n + offset), again a Literal.
-
-    Sampling the tail with a fixed stride is periodic with period
-    |word| / gcd(stride, |word|).  Component extraction of a pairing is
-    the stride-2 case.
-    """
-    if stride < 1 or offset < 0:
-        raise ValueError("need stride >= 1 and a natural offset")
-    w = tail_word(d.tail)
-    k = max(0, -(-(len(d.prefix) - offset) // stride))
-    prefix = tuple(literal_value(d, stride * n + offset) for n in range(k))
-    span = len(w) // gcd(stride, len(w))
-    word = tuple(literal_value(d, stride * (k + j) + offset) for j in range(span))
-    return Literal(prefix, Periodic(word))
-
-
-def component_literal(d: Literal, i: int) -> Literal:
-    """Component i of a stride-2 interleaved pair."""
-    if i not in (0, 1):
-        raise ValueError("pair component must be 0 or 1")
-    return subsample_literal(d, 2, i)
 
 
 # ---------------------------------------------------------------------------

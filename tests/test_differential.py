@@ -7,7 +7,9 @@ must equal its outcome, whatever the cache held before.  The hand-made
 growth cases loop while one register grows and halt only once that
 growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
-divergent.  The hand-made cut cases and the cut fuzz reach the
+divergent.  The control slots that proof compares are checked without
+running anything, for every index up to 20,000 and the growth cases,
+against a closure computed from the reference's decoding.  The hand-made cut cases and the cut fuzz reach the
 re-entrance and depth cuts of EVB, whose outcomes the memo stores under
 the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
@@ -307,6 +309,48 @@ def test_growth_that_reaches_a_comparison_halts():
             assert _cold(program, arg, budget) == want
         assert evaluate(index, arg, want.steps - 1) is None
 
+
+def _reference_control(program):
+    """(named registers, control registers) of a program as the reference
+    decodes it: both operands of each J a b k with a != b, then, to a fixed
+    point, the sources of each T or EVB that writes a control register."""
+    named, control = {0}, set()
+    for op, *args in program:
+        named.update(args[:2] if op == "J" else args)
+        if op == "J" and args[0] != args[1]:
+            control.update(args[:2])
+    grew = True
+    while grew:
+        grew = False
+        for op, *args in program:
+            if op in ("T", "EVB") and args[-1] in control \
+                    and not control.issuperset(args[:-1]):
+                control.update(args[:-1])
+                grew = True
+    return named, control
+
+
+def test_control_slots_are_the_closure_of_the_reference_decoding():
+    # every _NEVER entry the evaluator stores rests on the control slots:
+    # a run whose pc and control slots repeat is proven never to halt.  The
+    # reference checks outcomes only up to its budget, so the slots are
+    # checked here without running anything, against a closure of the
+    # reference's own decoding.  A closure that skips an EVB's budget
+    # register agrees on every index up to 20,000; the growth cases, whose
+    # EVBs write control registers, tell it apart
+    programs = [(numbering.decode_list(i), reference.decode_program(i))
+                for i in range(20001)]
+    programs += [(program.codes, reference.decode_program(encode(program)))
+                 for program, _ in GROWTH_CASES]
+    wrong = []
+    for codes, decoded in programs:
+        named, control = _reference_control(decoded)
+        _, count, largest, ctrl = numbering._lower(codes)
+        order = sorted(named)
+        got = set(order) if ctrl is None else {order[s] for s in ctrl}
+        if (count, largest, got) != (len(order), order[-1], control):
+            wrong.append((decoded, ctrl, sorted(control)))
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

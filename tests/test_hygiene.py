@@ -15,12 +15,12 @@ but each of them must still name a function of the lab, and so must each
 `lab.<module>.<name>` the benchmark reads.  A dataclass field counts as
 used when the same files read an attribute of its name (`spec.verify`,
 `res.trace`); passing it by keyword or position fills the slot but reads
-nothing.
+nothing.  Each problem of `problem_registry()` counts as read when the
+same files read a subscript keyed by its name (`p["cn"]`, `specs["kol"]`).
 
 A use is matched by name alone, so any name or attribute spelled like
 a definition counts as its user, and a member with no caller can still
-pass: a property `LoopCompiler.image` had none, but passed because
-godelbench/workloads.py has a local variable `image`.
+pass when an unrelated variable, attribute or key shares its name.
 """
 
 import ast
@@ -29,6 +29,8 @@ import importlib.util
 import pathlib
 
 import pytest
+
+from godellab.problems import problem_registry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "scripts", "tests")
@@ -245,6 +247,38 @@ def test_the_check_sees_an_unread_callable_field():
                         "s.run(1)\nf = s.hook\nprint(s.name)\n",
     }
     assert unread_fields(sources) == ["Spec.size", "Spec.spare", "Spec.written"]
+
+
+def unread_problems(names, sources: dict[str, str]) -> list[str]:
+    """The problem names that no source uses as a subscript key.
+
+    The lab keeps a problem spec only as an endpoint of a reduction or a
+    query, and both look their problems up by name in the registry.
+    """
+    keys = {sub.slice.value for path, text in sources.items()
+            for sub in ast.walk(ast.parse(text, path))
+            if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Load)
+            and isinstance(sub.slice, ast.Constant)}
+    return sorted(set(names) - keys)
+
+
+def test_every_problem_is_read_outside_the_tests():
+    assert unread_problems(problem_registry(), _code_sources()) == []
+
+
+def test_the_check_sees_an_unread_problem():
+    sources = {
+        "src/r.py": "def pairs(p):\n"
+                    "    \"\"\"p['doc'] names nothing.\"\"\"\n"
+                    "    return p['cn'], p.get('called')  # p['comment']\n",
+        "godelbench/w.py": "def query(specs):\n"
+                           "    specs['kol'] = specs['g']\n"
+                           "    return specs[0], 'bare'\n",
+    }
+    names = ["bare", "called", "cn", "comment", "doc", "g", "kol"]
+    # a key loaded is a read; a key stored, a string, a docstring, a
+    # comment or an argument is none
+    assert unread_problems(names, sources) == ["bare", "called", "comment", "doc", "kol"]
 
 
 def test_words_outside_code_are_not_users():

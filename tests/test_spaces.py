@@ -20,7 +20,6 @@ from godellab.spaces import (
     Periodic,
     cluster_values,
     compile_literal,
-    component_literal,
     descriptor_get,
     format_descriptor,
     is_convergent,
@@ -28,12 +27,10 @@ from godellab.spaces import (
     literal_is_zero,
     literal_liminf,
     literal_limit,
-    literal_min,
     literal_sup,
     literal_value,
     literal_values,
     parse_descriptor,
-    subsample_literal,
 )
 from literal_reference import span, tail_word, window
 
@@ -94,7 +91,6 @@ def test_value_and_cluster_sets_match_window(d):
     seq = window(d, span(d))
     assert literal_values(d) == set(seq)
     assert cluster_values(d) == set(seq[len(d.prefix):])
-    assert literal_min(d) == min(seq)
     assert literal_sup(d) == max(seq)
     assert literal_liminf(d) == min(seq[len(d.prefix):])
 
@@ -122,37 +118,8 @@ def test_analysis_frozen_examples():
     assert cluster_values(Literal((9,), Periodic((1, 2)))) == {1, 2}
     assert literal_liminf(Literal((9,), Periodic((1, 2)))) == 1
     assert literal_limit(Literal((5, 5, 3), Constant(3))) == 3
-    assert literal_min(Literal((4, 2), Constant(9))) == 2
     assert literal_is_zero(Literal((), Constant(0)))
     assert not literal_is_zero(Literal((0, 0, 1), Constant(0)))
-
-
-# ---------------------------------------------------------------------------
-# literal transforms
-
-
-@settings(max_examples=80, deadline=None)
-@given(_literals)
-def test_components_read_even_and_odd_positions(d):
-    left, right = component_literal(d, 0), component_literal(d, 1)
-    for n in range(24):
-        assert literal_value(left, n) == literal_value(d, 2 * n)
-        assert literal_value(right, n) == literal_value(d, 2 * n + 1)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_literals, st.integers(1, 4), st.integers(0, 5))
-def test_subsample_matches_direct_read(d, stride, offset):
-    sub = subsample_literal(d, stride, offset)
-    for n in range(24):
-        assert literal_value(sub, n) == literal_value(d, stride * n + offset)
-
-
-def test_subsample_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        subsample_literal(Literal((), Constant(0)), 0, 0)
-    with pytest.raises(ValueError):
-        component_literal(Literal((), Constant(0)), 2)
 
 
 # ---------------------------------------------------------------------------
