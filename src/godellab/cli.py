@@ -215,9 +215,8 @@ def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
     # the promise learners: the bound is the entry's annotation or else
     # the least index; the table is built per call so that it reads the
     # module's current bindings, which godelbench's tracer rebinds
-    key, learn = {"amalgamation": ("m", amalgamation_learn),
-                  "bounded-min": ("k", bounded_min_learner)}[learner]
-    bound = getattr(entry, key)
+    key, bound, learn = {"amalgamation": ("m", entry.m, amalgamation_learn),
+                         "bounded-min": ("k", entry.k, bounded_min_learner)}[learner]
     if bound is None:
         bound = min_index(d, oracle)
     elif bound > oracle.index_bound:

@@ -462,49 +462,11 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
 # ---------------------------------------------------------------------------
 # A small assembler for emitted programs.  Jump targets may be label strings;
 # a label placed after the last instruction resolves past the end (halt).
-
-
-class _Asm:
-    def __init__(self):
-        # instruction codes, and (a, b, label) for a jump to a label
-        self._items: list = []
-        self._labels: dict[str, int] = {}
-
-    def label(self, name: str) -> None:
-        if name in self._labels:
-            raise ValueError(f"duplicate label {name}")
-        self._labels[name] = len(self._items)
-
-    def emit(self, op: str, *args) -> None:
-        if op == "J" and isinstance(args[2], str):
-            self._items.append(args)
-        else:
-            self._items.append(_code(_OPS.index(op), args))
-
-    def copy(self, program: Program) -> None:
-        self._items.extend(program.codes)
-
-    def assemble(self) -> Program:
-        out = []
-        for m in self._items:
-            if type(m) is tuple:
-                a, b, k = m
-                if k not in self._labels:
-                    raise ValueError(f"unknown label {k}")
-                m = _code(3, (a, b, self._labels[k]))
-            out.append(m)
-        return Program(tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# Index transformers.
 #
 # The list code squares roughly once per instruction, so an index has about
 # 2^L digits for an L-instruction program.  The programs the lab emits have
 # a hard desk-scale length ceiling; beyond it the index is mathematically
-# fine but cannot be materialized.  Macros use scratch registers above the
-# suffix's register space, so no zeroing pass is needed before the original
-# program runs.
+# fine but cannot be materialized.
 
 EMIT_LENGTH_CEILING = 22
 
@@ -517,14 +479,59 @@ def _check_emit_length(n: int, what: str) -> None:
         )
 
 
-def _prepend(macro: Program, suffix: Program) -> Program:
-    codes = list(macro.codes)
-    for m in suffix.codes:
-        if m % 5 == 3:
-            a, b, k = _fields(m)[1]
-            m = _code(3, (a, b, k + len(macro)))
-        codes.append(m)
-    return Program(tuple(codes))
+class _Asm:
+    """Counts every instruction it is asked to emit but keeps only those
+    within the emission ceiling, so an emitter states its length once, as
+    what it emits; `assemble` refuses an over-long program, naming `what`,
+    without having built the instructions past the ceiling."""
+
+    def __init__(self, what: str):
+        self._what = what
+        self._count = 0
+        # copied codes, and (op tag, args) to code once every label is placed
+        self._items: list = []
+        self._labels: dict[str, int] = {}
+
+    def label(self, name: str) -> None:
+        if name in self._labels:
+            raise ValueError(f"duplicate label {name}")
+        self._labels[name] = self._count
+
+    def emit(self, op: str, *args, times: int = 1) -> None:
+        """Emit `times` copies of the instruction `op args`."""
+        if self._count + times <= EMIT_LENGTH_CEILING:
+            self._items += [(_OPS.index(op), args)] * times
+        self._count += times
+
+    def copy(self, program: Program) -> None:
+        """Emit `program`, its jump targets moved past what precedes it."""
+        if self._count + len(program) <= EMIT_LENGTH_CEILING:
+            for m in program.codes:
+                if m % 5 == 3:
+                    a, b, k = _fields(m)[1]
+                    m = _code(3, (a, b, k + self._count))
+                self._items.append(m)
+        self._count += len(program)
+
+    def assemble(self) -> Program:
+        _check_emit_length(self._count, self._what)
+        out = []
+        for m in self._items:
+            if type(m) is tuple:
+                tag, args = m
+                if tag == 3 and type(args[2]) is str:
+                    if args[2] not in self._labels:
+                        raise ValueError(f"unknown label {args[2]}")
+                    args = args[:2] + (self._labels[args[2]],)
+                m = _code(tag, args)
+            out.append(m)
+        return Program(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Index transformers: a macro, then the original program copied after it.
+# Macros use scratch registers above the suffix's register space, so no
+# zeroing pass is needed before the original program runs.
 
 
 def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
@@ -535,16 +542,11 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     """
     if const < 0:
         raise ValueError("const must be a natural")
-    suffix = decode(index)
-    _check_emit_length((const + 2) + const * (const + 1) // 2 + 10 + len(suffix),
-                       f"s_const(..., {const})")
     base = _record(index).top + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
-    a = _Asm()
-    for _ in range(const + 2):
-        a.emit("S", b)
-    for _ in range(const * (const + 1) // 2):
-        a.emit("S", acc)
+    a = _Asm(f"s_const(..., {const})")
+    a.emit("S", b, times=const + 2)
+    a.emit("S", acc, times=const * (const + 1) // 2)
     a.label("lp")
     a.emit("J", k, 0, "fin")
     a.emit("Z", i)
@@ -559,7 +561,8 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     a.emit("J", 0, 0, "lp")
     a.label("fin")
     a.emit("T", acc, 0)
-    return index_of(_prepend(a.assemble(), suffix))
+    a.copy(decode(index))
+    return index_of(a.assemble())
 
 
 def s_const_budget(const: Nat, arg: Nat, inner: Nat) -> Nat:
@@ -575,29 +578,22 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
     read."""
     if mul < 0 or add < 0:
         raise ValueError("mul and add must be naturals")
-    suffix = decode(index)
-    _check_emit_length((add if mul == 1 else mul + add + 4) + len(suffix),
-                       f"precompose_affine(..., {mul}, {add})")
-    if mul == 1 and add == 0:
-        return suffix
-    a = _Asm()
+    a = _Asm(f"precompose_affine(..., {mul}, {add})")
     if mul == 1:
-        for _ in range(add):
-            a.emit("S", 0)
+        a.emit("S", 0, times=add)
     else:
         base = _record(index).top + 1
         k, acc = base, base + 1
         a.label("lp")
         a.emit("J", k, 0, "done")
-        for _ in range(mul):
-            a.emit("S", acc)
+        a.emit("S", acc, times=mul)
         a.emit("S", k)
         a.emit("J", 0, 0, "lp")
         a.label("done")
-        for _ in range(add):
-            a.emit("S", acc)
+        a.emit("S", acc, times=add)
         a.emit("T", acc, 0)
-    return _prepend(a.assemble(), suffix)
+    a.copy(decode(index))
+    return a.assemble()
 
 
 def affine_budget(mul: Nat, add: Nat, arg: Nat, inner: Nat) -> Nat:
@@ -610,8 +606,7 @@ def affine_budget(mul: Nat, add: Nat, arg: Nat, inner: Nat) -> Nat:
 # First-value dovetailing over a fixed member set: the emitted program runs
 # every member on the input under round-robin budgets 1, 2, 3, ... and halts
 # with the first value any member produces.  Member constants are loaded as
-# gaps in one register per round, so members must be strictly increasing and
-# the emitted length is max(members) + 3*len(members) + 10.
+# gaps in one register per round, so members must be strictly increasing.
 
 
 def first_value_program(members: Sequence[ProgramIndex]) -> Program:
@@ -619,15 +614,11 @@ def first_value_program(members: Sequence[ProgramIndex]) -> Program:
         raise ValueError("need at least one member")
     if any(b <= a for a, b in zip(members, members[1:])) or members[0] < 0:
         raise ValueError("members must be strictly increasing naturals")
-    single = len(members) == 1
-    length = members[-1] + 11 if single else members[-1] + 3 * len(members) + 10
-    _check_emit_length(length, f"first-value program over {len(members)} members")
-    a = _Asm()
+    a = _Asm(f"first-value program over {len(members)} members")
     # R0 input, R1 inner budget, R2 evb result, R3 pinned zero,
     # R4/R5 decrement scratch, R6 member cursor
-    if single:
-        for _ in range(members[0]):
-            a.emit("S", 6)
+    if len(members) == 1:
+        a.emit("S", 6, times=members[0])
         a.emit("S", 1)
         a.label("round")
         a.emit("EVB", 6, 0, 1, 2)
@@ -649,8 +640,7 @@ def first_value_program(members: Sequence[ProgramIndex]) -> Program:
     a.label("round")
     prev = 0
     for t, j in enumerate(members):
-        for _ in range(j - prev):
-            a.emit("S", 6)
+        a.emit("S", 6, times=j - prev)
         prev = j
         a.emit("EVB", 6, 0, 1, 2)
         a.emit("J", 2, 3, f"nx{t}")
@@ -749,7 +739,7 @@ class LoopCompiler:
 
     def compile(self, stmts: Sequence[LoopStmt]) -> ProgramIndex:
         base = max(_loop_regs(stmts), default=-1) + 1
-        a = _Asm()
+        a = _Asm("loop program")
         self._emit(a, stmts, base, 0)
         index = index_of(a.assemble())
         self._image.add(index)
@@ -767,7 +757,7 @@ class LoopCompiler:
                 snap = base + 2 * depth
                 cnt = base + 2 * depth + 1
                 # named by position, which no other loop of the assembly shares
-                top, end = f"lt{len(a._items)}", f"le{len(a._items)}"
+                top, end = f"lt{a._count}", f"le{a._count}"
                 a.emit("T", st.reg, snap)
                 a.emit("Z", cnt)
                 a.label(top)
@@ -803,23 +793,22 @@ def value_table_program(prefix: Sequence[Nat], const: Nat | None = None,
     if word is not None and len(word) == 1:
         const, word = word[0], None
     # a block of value v: Z, v S's and (but the last) a jump out; a prefix
-    # value: J, S; a word of length w: w loads, 7 walking, 2w - 3 dispatching
+    # value: J, S; a word of length w: w loads, 7 walking, 2w - 3 dispatching.
+    # Counted up front, since the dispatch emits per letter of the word
     values = list(prefix) + ([const] if word is None else list(word))
+    what = f"table over {len(prefix)} prefix values"
     _check_emit_length(sum(values) + 2 * len(values) - 1 + 2 * len(prefix)
-                       + (0 if word is None else 3 * len(word) + 4),
-                       f"table over {len(prefix)} prefix values")
-    a = _Asm()
+                       + (0 if word is None else 3 * len(word) + 4), what)
+    a = _Asm(what)
 
     def block(values: Nat, last: bool) -> None:
         a.emit("Z", 0)
-        for _ in range(values):
-            a.emit("S", 0)
+        a.emit("S", 0, times=values)
         if not last:
             a.emit("J", 0, 0, "end")
 
     if word is not None:
-        for _ in range(len(word)):
-            a.emit("S", 3)
+        a.emit("S", 3, times=len(word))
     for j in range(len(prefix)):
         a.emit("J", 0, 1, f"set{j}")
         a.emit("S", 1)
@@ -888,9 +877,7 @@ def stride_tuple_program(bodies: Sequence[Program]) -> Program:
             # every op but J writes its last argument
             if args[-1] in (1, 2):
                 raise ValueError("component bodies must not write R1 or R2")
-    length = (1 if s == 1 else 2 * s + 2) + sum(len(b) for b in bodies) + (s - 1)
-    _check_emit_length(length, f"stride tuple over {s} components")
-    a = _Asm()
+    a = _Asm(f"stride tuple over {s} components")
     if s == 1:
         a.emit("T", 0, 2)
         a.copy(bodies[0])

@@ -211,18 +211,9 @@ def test_the_check_sees_an_unnamed_definition():
     assert unnamed_definitions(sources) == ["Public.idle", "Public.shape", "lonely"]
 
 
-# fields the lab reads only through `getattr(entry, key)`, a string key
-# that names no attribute: `format_entry` writes each annotation that is
-# set, and `cli._learn_one` reads the promise learner's bound
-UNREAD_ALLOWED = {"CorpusEntry.m", "CorpusEntry.k"}
-
-
 def test_every_callable_field_is_read_outside_the_tests():
     # every field is checked, the `Callable` ones among them
-    unread = set(unread_fields(_code_sources()))
-    assert unread - UNREAD_ALLOWED == set()
-    # an allowed name that gains a reader leaves the list
-    assert UNREAD_ALLOWED - unread == set()
+    assert unread_fields(_code_sources()) == []
 
 
 def test_the_check_sees_an_unread_callable_field():

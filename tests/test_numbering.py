@@ -8,8 +8,10 @@ differential checks are in tests/test_differential.py.
 """
 
 import gc
+import itertools
 import operator
 import random
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -572,6 +574,36 @@ def test_emitter_length_checks_count_what_is_emitted(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(numbering, "EMIT_LENGTH_CEILING", 10**6)
             assert counted == len(value_table_program(prefix, **tail))
+    # so do the dovetailer's, with one member and with several
+    for members in [(0,), (11,), (12,), (30,), (0, 2), (1, 2, 5), (4, 9),
+                    (0, 1, 2, 3), (10, 20, 30)]:
+        counted = _emitted_length(first_value_program, members)
+        with monkeypatch.context() as m:
+            m.setattr(numbering, "EMIT_LENGTH_CEILING", 10**6)
+            assert counted == len(first_value_program(members)), members
+    # and a stride tuple's, at widths 1 to 3
+    bodies = [parse_program("T 2 0" + "\nS 0" * k) for k in (0, 2, 9, 21)]
+    for width in (1, 2, 3):
+        for chosen in itertools.product(bodies, repeat=width):
+            counted = _emitted_length(stride_tuple_program, chosen)
+            with monkeypatch.context() as m:
+                m.setattr(numbering, "EMIT_LENGTH_CEILING", 10**6)
+                assert counted == len(stride_tuple_program(chosen))
+    # a loop program's refusal under a low ceiling counts what it builds
+    for stmts in [(Inc(0),), (ZeroR(1), Loop(0, (Inc(1), Inc(1))), Copy(1, 0)),
+                  (ZeroR(1), Loop(0, (Loop(0, (Inc(1),)),)), Copy(1, 0))]:
+        with monkeypatch.context() as m:
+            m.setattr(numbering, "EMIT_LENGTH_CEILING", 0)
+            counted = _emitted_length(LoopCompiler().compile, stmts)
+        assert counted == _emitted_length(LoopCompiler().compile, stmts)
+
+
+def test_loop_compiler_refuses_past_the_ceiling_before_encoding():
+    # a 23-instruction index would have millions of bits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="loop program needs 23 instructions"):
+        compile_loop((Inc(0),) * 23)
+    assert time.perf_counter() - start < 1
 
 
 # names {0, 3, 10**9}: the identity while registers start at 0, and 0 on
