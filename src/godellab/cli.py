@@ -7,6 +7,10 @@ file, built-in defaults fill the rest; each command takes only the
 flags it reads, and `--seed` belongs to corpus-gen alone.  Result files
 never embed timing, so identical (command, config, seed, inputs)
 reproduce them byte for byte; wall-clock goes to the manifest only.
+Every file goes through `corpus.write_text`, so a re-run into the same
+--out-dir leaves a result file that already holds its bytes untouched
+(its mtime does not move), while `manifest.json`, whose `elapsed_s`
+differs, is rewritten on every run.
 
 `main` is the one command path: it resolves the config, runs the
 command, turns a `ValueError` into exit 2 and writes `manifest.json`
@@ -41,6 +45,7 @@ from .corpus import (
     read_corpus,
     to_reduction_instance,
     write_corpus,
+    write_text,
 )
 from .learners import (
     LearnerConfig,
@@ -128,13 +133,6 @@ def learner_config(values: dict[str, int]) -> LearnerConfig:
 
 def problem_config(values: dict[str, int]) -> ProblemConfig:
     return ProblemConfig(_oracle_config(values), values["ceiling"])
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_corpus(path: str, reduction: str | None = None) -> list:
@@ -253,7 +251,7 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
         rows.append(row)
         if trace is not None:
             csv_path = os.path.join(args.out_dir, f"trace_{idx:04d}.csv")
-            _write_text(csv_path, trace_to_csv(trace))
+            write_text(csv_path, trace_to_csv(trace))
             outputs.append(csv_path)
     done = [r for r in rows if "error" not in r]
     summary = {
@@ -268,7 +266,7 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
                               if done else None),
     }
     summary_path = os.path.join(args.out_dir, "summary.json")
-    _write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
+    write_text(summary_path, json.dumps(summary, sort_keys=True) + "\n")
     outputs.append(summary_path)
     ok = rows and all("error" not in r and r["converged"] and r["verified"]
                       for r in rows)
@@ -294,7 +292,7 @@ def cmd_kolmogorov(args, values) -> tuple[int, list[str]]:
             ok = window_verify(least, entry.descriptor, oracle)
             lines.append(f"{format_entry(entry)},{least},{ok}")
     table_path = os.path.join(args.out_dir, "kolmogorov.csv")
-    _write_text(table_path, "\n".join(lines) + "\n")
+    write_text(table_path, "\n".join(lines) + "\n")
     print(table_path)
     return (1 if partial else 0), [table_path]
 
@@ -311,8 +309,8 @@ def cmd_reduce_check(args, values) -> tuple[int, list[str]]:
     report = check_reduction(case.f, case.g, pair, instances, pcfg)
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
-    _write_text(report_path,
-                report_to_json(report, os.path.basename(args.corpus)) + "\n")
+    write_text(report_path,
+               report_to_json(report, os.path.basename(args.corpus)) + "\n")
     print(report_path)
     return (0 if report.passed else 1), [report_path]
 
@@ -404,8 +402,8 @@ def main(argv=None) -> int:
                         "seed": getattr(args, "seed", None),
                         "inputs": [args.corpus] if "corpus" in args else [],
                         "outputs": outputs, "elapsed_s": time.monotonic() - t0}
-            _write_text(os.path.join(args.out_dir, "manifest.json"),
-                        json.dumps(manifest, sort_keys=True) + "\n")
+            write_text(os.path.join(args.out_dir, "manifest.json"),
+                       json.dumps(manifest, sort_keys=True) + "\n")
     except (OSError, ValueError) as err:
         # a usage error, or an output that cannot be written
         print(f"error: {err}", file=sys.stderr)

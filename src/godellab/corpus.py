@@ -12,10 +12,15 @@ Annotations carry per-instance promises and tuple bookkeeping: m is the
 amalgamation universe bound, k the shrinking-set bound, width and which
 select a component of a stride-tupled descriptor.  Blank lines and
 lines starting with # are skipped; parse errors name the line.
+
+`write_text` is the lab's one file writer, for corpora and result files
+alike: a reader sees the old file or the whole new one, never a part,
+and a file that already holds the bytes is left untouched.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -88,10 +93,30 @@ def read_corpus(lines: Iterable[str]) -> list[CorpusEntry]:
     return entries
 
 
+def write_text(path, text: str) -> None:
+    """Put `text` at `path` as UTF-8 through `path`.tmp and `os.replace`,
+    unless `path` already holds exactly those bytes; then nothing is
+    written and its mtime does not move."""
+    data = text.encode()
+    try:
+        with open(path, "rb") as fh:
+            # one byte more, so that a longer file does not compare equal
+            if fh.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass   # absent or unreadable: the write below replaces it or fails
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
+
+
 def write_corpus(path, entries: Sequence[CorpusEntry]) -> None:
-    with open(path, "w") as fh:
-        for e in entries:
-            fh.write(format_entry(e) + "\n")
+    write_text(path, "".join(format_entry(e) + "\n" for e in entries))
 
 
 # ---------------------------------------------------------------------------

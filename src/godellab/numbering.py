@@ -542,7 +542,8 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     """
     if const < 0:
         raise ValueError("const must be a natural")
-    base = _record(index).top + 1
+    suffix = decode(index)
+    base = _record(suffix.codes).top + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
     a = _Asm(f"s_const(..., {const})")
     a.emit("S", b, times=const + 2)
@@ -561,7 +562,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     a.emit("J", 0, 0, "lp")
     a.label("fin")
     a.emit("T", acc, 0)
-    a.copy(decode(index))
+    a.copy(suffix)
     return index_of(a.assemble())
 
 
@@ -578,11 +579,12 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
     read."""
     if mul < 0 or add < 0:
         raise ValueError("mul and add must be naturals")
+    suffix = decode(index)
     a = _Asm(f"precompose_affine(..., {mul}, {add})")
     if mul == 1:
         a.emit("S", 0, times=add)
     else:
-        base = _record(index).top + 1
+        base = _record(suffix.codes).top + 1
         k, acc = base, base + 1
         a.label("lp")
         a.emit("J", k, 0, "done")
@@ -592,7 +594,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
         a.label("done")
         a.emit("S", acc, times=add)
         a.emit("T", acc, 0)
-    a.copy(decode(index))
+    a.copy(suffix)
     return a.assemble()
 
 

@@ -682,3 +682,76 @@ def test_each_manifest_lists_exactly_the_files_written(tmp_path, capsys):
         assert sorted(manifest["outputs"]) == written
     assert sorted(p.name for p in (tmp_path / "learn").iterdir()) == [
         "manifest.json", "summary.json", "trace_0000.csv"]
+
+
+# ---------------------------------------------------------------------------
+# result writes: whole or not at all, and a file that already holds the
+# command's bytes is left as it is
+
+
+def _files(rundir):
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in rundir.iterdir()}
+
+
+def test_a_rerun_leaves_identical_result_files_untouched(tmp_path):
+    corpus = tmp_path / "mix.corpus"
+    corpus.write_text("lit tail=const:0\ngen index=2 budget=9\n")
+    runs = {
+        "corpus-gen": ["corpus-gen", "families", "--size", 2],
+        "learn": ["learn", "--learner", "enum-full", "--corpus", corpus],
+        "kolmogorov": ["kolmogorov", "--corpus", corpus],
+        "reduce-check": ["reduce-check", "--reduction", "cn_limn",
+                         "--corpus", corpus],
+    }
+    for command, argv in runs.items():
+        rundir = tmp_path / command
+        code = run(*argv, "--out-dir", rundir)
+        before = _files(rundir)
+        assert run(*argv, "--out-dir", rundir) == code
+        after = _files(rundir)
+        # os.replace gives the manifest a new inode; a kept file keeps its own
+        assert before.pop("manifest.json")[0] != after.pop("manifest.json")[0]
+        assert after == before and before, command
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(str(rundir / name)
+                                                     for name in before)
+
+
+# what a result path may hold that is not the command's bytes
+STALE = {
+    "prefix": lambda good: good[:len(good) // 2],
+    "longer": lambda good: good + b"lit tail=const:1,1,True\n",
+    "crlf": lambda good: good.replace(b"\n", b"\r\n"),
+    "undecodable": lambda good: b"\xff\xfe" + good[2:],
+    "empty": lambda good: b"",
+}
+
+
+@pytest.mark.parametrize("stale", sorted(STALE))
+def test_a_result_file_holding_other_bytes_is_replaced(tmp_path, stale):
+    corpus = tmp_path / "k.corpus"
+    corpus.write_text("lit tail=const:0\ngen index=0 budget=4\n")
+    argv = ["kolmogorov", "--corpus", corpus]
+    assert run(*argv, "--out-dir", tmp_path / "fresh") == 0
+    good = (tmp_path / "fresh" / "kolmogorov.csv").read_bytes()
+    table = tmp_path / "run" / "kolmogorov.csv"
+    table.parent.mkdir()
+    table.write_bytes(STALE[stale](good))
+    inode = table.stat().st_ino
+    assert run(*argv, "--out-dir", table.parent) == 0
+    assert table.read_bytes() == good and table.stat().st_ino != inode
+    assert sorted(p.name for p in table.parent.iterdir()) == [
+        "kolmogorov.csv", "manifest.json"]
+
+
+def test_a_directory_at_a_result_path_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "k.corpus"
+    corpus.write_text("lit tail=const:0\n")
+    rundir = tmp_path / "run"
+    (rundir / "kolmogorov.csv").mkdir(parents=True)
+    assert run("kolmogorov", "--corpus", corpus, "--out-dir", rundir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # no temporary file is left beside it
+    assert [p.name for p in rundir.iterdir()] == ["kolmogorov.csv"]

@@ -71,6 +71,21 @@ def test_write_then_read(tmp_path):
     assert read_corpus(path.read_text().splitlines()) == entries
 
 
+def test_an_interrupted_write_keeps_the_old_corpus(tmp_path):
+    path = tmp_path / "x.corpus"
+    old = gen_lpo_mixed(6, seed=3)
+    write_corpus(path, old)
+
+    def entries():
+        yield from gen_lpo_mixed(4, seed=5)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_corpus(path, entries())
+    assert read_corpus(path.read_text().splitlines()) == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.corpus"]
+
+
 # ---------------------------------------------------------------------------
 # generators
 

@@ -685,6 +685,12 @@ def test_a_dovetailer_over_an_evb_member_runs_as_the_reference(monkeypatch):
     want = [reference_program_outcome(monkeypatch, program, n, budget)
             for n, budget in runs]
     assert any(isinstance(out, Halted) for out in want)
+    # a value it halts with is the member's own value, which EVB 0 0 0 0
+    # reaches in one step; so a dovetailer that loses an instruction does
+    # not pass by running as its lost codes do on both sides
+    for (n, _), out in zip(runs, want):
+        if isinstance(out, Halted):
+            assert out.value == reference_outcome(11, n, 1).value, n
     for member_first in (True, False):
         clear_eval_cache()
         if member_first:
@@ -733,11 +739,15 @@ def test_a_composition_with_a_macro_keys_no_record_by_its_suffix():
     program = precompose_affine(tupled, 2, 1)
     evaluate(program, 3, 5000)
     records = numbering._records
-    # the suffix's record, decoded for its registers, is its own; the
-    # composed program has another
-    assert records[decode(tupled).codes] is records[tupled]
-    assert records[program.codes] is not records[tupled]
-    assert set(records) == {tupled, decode(tupled).codes, program.codes}
+    # the suffix's record, read from its decoded codes for its registers,
+    # is its own; the composed program has another, and the suffix's index
+    # keys the suffix's record once it runs
+    suffix = decode(tupled).codes
+    assert records[program.codes] is not records[suffix]
+    assert set(records) == {suffix, program.codes}
+    evaluate(tupled, 3, 5000)
+    assert records[tupled] is records[suffix]
+    assert set(records) == {tupled, suffix, program.codes}
 
 
 # EVB programs of 1, 3 and 8 instructions whose self-calls on their own

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, no module under src/ or
 scripts/ imports another's private name, every public definition under
 src/ has a user outside the tests, and so does every field of a public
-dataclass under src/.
+dataclass under src/, and only `corpus.write_text` writes a file under
+src/ (an `open` for writing, or an `os.replace`).
 
 Walks the syntax tree of each module under src/, scripts/ and tests/
 with the standard library alone.  An imported name counts as used when
@@ -363,3 +364,54 @@ def test_the_check_sees_a_missing_lab_name():
     assert missing_lab_names(sources) == ["godelbench/t.py: nomodule.f",
                                           "godelbench/w.py: corpus.gone",
                                           "godelbench/w.py: numbering.nowhere"]
+
+
+def file_writes(tree: ast.Module) -> list[str]:
+    """'<top-level definition>: <call> (line n)' for each call that writes
+    a file in place: `open` with a mode that writes (or one that is not a
+    literal), and `os.replace` or `os.rename`."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if mode is not None and (not isinstance(mode, ast.Constant)
+                                         or set("wax+") & set(mode.value)):
+                    found.append((node.lineno, owner, "open"))
+            elif (isinstance(func, ast.Attribute) and func.attr in ("replace", "rename")
+                  and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                found.append((node.lineno, owner, f"os.{func.attr}"))
+    return [f"{owner}: {call} (line {line})" for line, owner, call in sorted(found)]
+
+
+def test_the_lab_writes_files_through_one_helper():
+    # corpora and result files alike go through corpus.write_text, which
+    # replaces a file whole and keeps one that already holds the bytes
+    writes = {str(p.relative_to(ROOT)): file_writes(ast.parse(p.read_text(), str(p)))
+              for p in FILES if p.relative_to(ROOT).parts[0] == "src"}
+    helper = writes.pop("src/godellab/corpus.py")
+    assert [w.split(" (")[0] for w in helper] == ["write_text: open",
+                                                  "write_text: os.replace"]
+    assert {path: found for path, found in writes.items() if found} == {}
+
+
+def test_the_check_sees_a_file_write():
+    tree = ast.parse("import os\n"
+                     "def save(path, text, mode):\n"
+                     "    with open(path, 'w') as fh:\n"
+                     "        fh.write(text)\n"
+                     "    open(path, mode=mode)\n"
+                     "    open(path), open(path, 'rb'), open(path, mode='r')\n"
+                     "class Store:\n"
+                     "    def keep(self, a, b):\n"
+                     "        os.replace(a, b)\n"
+                     "        text.replace(a, b)\n"
+                     "open('log', 'ab')\n")
+    assert file_writes(tree) == ["save: open (line 3)", "save: open (line 5)",
+                                 "Store: os.replace (line 9)",
+                                 "<module>: open (line 11)"]

@@ -543,6 +543,27 @@ def test_emitters_refuse_before_building():
         s_const(0, 3000)
 
 
+def test_emitters_decode_their_suffix_once(monkeypatch):
+    # the scratch base and the copied suffix come from one decoding of an
+    # index not seen before, whether the program is built or refused
+    calls = []
+    monkeypatch.setattr(numbering, "decode_list",
+                        lambda n: calls.append(n) or decode_list(n))
+    index = 140192
+    for ceiling in (numbering.EMIT_LENGTH_CEILING, 4):
+        monkeypatch.setattr(numbering, "EMIT_LENGTH_CEILING", ceiling)
+        for emit, args in [(s_const, (index, 1)), (precompose_affine, (index, 2, 1)),
+                           (precompose_affine, (index, 1, 3))]:
+            clear_eval_cache()
+            calls.clear()
+            if ceiling == 4:
+                with pytest.raises(ValueError, match="needs"):
+                    emit(*args)
+            else:
+                emit(*args)
+            assert calls == [index], (emit.__name__, args, ceiling)
+
+
 def _emitted_length(emit, *args, **kwargs):
     """Instructions emit(...) builds, a Program or the program of an
     index, or the count its refusal names."""
