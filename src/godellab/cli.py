@@ -163,10 +163,12 @@ def cmd_enumerate(args, values) -> tuple[int, list[str]]:
     _at_least(("start", args.start, 0), ("window", values["window"], 0),
               ("cap", values["cap"], 1))
     for index in range(args.start, args.stop + 1):
-        text = format_program(decode(index)).replace("\n", "; ") or "(empty)"
+        # the program runs as its index does, keyed by its codes alone
+        program = decode(index)
+        text = format_program(program).replace("\n", "; ") or "(empty)"
         cells = []
         for n in range(values["window"] + 1):
-            out = evaluate(index, n, values["cap"])
+            out = evaluate(program, n, values["cap"])
             cells.append("?" if out is None else str(out.value))
         print(f"{index}\t{text}\t{','.join(cells)}")
     return 0, []

@@ -164,8 +164,8 @@ class Halted:
 # Budgeted evaluator.
 #
 # `evaluate` is the one entry: lowering turns a list of instruction codes
-# into tuples over densely renumbered registers, and `_run` is the only
-# machine step loop.
+# into tuples over densely renumbered registers, in one read of each code,
+# and `_run` is the only machine step loop.
 #
 # Every instruction costs one step, EVB included: the inner evaluation is
 # free for the caller and runs under the budget read from R[s].
@@ -189,8 +189,12 @@ class Halted:
 # above, which both cuts read.  So an EVB program's entry is keyed by
 # (input, chain) below the top of the chain, any other by input: every
 # completed run is stored, exact for every caller, and a nested call
-# repeated under one chain is a hit.  A miss hashes the index once, and an
-# EVB program's run once more for its place on the chain.
+# repeated under one chain is a hit.  A miss hashes the index once.  Only
+# EVB records join a chain, so the chain grows only when an EVB step
+# reaches an EVB program: a run builds the chain below it, the chain above
+# plus its own (record, input), on the first such step and shares it with
+# every later one, and a step that reaches a program without an EVB skips
+# the re-entrance test, since that program is on no chain.
 #
 # Divergence is also proven outright.  The next pc and the next values of
 # the control slots (the registers a comparison can read, directly or
@@ -282,11 +286,12 @@ def clear_eval_cache() -> None:
 
 def _lower(codes: Sequence[Nat]) -> tuple:
     """(code, register count, largest register name, control slots) of the
-    program with instruction codes `codes`.
+    program with instruction codes `codes`, in one read of each code.
 
     Registers are renumbered densely in name order, so R0 stays slot 0 and
     the register file has one slot per named register, however large the
-    names are.  Jump targets are kept as they are.
+    names are; names that are already 0..k are kept.  Jump targets are kept
+    as they are.
 
     The control slots are the slots whose values can reach a comparison:
     both operands of every conditional jump (J a b k with a != b), closed
@@ -294,35 +299,43 @@ def _lower(codes: Sequence[Nat]) -> tuple:
     the index, argument and budget registers of an EVB into one are control
     slots too.  They are a sorted tuple, or None when they are every slot.
     """
-    fields = [_fields(m) for m in codes]
-    names = {0}
-    for tag, args in fields:
-        names.update(args[:2] if tag == 3 else args)
-    order = sorted(names)
-    slot = {r: i for i, r in enumerate(order)}
     code = []
+    names = {0}
     control = set()
-    # reads[d]: the slots read by a T or EVB that writes slot d
-    reads = [[] for _ in order]
-    for tag, args in fields:
+    writes = False  # whether a T or an EVB writes a register
+    for m in codes:
+        tag, args = _fields(m)
+        code.append((tag,) + args)
         if tag == 3:
-            a, b, k = args
-            code.append((tag, slot[a], slot[b], k))
+            a, b, _ = args
+            names.add(a)
+            names.add(b)
             if a != b:
-                control.update((slot[a], slot[b]))
+                control.add(a)
+                control.add(b)
         else:
-            args = tuple(slot[r] for r in args)
-            code.append((tag,) + args)
-            if tag >= 2:
-                reads[args[-1]].extend(args[:-1])
-    work = list(control)
-    while work:
-        for src in reads[work.pop()]:
-            if src not in control:
-                control.add(src)
-                work.append(src)
-    ctrl = None if len(control) == len(order) else tuple(sorted(control))
-    return tuple(code), len(order), order[-1], ctrl
+            names.update(args)
+            writes = writes or tag >= 2
+    nregs, top = len(names), max(names)
+    if top >= nregs:
+        slot = {r: i for i, r in enumerate(sorted(names))}
+        code = [(3, slot[ins[1]], slot[ins[2]], ins[3]) if ins[0] == 3
+                else (ins[0],) + tuple(slot[r] for r in ins[1:]) for ins in code]
+        control = {slot[r] for r in control}
+    if writes and control:
+        # reads[d]: the slots read by a T or EVB that writes slot d
+        reads = [[] for _ in range(nregs)]
+        for ins in code:
+            if ins[0] == 2 or ins[0] == 4:
+                reads[ins[-1]].extend(ins[1:-1])
+        work = list(control)
+        while work:
+            for src in reads[work.pop()]:
+                if src not in control:
+                    control.add(src)
+                    work.append(src)
+    ctrl = None if len(control) == nregs else tuple(sorted(control))
+    return tuple(code), nregs, top, ctrl
 
 
 def _record(key: ProgramIndex | tuple) -> _Record:
@@ -386,9 +399,7 @@ def _eval(rec: _Record, arg: int, budget: int, chain=frozenset()) -> Halted | No
     if rec.path is not None:
         ent = rec.outcomes[key] = _follow(rec, arg, budget)
     else:
-        if rec.evb:
-            chain = chain | {(rec, arg)}
-        ent = rec.outcomes[key] = _run(rec.code, rec.nregs, rec.ctrl, arg, budget, chain)
+        ent = rec.outcomes[key] = _run(rec, arg, budget, chain)
     return ent if type(ent) is Halted else None
 
 
@@ -397,7 +408,7 @@ def _follow(rec: _Record, arg: int, budget: int):
     path = rec.path
     if type(path) is int and budget > path:
         probe = budget + 1
-        path = _run(rec.code, rec.nregs, rec.ctrl, probe, budget, frozenset())
+        path = _run(rec, probe, budget, frozenset())
         if type(path) is Halted and path.value >= probe:
             path = (path.value - probe, path.steps)
         rec.path = path
@@ -408,15 +419,21 @@ def _follow(rec: _Record, arg: int, budget: int):
     return path if budget >= path.steps else budget
 
 
-def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset):
-    """The machine step loop: its memo entry, a Halted or the steps explored.
+def _run(rec: _Record, arg: int, budget: int, chain: frozenset):
+    """The machine step loop of `rec` on `arg` below the EVB runs `chain`:
+    its memo entry, a Halted or the steps explored.
 
-    The pc and the control slots `ctrl` (every slot when None) are
+    The pc and the control slots (every slot when `rec.ctrl` is None) are
     snapshotted at doubling step counts.  When both repeat, the run
     provably never halts, whatever the other registers hold: the entry
     is _NEVER.
+
+    The depth cut is decided once, since the chain does not change during
+    the run; the chain below it, `chain` plus (rec, arg), is built on the
+    first EVB step that reaches an EVB program (see above).
     """
-    regs = [0] * nregs
+    code, ctrl = rec.code, rec.ctrl
+    regs = [0] * rec.nregs
     regs[0] = arg
     pc = 0
     steps = 0
@@ -424,6 +441,8 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
     snap_pc = -1
     snap = None
     next_snap = 8
+    deep = len(chain) + 1 >= _DEPTH_LIMIT
+    below = None
     while True:
         if pc >= ncode:
             return Halted(regs[0], steps)
@@ -444,10 +463,15 @@ def _run(code: tuple, nregs: int, ctrl, arg: int, budget: int, chain: frozenset)
             pc = ins[3] if regs[ins[1]] == regs[ins[2]] else pc + 1
         else:
             out = None
-            if len(chain) < _DEPTH_LIMIT:
-                sub = (_record(regs[ins[1]]), regs[ins[2]])
-                if sub not in chain:
-                    out = _eval(sub[0], sub[1], regs[ins[3]], chain)
+            if not deep:
+                sub = _records.get(regs[ins[1]]) or _record(regs[ins[1]])
+                if not sub.evb:
+                    out = _eval(sub, regs[ins[2]], regs[ins[3]])
+                else:
+                    if below is None:
+                        below = chain | {(rec, arg)}
+                    if (sub, regs[ins[2]]) not in below:
+                        out = _eval(sub, regs[ins[2]], regs[ins[3]], below)
             regs[ins[4]] = 0 if out is None else out.value + 1
             pc += 1
         steps += 1

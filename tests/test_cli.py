@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from godellab import cli
+from godellab import cli, numbering
 from godellab.cli import (
     DEFAULTS, build_parser, main, problem_config, read_config, resolve_config)
 from godellab.corpus import CORPUS_KINDS, CorpusEntry, write_corpus
@@ -106,6 +106,24 @@ def test_enumerate_refuses_bad_bounds(argv, message, capsys):
 def test_enumerate_window_zero_prints_one_cell(capsys):
     assert run("enumerate", 0, 1, "--window", 0) == 0
     assert capsys.readouterr().out.splitlines() == ["0\t(empty)\t0", "1\tZ 0\t0"]
+
+
+def test_enumerate_decodes_each_index_once(monkeypatch, capsys):
+    # indices 0..10 hold no EVB; each runs as the program decoded for its
+    # text column, under a record keyed by its codes alone
+    calls = []
+    real = numbering.decode_list
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numbering, "decode_list", counting)
+    clear_eval_cache()
+    assert run("enumerate", 0, 10) == 0
+    assert sorted(calls) == list(range(11))
+    assert all(type(key) is tuple for key in numbering._records)
+    clear_eval_cache()
 
 
 def test_enumerate_listing_is_pinned(capsys):

@@ -7,9 +7,9 @@ must equal its outcome, whatever the cache held before.  The hand-made
 growth cases loop while one register grows and halt only once that
 growth reaches a comparison, through each way a register can feed one;
 a divergence proof that misses any of those ways reports them as
-divergent.  The control slots that proof compares are checked without
-running anything, for every index up to 20,000 and the growth cases,
-against a closure computed from the reference's decoding.  The hand-made cut cases and the cut fuzz reach the
+divergent.  The control slots that proof compares, and the lowered code
+itself, are checked without running anything, for every index up to
+20,000 and the growth cases, against the reference's decoding.  The hand-made cut cases and the cut fuzz reach the
 re-entrance and depth cuts of EVB, whose outcomes the memo stores under
 the EVB chain they read.  The emitted cases check that an index
 the lab builds arrives with the lowering its decoding would give, runs
@@ -337,20 +337,28 @@ def test_control_slots_are_the_closure_of_the_reference_decoding():
     # checked here without running anything, against a closure of the
     # reference's own decoding.  A closure that skips an EVB's budget
     # register agrees on every index up to 20,000; the growth cases, whose
-    # EVBs write control registers, tell it apart
+    # EVBs write control registers, tell it apart.  The lowered code, each
+    # slot mapped back through the sorted register names, must be the
+    # reference's decoding too: op, registers and jump target.  Lowering
+    # keeps names that are already 0..k and renumbers the others, and both
+    # kinds are here
     programs = [(numbering.decode_list(i), reference.decode_program(i))
                 for i in range(20001)]
     programs += [(program.codes, reference.decode_program(encode(program)))
                  for program, _ in GROWTH_CASES]
-    wrong = []
+    wrong, renamed = [], 0
     for codes, decoded in programs:
         named, control = _reference_control(decoded)
-        _, count, largest, ctrl = numbering._lower(codes)
+        code, count, largest, ctrl = numbering._lower(codes)
         order = sorted(named)
+        renamed += order[-1] >= len(order)
         got = set(order) if ctrl is None else {order[s] for s in ctrl}
-        if (count, largest, got) != (len(order), order[-1], control):
-            wrong.append((decoded, ctrl, sorted(control)))
+        back = [(numbering._OPS[3], order[ins[1]], order[ins[2]], ins[3]) if ins[0] == 3
+                else (numbering._OPS[ins[0]], *(order[s] for s in ins[1:])) for ins in code]
+        if (count, largest, got, back) != (len(order), order[-1], control, decoded):
+            wrong.append((decoded, code, ctrl, sorted(control)))
     assert wrong == []
+    assert 1000 < renamed < len(programs) - 1000
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +380,7 @@ _TWO_NESTED_CALLS = encode(parse_program("\n".join(["S 2"] * 5 + ["EVB 0 1 2 0"]
 
 
 @pytest.mark.parametrize("limit, want", [(2, Halted(1, 6)), (3, Halted(2, 6)),
-                                         (64, Halted(2, 6))])
+                                         (64, Halted(2, 6)), (1, Halted(0, 6))])
 def test_depth_cut_matches_reference(monkeypatch, limit, want):
     monkeypatch.setattr(numbering, "_DEPTH_LIMIT", limit)
     monkeypatch.setattr(reference, "DEPTH_LIMIT", limit)
@@ -381,6 +389,11 @@ def test_depth_cut_matches_reference(monkeypatch, limit, want):
     assert out == want
     records = numbering._records
     assert records[_TWO_NESTED_CALLS].outcomes == {11: out}
+    if limit == 1:
+        # the top run is the whole chain: its EVB step is cut before the
+        # index in its register is fetched, so no other record is made
+        assert set(records) == {_TWO_NESTED_CALLS, decode(_TWO_NESTED_CALLS).codes}
+        return
     # index 11 below the top is stored under its input and the chain
     # above it; index 0, cut at limit 2, is never run
     above = frozenset({(records[_TWO_NESTED_CALLS], 11)})
@@ -413,15 +426,15 @@ def test_a_nested_call_repeated_under_one_chain_runs_once(monkeypatch):
     runs = []
     real = numbering._run
 
-    def counting(code, *rest):
-        runs.append(code)
-        return real(code, *rest)
+    def counting(rec, *rest):
+        runs.append(rec)
+        return real(rec, *rest)
 
     monkeypatch.setattr(numbering, "_run", counting)
     clear_eval_cache()
     assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4) == \
         reference_outcome(_FOUR_CALLS, 11, 100)
-    outer, inner = numbering._records[_FOUR_CALLS].code, numbering._records[11].code
+    outer, inner = numbering._records[_FOUR_CALLS], numbering._records[11]
     assert runs == [outer, inner]
     runs.clear()
     assert evaluate(_FOUR_CALLS, 11, 100) == Halted(11, 4)
@@ -431,6 +444,38 @@ def test_a_nested_call_repeated_under_one_chain_runs_once(monkeypatch):
     assert runs == [inner]
     above = frozenset({(numbering._records[_FOUR_CALLS], 11)})
     assert set(numbering._records[11].outcomes) == {11, (11, above)}
+
+
+# on its own index, the first EVB step runs index 0 (the empty program,
+# no EVB) and the second runs the program itself on the same input, which
+# re-enters the run and is cut: R3 stays 0
+_SKIPS_THEN_REENTERS = encode(parse_program("S 2\nEVB 1 1 2 1\nEVB 0 0 0 3\nT 3 0"))
+
+
+def test_the_chain_built_mid_run_holds_the_run_itself():
+    # a run builds the chain below it on its first EVB step that reaches an
+    # EVB program, here the second step of the two; that chain must hold
+    # the run's own (record, input), or the run never ends.  Index 11 runs
+    # it one level down, under a chain that is not empty
+    p = _SKIPS_THEN_REENTERS
+    cells = [(p, n, b) for n in (0, 1, 11, p) for b in (3, 4, 100)]
+    cells += [(11, p, 100), (11, 11, 100)]
+    want = [reference_outcome(*cell) for cell in cells]
+    assert want[cells.index((p, p, 100))] == Halted(0, 4)
+    assert want[cells.index((11, p, 100))] == Halted(1, 1)
+    assert [_cold(*cell) for cell in cells] == want
+    # index 0 holds no EVB: its entry is keyed by its input alone
+    _cold(p, p, 100)
+    assert numbering._records[0].outcomes == {0: Halted(0, 0)}
+    clear_eval_cache()
+    for _ in ("cold", "warm"):
+        assert [evaluate(*cell) for cell in cells] == want
+    rng = random.Random(30)
+    for _ in range(5):
+        order = rng.sample(range(len(cells)), len(cells))
+        clear_eval_cache()
+        got = {k: evaluate(*cells[k]) for k in order}
+        assert [got[k] for k in range(len(cells))] == want
 
 
 # ---------------------------------------------------------------------------
