@@ -16,12 +16,16 @@ OracleConfig (`Universe`), shared by every scan here and in the problems
 and learners.  Row i holds phi_i on 0..window under the cap, and an
 inverted map sends each row to the indices computing it, so
 `min_index` and `verified_indices` are lookups, and `window_verify`,
-`compatible` and `in_R` read stored cells.  The table is lazy: rows are started in
-index order and each is read only as far as a query needs, so a
-least-index query starts no row past the least index.
-`clear_oracle_cache()` drops every table.  Cells outside it, at indices
-above index_bound (emitted programs) or positions above the window
-(`in_R` at a large k), are evaluated directly and never stored.
+`compatible` and `in_R` read stored cells.  The table is lazy: rows are
+started in index order and each is read only as far as a query needs,
+so a least-index query starts no row past the least index.
+`universe()` checks the config of its last lookup by identity before
+its dict, so a query loop that passes one config object pays no
+dataclass hash or equality per lookup, and equal configs still share
+one table.  `clear_oracle_cache()` drops every table and that slot.
+Cells outside a table, at indices above index_bound (emitted programs)
+or positions above the window (`in_R` at a large k), are evaluated
+directly and never stored.
 
 All range bounds in this module are inclusive: window w means arguments
 0..w, index_bound b means candidates 0..b.
@@ -153,17 +157,28 @@ class Universe:
 
 
 _universes: dict[OracleConfig, Universe] = {}
+_last: tuple = (None, None)   # (config, table) of the last lookup
 
 
 def clear_oracle_cache() -> None:
+    global _last
     _universes.clear()
+    _last = (None, None)
 
 
 def universe(cfg: OracleConfig) -> Universe:
-    """The table of cfg, shared by every query until clear_oracle_cache."""
-    table = _universes.get(cfg)
-    if table is None:
-        table = _universes[cfg] = Universe(cfg)
+    """The table of cfg, shared by every query until clear_oracle_cache.
+
+    The last lookup's config is checked by identity before the dict, in
+    which equal configs share one table; clear_oracle_cache drops both.
+    """
+    global _last
+    last, table = _last
+    if cfg is not last:
+        table = _universes.get(cfg)
+        if table is None:
+            table = _universes[cfg] = Universe(cfg)
+        _last = (cfg, table)
     return table
 
 
@@ -259,9 +274,11 @@ def min_index(d: SeqDescriptor, cfg: OracleConfig) -> Optional[ProgramIndex]:
 
     The ground-truth answer for the whole Godel family at desk scale.
     """
-    return universe(cfg).least(window_targets(d, cfg))
+    table = universe(cfg)
+    return table.least(_require_total(table.prefix(d), cfg))
 
 
 def verified_indices(d: SeqDescriptor, cfg: OracleConfig) -> tuple[ProgramIndex, ...]:
     """Every i <= index_bound window-verifying d, increasing."""
-    return universe(cfg).verified(window_targets(d, cfg))
+    table = universe(cfg)
+    return table.verified(_require_total(table.prefix(d), cfg))

@@ -8,10 +8,12 @@ by enumerating the candidate indices i < n by hand.
 
 import random
 from functools import partial
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from godellab import oracles
 from godellab.learners import LearnerConfig, kol_liminf_enumerator
 from godellab.numbering import Halted, clear_eval_cache, evaluate
 from godellab.oracles import (
@@ -22,6 +24,7 @@ from godellab.oracles import (
     min_index,
     search_R,
     universe,
+    verified_indices,
     window_verify,
 )
 from godellab.problems import ProblemConfig, make_g
@@ -191,6 +194,20 @@ def test_min_index_rejects_partial_descriptor():
         min_index(Generated(7, 10), CFG)
 
 
+@pytest.mark.parametrize("query", [
+    verified_indices,
+    lambda d, cfg: make_g().enumerate_answers(d, ProblemConfig(cfg, ceiling=50)),
+], ids=["verified_indices", "g_answers"])
+def test_verified_indices_and_g_answers_reject_partial_descriptor(query):
+    # partial from 0 (index 7 never halts), and partial from 3 after
+    # agreeing with the identity (COUNT_UP below)
+    cfg = OracleConfig(cap=200, window=8, index_bound=120)
+    with pytest.raises(ValueError, match="partial at 0"):
+        query(Generated(7, 10), cfg)
+    with pytest.raises(ValueError, match="partial at 3"):
+        query(COUNT_UP, cfg)
+
+
 def test_compiled_literal_is_a_verifying_witness():
     for d in (
         Literal((), Constant(0)),
@@ -234,6 +251,41 @@ def test_min_index_never_decreases_when_window_grows():
                 prev = cur
 
 
+@pytest.mark.parametrize("after_clear", ["a", "b"])
+def test_equal_configs_share_one_table_until_cleared(after_clear, monkeypatch):
+    built = []
+
+    class Counted(oracles.Universe):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            built.append(self)
+
+    monkeypatch.setattr(oracles, "Universe", Counted)
+    clear_oracle_cache()
+    cfgs = {"a": OracleConfig(cap=60, window=5, index_bound=40),
+            "b": OracleConfig(cap=60, window=5, index_bound=40),
+            "c": OracleConfig(cap=61, window=5, index_bound=40)}
+    assert cfgs["a"] == cfgs["b"] and cfgs["a"] is not cfgs["b"]
+    # a, c, a, then b: b comes right after a, equal to it but another object
+    got = [universe(cfgs[k]) for k in "acab"]
+    assert len(built) == 2
+    a_table, c_table = built
+    assert got == [a_table, c_table, a_table, a_table]
+    assert a_table.cfg == cfgs["a"] and c_table.cfg == cfgs["c"]
+    assert min_index(ZERO, cfgs["b"]) == 1
+    # b was looked up last, so a slot left set by the clear would serve
+    # the old table to b
+    clear_oracle_cache()
+    other = "b" if after_clear == "a" else "a"
+    assert min_index(ZERO, cfgs[after_clear]) == 1
+    assert len(built) == 3
+    fresh = built[2]
+    assert universe(cfgs[after_clear]) is fresh
+    assert universe(cfgs[other]) is fresh
+    assert len(built) == 3
+    assert len(fresh.rows) == 2     # filled by the query after the clear
+
+
 def test_min_cache_is_transparent():
     clear_oracle_cache()
     a = min_index(ZERO, CFG)
@@ -269,6 +321,7 @@ def test_window_verify_partial_descriptor_direction(index_bound):
 # the universe table against plain evaluate loops
 
 SMALL = OracleConfig(cap=60, window=5, index_bound=40)
+OTHER = OracleConfig(cap=30, window=4, index_bound=30)   # unequal in every field
 ABOVE = 12   # indices past index_bound that the scans also see
 DESCRIPTORS = (
     ZERO, ONE_HAT, IDENTITY, SUCC, PLUS_TWO,
@@ -351,23 +404,39 @@ def test_universe_table_matches_plain_loops():
     assert {answer for q, answer in queries if q.func is in_R} == {True, False}
     assert None in {answer for q, answer in queries if q.func is search_R}
 
-    def run(seed):
-        order = list(queries)
+    def shuffled(seed, pairs=queries):
+        order = list(pairs)
         random.Random(seed).shuffle(order)
+        return order
+
+    def run(order):
         return [(q, q(), answer) for q, answer in order]
+
+    # the same queries through an equal but distinct config, and others
+    # through an unequal one, taken in turn: each query looks up another
+    # config than the one before it
+    twin = OracleConfig(SMALL.cap, SMALL.window, SMALL.index_bound)
+    assert twin == SMALL and twin is not SMALL
+    orders = [shuffled(3, pairs)
+              for pairs in (queries, _queries(twin), _queries(OTHER))]
+    interleaved = [pair for turn in zip_longest(*orders) for pair in turn
+                   if pair is not None]
 
     clear_oracle_cache()
     clear_eval_cache()
-    first = run(1)
-    second = run(2)          # on the table the first order filled
+    first = run(shuffled(1))
+    second = run(shuffled(2))    # on the table the first order filled
     clear_oracle_cache()
     clear_eval_cache()
-    cold = run(2)
+    cold = run(shuffled(2))
     alone = []               # each query on a table of its own
     for q, answer in queries:
         clear_oracle_cache()
         alone.append((q, q(), answer))
-    for q, got, answer in first + second + cold + alone:
+    clear_oracle_cache()
+    clear_eval_cache()
+    mixed = run(interleaved)
+    for q, got, answer in first + second + cold + alone + mixed:
         assert got == answer, (q, got, answer)
 
 
