@@ -158,7 +158,9 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> tuple[Pocket, ...]:
     Pocket P_i = {j <= m : phi_i compatible with phi_j}.  P_i survives
     when its members are pairwise compatible and no i' < i has the same
     pocket.  Indices with one row have one pocket, so each class of
-    equal rows is compared through its least index, which anchors it.
+    equal rows is compared through its least index, which anchors it;
+    compatibility is symmetric and reflexive, so each pair of classes is
+    compared once.
     """
     if m < 0:
         raise ValueError("universe bound must be a natural")
@@ -168,7 +170,12 @@ def build_pockets(m: Nat, cfg: LearnerConfig) -> tuple[Pocket, ...]:
     for i in range(m + 1):
         by_row.setdefault(table.row(i), []).append(i)
     classes = {same[0]: same for same in by_row.values()}
-    agree = {(a, b): compatible(a, b, oracle) for a in classes for b in classes}
+    anchors = list(classes)
+    agree = {}
+    for x, a in enumerate(anchors):
+        agree[a, a] = True
+        for b in anchors[x + 1:]:
+            agree[a, b] = agree[b, a] = compatible(a, b, oracle)
 
     survivors: dict[frozenset, Pocket] = {}
     for a in classes:

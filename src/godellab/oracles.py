@@ -16,13 +16,16 @@ OracleConfig (`Universe`), shared by every scan here and in the problems
 and learners.  Row i holds phi_i on 0..window under the cap, and an
 inverted map sends each row to the indices computing it, so
 `min_index` and `verified_indices` are lookups, and `window_verify`,
-`compatible` and `in_R` read stored cells.  The table is lazy: rows are
-started in index order and each is read only as far as a query needs,
-so a least-index query starts no row past the least index.
+`compatible` and `in_R` read stored cells; `compatible` compares two
+rows at once when both are whole.  The table is lazy: rows are started
+in index order and each is read only as far as a query needs, so a
+least-index query starts no row past the least index.
 `universe()` checks the config of its last lookup by identity before
-its dict, so a query loop that passes one config object pays no
-dataclass hash or equality per lookup, and equal configs still share
-one table.  `clear_oracle_cache()` drops every table and that slot.
+its dict, and `Universe.prefix` the descriptor of its last read before
+its own, so a query loop that passes one config and one descriptor
+object pays no dataclass hash or equality per lookup, and equal configs
+and descriptors still share one entry.  `clear_oracle_cache()` drops
+every table, with its descriptor slot, and the config slot.
 Cells outside a table, at indices above index_bound (emitted programs)
 or positions above the window (`in_R` at a large k), are evaluated
 directly and never stored.
@@ -71,7 +74,7 @@ class Universe:
     scan would, and starts no row past the least index.  A row whose
     cells are all known goes into `inverted`, which sends it to its
     indices in increasing order.  `prefixes` keeps the values of each
-    queried descriptor.
+    queried descriptor, and `_last` the last one read with its values.
     """
 
     def __init__(self, cfg: OracleConfig):
@@ -82,6 +85,7 @@ class Universe:
         self.done = 0    # rows 0..done-1 are whole
         self.inverted: dict[Row, list[ProgramIndex]] = {}
         self.prefixes: dict[SeqDescriptor, tuple[Nat, ...]] = {}
+        self._last: tuple = (None, None)   # (descriptor, values) of the last read
 
     def value(self, i: ProgramIndex, n: Nat) -> Optional[Nat]:
         """phi_i(n) under the cap, or None; kept inside the table."""
@@ -115,14 +119,19 @@ class Universe:
         self.value(i, self.cfg.window)
         return self.rows[i]
 
+    def whole(self, i: ProgramIndex) -> Optional[Row]:
+        """The row of i when the table holds all of it, else None."""
+        try:
+            row = self.rows[i] if 0 <= i < len(self.rows) else None
+        except TypeError:
+            return None  # a Program, as in `value`
+        return row if isinstance(row, tuple) else None
+
     def agrees(self, i: ProgramIndex, values: tuple[Nat, ...]) -> bool:
         """True iff the row of i starts with values; stops at a miss."""
-        try:
-            whole = 0 <= i < len(self.rows) and isinstance(self.rows[i], tuple)
-        except TypeError:
-            whole = False  # a Program, as in `value`
-        if whole:
-            return self.rows[i][:len(values)] == values
+        row = self.whole(i)
+        if row is not None:
+            return row[:len(values)] == values
         return all(self.value(i, n) == want for n, want in enumerate(values))
 
     def least(self, targets: tuple[Nat, ...]) -> Optional[ProgramIndex]:
@@ -143,7 +152,14 @@ class Universe:
         return tuple(self.inverted.get(targets, ()))
 
     def prefix(self, d: SeqDescriptor) -> tuple[Nat, ...]:
-        """d's values on 0..window before its first partial position."""
+        """d's values on 0..window before its first partial position.
+
+        The last descriptor read is checked by identity before the dict,
+        in which equal descriptors share one entry.
+        """
+        last, out = self._last
+        if d is last:
+            return out
         out = self.prefixes.get(d)
         if out is None:
             values = []
@@ -153,6 +169,7 @@ class Universe:
                     break
                 values.append(v)
             out = self.prefixes[d] = tuple(values)
+        self._last = (d, out)
         return out
 
 
@@ -211,6 +228,12 @@ def compatible(i: ProgramIndex, j: ProgramIndex, cfg: OracleConfig) -> bool:
     never back.
     """
     table = universe(cfg)
+    row_i, row_j = table.whole(i), table.whole(j)
+    if row_i is not None and row_j is not None:
+        for a, b in zip(row_i, row_j):
+            if a != b and a is not None and b is not None:
+                return False
+        return True
     for n in range(cfg.window + 1):
         a = table.value(i, n)
         if a is None:

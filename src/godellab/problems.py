@@ -27,7 +27,7 @@ Domain conventions, following the source definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet
+from typing import Callable, FrozenSet, Optional
 
 from .numbering import Nat
 from .oracles import (
@@ -40,7 +40,6 @@ from .oracles import (
 from .spaces import (
     Generated,
     Literal,
-    SeqDescriptor,
     is_convergent,
     literal_is_zero,
     literal_least_absent,
@@ -169,12 +168,16 @@ def make_liminf_n() -> ProblemSpec:
 # the least-index family
 
 
-def _total_on_window(d: SeqDescriptor, cfg: ProblemConfig) -> bool:
-    return isinstance(d, (Literal, Generated)) and total_on_window(d, cfg.oracle)
+def _least(d, cfg: ProblemConfig) -> Optional[Nat]:
+    """The least index of a Literal or Generated d total on the window;
+    None for any other d, or when no index fits."""
+    if isinstance(d, (Literal, Generated)) and total_on_window(d, cfg.oracle):
+        return min_index(d, cfg.oracle)
+    return None
 
 
 def _g_domain(d, cfg: ProblemConfig) -> bool:
-    return _total_on_window(d, cfg) and min_index(d, cfg.oracle) is not None
+    return _least(d, cfg) is not None
 
 
 def _verified_indices(d, cfg: ProblemConfig) -> FrozenSet[Nat]:
@@ -204,13 +207,8 @@ def make_g_geq() -> ProblemSpec:
         return isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[1], int)
 
     def in_domain(inst, cfg):
-        if not _shaped(inst):
-            return False
-        d, m = inst
-        if not _total_on_window(d, cfg):
-            return False
-        least = min_index(d, cfg.oracle)
-        return least is not None and m >= least
+        least = _least(inst[0], cfg) if _shaped(inst) else None
+        return least is not None and inst[1] >= least
 
     def verify(inst, a, cfg):
         return window_verify(a, inst[0], cfg.oracle)

@@ -32,7 +32,7 @@ from godellab.learners import (
     trace_to_csv,
     run_summary,
 )
-from godellab import numbering
+from godellab import learners, numbering
 from godellab.numbering import (
     Copy,
     Halted,
@@ -258,6 +258,50 @@ def test_pruned_pockets_form_an_antichain(m):
             assert a == b or not a <= b
     for p in survivors:
         assert p.anchor in p.members
+
+
+def _plain_pockets(m, cfg):
+    """The pockets of 0..m by the definition: every ordered pair of
+    indices compared on rows of plain evaluate calls."""
+    rows = [[evaluate(i, n, cfg.cap) for n in range(cfg.window + 1)]
+            for i in range(m + 1)]
+    ok = {(i, j): not any(isinstance(a, Halted) and isinstance(b, Halted)
+                          and a.value != b.value
+                          for a, b in zip(rows[i], rows[j]))
+          for i in range(m + 1) for j in range(m + 1)}
+    survivors = {}
+    for i in range(m + 1):
+        pocket = frozenset(j for j in range(m + 1) if ok[i, j])
+        if all(ok[b, c] for b in pocket for c in pocket):
+            survivors.setdefault(pocket, Pocket(i, pocket))
+    return tuple(survivors.values()), len({tuple(
+        o.value if isinstance(o, Halted) else None for o in row) for row in rows})
+
+
+@pytest.mark.parametrize("oracle", [
+    CFG.oracle,
+    # a small cap leaves more cells None, and m runs past the index bound
+    OracleConfig(cap=30, window=4, index_bound=25),
+], ids=["inside", "past_bound"])
+def test_pockets_match_ordered_pairs_with_one_call_per_pair(oracle, monkeypatch):
+    cfg = LearnerConfig(oracle, stability_window=4, max_steps=500)
+    calls = []
+
+    def spy(i, j, ocfg):
+        calls.append((i, j))
+        return compatible(i, j, ocfg)
+
+    monkeypatch.setattr(learners, "compatible", spy)
+    clear_oracle_cache()
+    for m in range(41):
+        want, k = _plain_pockets(m, oracle)
+        calls.clear()
+        assert build_pockets(m, cfg) == want, m
+        # one call for each unordered pair of the k classes
+        assert len(calls) == k * (k - 1) // 2, m
+        assert len({frozenset(c) for c in calls}) == len(calls)
+        assert all(i != j for i, j in calls)
+    assert k == 9 and len(want) == 7    # at m = 40
 
 
 def test_pocket_scan_keeps_exactly_the_instance_pocket():

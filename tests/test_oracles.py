@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from godellab import oracles
 from godellab.learners import LearnerConfig, kol_liminf_enumerator
-from godellab.numbering import Halted, clear_eval_cache, evaluate
+from godellab.numbering import Halted, clear_eval_cache, decode, evaluate
 from godellab.oracles import (
     OracleConfig,
     clear_oracle_cache,
@@ -445,3 +445,70 @@ def test_min_index_starts_no_row_past_the_least_index():
     clear_oracle_cache()
     assert min_index(ZERO, cfg) == 1
     assert len(universe(cfg).rows) == 2
+
+
+# cells read before a compatible query: none, position 0 only, all but the
+# last position, or the whole row
+ROW_STATES = {"cold": None, "head": 0, "most": SMALL.window - 1,
+              "whole": SMALL.window}
+
+
+@pytest.mark.parametrize("state_i", ROW_STATES)
+@pytest.mark.parametrize("state_j", ROW_STATES)
+def test_compatible_on_whole_and_partly_read_rows(state_i, state_j):
+    # 7 never halts, so its whole row is all None; 0 and 1 first differ at
+    # position 1, which a row read only at 0 does not hold; indices past
+    # the index bound are never kept, and Programs are not table indices
+    bound = SMALL.index_bound
+    indices = sorted({0, 1, 2, 3, 6, 7, 9, *range(0, bound + ABOVE + 1, 5)})
+    pairs = [(i, j) for i in indices for j in indices]
+    pairs += [(decode(i), j) for i, j in pairs[::7]]
+    pairs += [(i, decode(j)) for i, j in pairs[3::11]]
+    for i, j in pairs:
+        if i == j and state_i != state_j:
+            continue     # one row cannot be in two states
+        clear_oracle_cache()
+        table = universe(SMALL)
+        for k, state in ((i, state_i), (j, state_j)):
+            upto = ROW_STATES[state]
+            if upto is not None:
+                table.value(k, upto)
+            kept = isinstance(k, int) and k <= bound
+            assert (table.whole(k) is not None) == (kept and state == "whole")
+        assert compatible(i, j, SMALL) == _plain_compatible(i, j, SMALL), (i, j)
+
+
+def _plain_prefix(d, cfg):
+    values = []
+    for n in range(cfg.window + 1):
+        v = descriptor_get(d, n)
+        if v is None:
+            break
+        values.append(v)
+    return tuple(values)
+
+
+def test_prefix_slot_serves_only_the_descriptor_it_holds(monkeypatch):
+    # equal but distinct descriptors, Literals and Generateds, total and
+    # partial ones, read in turn through two tables of different windows
+    twins = [ZERO, Literal((), Constant(0)), SUCC, Generated(2, 2),
+             COUNT_UP, ONE_HAT, Generated(193853, 7), IDENTITY]
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    assert twins[2] == twins[3] and twins[2] is not twins[3]
+    clear_oracle_cache()
+    tables = [universe(SMALL), universe(OTHER)]
+    for d in twins + twins[::-1]:
+        for table in tables:
+            got = table.prefix(d)
+            assert got == table.prefix(d) == _plain_prefix(d, table.cfg), d
+    # a new table after the clear reads every descriptor again
+    reads = []
+    monkeypatch.setattr(oracles, "descriptor_get",
+                        lambda d, n: reads.append(d) or descriptor_get(d, n))
+    last = twins[-1]
+    assert tables[1].prefix(last) == _plain_prefix(last, OTHER) and not reads
+    clear_oracle_cache()
+    fresh = universe(OTHER)
+    assert fresh is not tables[1] and not fresh.prefixes
+    assert fresh.prefix(last) == _plain_prefix(last, OTHER)
+    assert len(reads) == OTHER.window + 1

@@ -95,6 +95,12 @@ def test_g_geq_domain_enforces_promise():
     assert g_geq.domain_check((ZERO, 1), CFG)
     assert g_geq.domain_check((ZERO, 10), CFG)
     assert not g_geq.domain_check((ZERO, 0), CFG)
+    # off shape, partial, not a sequence descriptor, or outside the universe
+    for inst in (ZERO, (ZERO,), (ZERO, 1, 2), (ZERO, "1"),
+                 (Generated(7, 10), 50), (Constant(0), 50)):
+        assert not g_geq.domain_check(inst, CFG), inst
+    tiny = ProblemConfig(OracleConfig(cap=50, window=4, index_bound=3), ceiling=8)
+    assert not g_geq.domain_check((Literal((5,), Constant(6)), 3), tiny)
     assert g_geq.verify((ZERO, 1), 1, CFG)
 
 
