@@ -17,15 +17,20 @@ and learners.  Row i holds phi_i on 0..window under the cap, and an
 inverted map sends each row to the indices computing it, so
 `min_index` and `verified_indices` are lookups, and `window_verify`,
 `compatible` and `in_R` read stored cells; `compatible` compares two
-rows at once when both are whole.  The table is lazy: rows are started
-in index order and each is read only as far as a query needs, so a
+rows at once when both are whole, and `Universe.value` reads a known
+cell before anything else.  The table is lazy: rows are started in
+index order and each is read only as far as a query needs, so a
 least-index query starts no row past the least index.
+`verified_indices` completes the table and then keeps its answer as
+one frozenset per row of values, so every later query for equal
+values, at any bound of G_>=, gets that same object.
 `universe()` checks the config of its last lookup by identity before
 its dict, and `Universe.prefix` the descriptor of its last read before
 its own, so a query loop that passes one config and one descriptor
 object pays no dataclass hash or equality per lookup, and equal configs
 and descriptors still share one entry.  `clear_oracle_cache()` drops
-every table, with its descriptor slot, and the config slot.
+every table, with its descriptor slot and answer sets, and the config
+slot.
 Cells outside a table, at indices above index_bound (emitted programs)
 or positions above the window (`in_R` at a large k), are evaluated
 directly and never stored.
@@ -75,6 +80,8 @@ class Universe:
     cells are all known goes into `inverted`, which sends it to its
     indices in increasing order.  `prefixes` keeps the values of each
     queried descriptor, and `_last` the last one read with its values.
+    `answers` keeps the verified set of each queried row of values, made
+    once the table is whole.
     """
 
     def __init__(self, cfg: OracleConfig):
@@ -85,10 +92,16 @@ class Universe:
         self.done = 0    # rows 0..done-1 are whole
         self.inverted: dict[Row, list[ProgramIndex]] = {}
         self.prefixes: dict[SeqDescriptor, tuple[Nat, ...]] = {}
+        self.answers: dict[Row, frozenset[ProgramIndex]] = {}
         self._last: tuple = (None, None)   # (descriptor, values) of the last read
 
     def value(self, i: ProgramIndex, n: Nat) -> Optional[Nat]:
         """phi_i(n) under the cap, or None; kept inside the table."""
+        rows = self.rows
+        if type(i) is int and 0 <= i < len(rows):
+            known = rows[i]
+            if 0 <= n < len(known):
+                return known[n]
         try:
             inside = 0 <= i <= self.cfg.index_bound and 0 <= n <= self.cfg.window
         except TypeError:
@@ -98,7 +111,6 @@ class Universe:
         if not inside:
             out = evaluate(i, n, self.cfg.cap)
             return None if out is None else out.value
-        rows = self.rows
         while len(rows) <= i:
             rows.append([])
         known = rows[i]
@@ -145,11 +157,18 @@ class Universe:
                 return i
         return stop if hits else None
 
-    def verified(self, targets: tuple[Nat, ...]) -> tuple[ProgramIndex, ...]:
-        """Every index whose row is targets; completes the whole table."""
-        for i in range(self.done, self.cfg.index_bound + 1):
-            self.value(i, self.cfg.window)
-        return tuple(self.inverted.get(targets, ()))
+    def verified(self, targets: tuple[Nat, ...]) -> frozenset[ProgramIndex]:
+        """Every index whose row is targets; completes the whole table.
+
+        The answer is kept once the table is whole, when it can no
+        longer change, so every later query for targets gets that object.
+        """
+        out = self.answers.get(targets)
+        if out is None:
+            for i in range(self.done, self.cfg.index_bound + 1):
+                self.value(i, self.cfg.window)
+            out = self.answers[targets] = frozenset(self.inverted.get(targets, ()))
+        return out
 
     def prefix(self, d: SeqDescriptor) -> tuple[Nat, ...]:
         """d's values on 0..window before its first partial position.
@@ -301,7 +320,8 @@ def min_index(d: SeqDescriptor, cfg: OracleConfig) -> Optional[ProgramIndex]:
     return table.least(_require_total(table.prefix(d), cfg))
 
 
-def verified_indices(d: SeqDescriptor, cfg: OracleConfig) -> tuple[ProgramIndex, ...]:
-    """Every i <= index_bound window-verifying d, increasing."""
+def verified_indices(d: SeqDescriptor, cfg: OracleConfig) -> frozenset[ProgramIndex]:
+    """Every i <= index_bound window-verifying d, as the table's one
+    frozenset for d's values, shared by every caller."""
     table = universe(cfg)
     return table.verified(_require_total(table.prefix(d), cfg))

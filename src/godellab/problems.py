@@ -33,7 +33,7 @@ from .numbering import Nat
 from .oracles import (
     OracleConfig,
     min_index,
-    total_on_window,
+    universe,
     verified_indices,
     window_verify,
 )
@@ -170,18 +170,17 @@ def make_liminf_n() -> ProblemSpec:
 
 def _least(d, cfg: ProblemConfig) -> Optional[Nat]:
     """The least index of a Literal or Generated d total on the window;
-    None for any other d, or when no index fits."""
-    if isinstance(d, (Literal, Generated)) and total_on_window(d, cfg.oracle):
-        return min_index(d, cfg.oracle)
-    return None
+    None for any other d, or when no index fits.  The table and d's
+    values are looked up once."""
+    if not isinstance(d, (Literal, Generated)):
+        return None
+    table = universe(cfg.oracle)
+    values = table.prefix(d)
+    return table.least(values) if len(values) > cfg.oracle.window else None
 
 
 def _g_domain(d, cfg: ProblemConfig) -> bool:
     return _least(d, cfg) is not None
-
-
-def _verified_indices(d, cfg: ProblemConfig) -> FrozenSet[Nat]:
-    return frozenset(verified_indices(d, cfg.oracle))
 
 
 def make_g() -> ProblemSpec:
@@ -192,7 +191,7 @@ def make_g() -> ProblemSpec:
         "g",
         _g_domain,
         verify,
-        _verified_indices,
+        lambda inst, cfg: verified_indices(inst, cfg.oracle),
     )
 
 
@@ -217,7 +216,7 @@ def make_g_geq() -> ProblemSpec:
         "g_geq",
         in_domain,
         verify,
-        lambda inst, cfg: _verified_indices(inst[0], cfg),
+        lambda inst, cfg: verified_indices(inst[0], cfg.oracle),
     )
 
 

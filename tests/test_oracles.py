@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from godellab import oracles
+from godellab.corpus import gen_total_programs
 from godellab.learners import LearnerConfig, kol_liminf_enumerator
 from godellab.numbering import Halted, clear_eval_cache, decode, evaluate
 from godellab.oracles import (
@@ -27,7 +28,8 @@ from godellab.oracles import (
     verified_indices,
     window_verify,
 )
-from godellab.problems import ProblemConfig, make_g
+from godellab.problems import ProblemConfig, make_g, problem_registry
+from godellab.reductions import make_family_g_spec
 from godellab.spaces import (
     Constant,
     Generated,
@@ -512,3 +514,148 @@ def test_prefix_slot_serves_only_the_descriptor_it_holds(monkeypatch):
     assert fresh is not tables[1] and not fresh.prefixes
     assert fresh.prefix(last) == _plain_prefix(last, OTHER)
     assert len(reads) == OTHER.window + 1
+
+
+# ---------------------------------------------------------------------------
+# one answer set per row of values
+
+SWEEP = OracleConfig(cap=400, window=8, index_bound=120)
+
+
+def _sweep_corpus(per_function=4, draws=200, seed=1):
+    """The benchmark sweep's stratified corpus: the first generated
+    descriptors of each total function."""
+    picked, seen = [], {}
+    for e in gen_total_programs(draws, seed):
+        d = e.descriptor
+        if isinstance(d, Generated) and seen.get(d.index, 0) < per_function:
+            seen[d.index] = seen.get(d.index, 0) + 1
+            picked.append(d)
+    assert len(seen) > 3 and set(seen.values()) == {per_function}
+    return picked
+
+
+@pytest.mark.parametrize("cfg", [SWEEP, SMALL], ids=["sweep", "small"])
+def test_g_answers_match_plain_loops_and_are_shared(cfg):
+    pcfg = ProblemConfig(cfg, ceiling=80)
+    specs = problem_registry()
+    g, g_geq = specs["g"], specs["g_geq"]
+    rows = [_plain_row(i, cfg) for i in range(cfg.index_bound + 1)]
+    corpus = _sweep_corpus()
+    sizes = set()
+    for d in corpus:
+        want = tuple(descriptor_get(d, n) for n in range(cfg.window + 1))
+        assert None not in want
+        hits = frozenset(i for i, row in enumerate(rows) if row == want)
+        sizes.add(len(hits))
+        # a cold table, its rows started lazily by a least-index query
+        clear_oracle_cache()
+        least = min_index(d, cfg)
+        assert least == (min(hits) if hits else None)
+        shared = g.enumerate_answers(d, pcfg)
+        assert type(shared) is frozenset and shared == hits, d
+        twin = Generated(d.index, d.budget)
+        assert twin == d and twin is not d
+        assert verified_indices(twin, cfg) is shared
+        for m in range(pcfg.ceiling + 1):
+            in_domain = g_geq.domain_check((d, m), pcfg)
+            assert in_domain == (least is not None and m >= least), (d, m)
+            if in_domain:
+                assert g_geq.enumerate_answers((d, m), pcfg) is shared
+                assert g_geq.enumerate_answers((twin, m), pcfg) is shared
+    # the second config also meets empty answer sets, the first does not
+    assert max(sizes) > 1 and (0 in sizes) == (cfg is SMALL)
+    # warm: descriptors of one function share their values' set
+    clear_oracle_cache()
+    by_values = {}
+    for d in corpus:
+        got = g.enumerate_answers(d, pcfg)
+        assert by_values.setdefault(universe(cfg).prefix(d), got) is got
+    assert universe(cfg).answers == by_values
+
+
+def test_partial_descriptors_store_no_answer_set():
+    cfg = OracleConfig(cap=200, window=8, index_bound=120)
+    clear_oracle_cache()
+    table = universe(cfg)
+    for d in (Generated(7, 10), COUNT_UP):
+        for query in (verified_indices,
+                      lambda d, cfg: make_g().enumerate_answers(
+                          d, ProblemConfig(cfg, ceiling=50))):
+            with pytest.raises(ValueError, match="partial at"):
+                query(d, cfg)
+    assert not table.answers and not table.rows
+
+
+def test_clear_oracle_cache_drops_the_answer_sets():
+    clear_oracle_cache()
+    old = verified_indices(ZERO, SMALL)
+    old_table = universe(SMALL)
+    assert old_table.answers == {universe(SMALL).prefix(ZERO): old}
+    clear_oracle_cache()
+    fresh = universe(SMALL)
+    assert fresh is not old_table and not fresh.answers
+    # a config unequal to SMALL, whose answer would be another set
+    assert verified_indices(ZERO, OTHER) == frozenset(
+        i for i in range(OTHER.index_bound + 1)
+        if _plain_row(i, OTHER) == (0,) * (OTHER.window + 1))
+    new = verified_indices(ZERO, SMALL)
+    assert new == old and new is not old
+    assert fresh.answers == {fresh.prefix(ZERO): new}
+
+
+def test_family_g_adds_its_own_index_to_a_copy():
+    # 55 lies above this universe, so the family answer adds it
+    d = Generated(55, 40)
+    pcfg = ProblemConfig(SMALL, ceiling=50)
+    clear_oracle_cache()
+    shared = verified_indices(d, SMALL)
+    assert d.index not in shared and d.index > SMALL.index_bound
+    before = set(shared)
+    family = make_family_g_spec().enumerate_answers(d, pcfg)
+    assert family == shared | {d.index}
+    assert verified_indices(d, SMALL) is shared and shared == before
+
+
+# ---------------------------------------------------------------------------
+# known cells
+
+
+def _plain_value(i, n, cfg):
+    """phi_i(n) under the cap from evaluate, or the error it raises."""
+    try:
+        out = evaluate(i, n, cfg.cap)
+    except ValueError as e:
+        return ValueError, str(e)
+    return out.value if isinstance(out, Halted) else None
+
+
+def _table_value(table, i, n):
+    try:
+        return table.value(i, n)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+def test_value_reads_known_cells_and_only_those():
+    cfg = SMALL
+    clear_oracle_cache()
+    table = universe(cfg)
+    for i in range(6):
+        table.value(i, cfg.window)    # rows 0..5 whole
+    table.value(6, 1)                 # row 6 read at 0 and 1 only
+    assert len(table.rows) == 7 and len(table.rows[6]) == 2
+    cells = [(-1, 0), (-1, 1), (-2, cfg.window),   # rows[-1] is row 6
+             (6, 1), (6, 2), (6, cfg.window),      # past row 6's cells
+             (3, cfg.window + 1), (3, cfg.window + 7), (3, -1),
+             (cfg.index_bound + 1, 0), (cfg.index_bound + 9, 2),
+             (True, 1), (False, 0), (9, 0), (cfg.index_bound, cfg.window)]
+    cells += [(i, n) for i in range(7) for n in range(cfg.window + 1)]
+    for i, n in cells + cells[::-1]:
+        want = _plain_value(i, n, cfg)
+        assert _table_value(table, i, n) == want, (i, n)
+        assert _table_value(table, decode(abs(int(i))), n) == \
+            _plain_value(decode(abs(int(i))), n, cfg), (i, n)
+    # the cells outside the table were not stored
+    assert len(table.rows) == cfg.index_bound + 1
+    assert all(len(known) <= cfg.window + 1 for known in table.rows)

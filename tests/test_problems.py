@@ -6,9 +6,11 @@ so answer sets recomputed naively from such a window are exact and
 independent of the closed-form analyses the implementation uses.
 """
 
-from godellab.oracles import OracleConfig
+from godellab.numbering import decode
+from godellab.oracles import OracleConfig, clear_oracle_cache, min_index
 from godellab.problems import (
     ProblemConfig,
+    _least,
     make_b,
     make_cn,
     make_g,
@@ -174,6 +176,32 @@ def test_every_problem_meets_the_spec_invariants():
                 if spec.verify(inst, a, CFG):
                     assert a in answers, (name, inst, a)
         assert checked, f"no in-domain instances exercised for {name}"
+
+
+def test_every_answer_set_is_a_frozenset():
+    # G and G_>= hand every caller one shared set, which only an
+    # immutable set makes safe
+    for name, spec in problem_registry().items():
+        inst = next(i for i in _instances_for(name) if spec.domain_check(i, CFG))
+        assert type(spec.enumerate_answers(inst, CFG)) is frozenset, name
+
+
+def test_least_is_min_index_on_total_descriptors_and_none_elsewhere():
+    clear_oracle_cache()
+    total = _instances_for("g") + [Literal((0, 0), Constant(0)),
+                                   Literal((3,), Periodic((0, 1)))]
+    for d in total:
+        assert _least(d, CFG) == min_index(d, CFG.oracle), d
+    assert any(_least(d, CFG) is not None for d in total)
+    tiny = ProblemConfig(OracleConfig(cap=50, window=4, index_bound=3), ceiling=8)
+    assert _least(Literal((5,), Constant(6)), tiny) is None   # no index fits
+    # partial at the last window position only: 0, 1, 2 and then nothing
+    last = ProblemConfig(OracleConfig(cap=200, window=3, index_bound=60), ceiling=8)
+    assert _least(Generated(193853, 7), last) is None
+    # partial from 0 (7 never halts) or from 3; a tail, a tuple, a Program
+    for d in (Generated(7, 10), Generated(193853, 7), Periodic((0, 1)),
+              (ZERO, 3), decode(1)):
+        assert _least(d, CFG) is None, d
 
 
 def test_registry_is_complete_and_consistently_named():
