@@ -23,6 +23,12 @@ k= annotations; for lines without one the driver fills in the least
 index itself, which satisfies the promise by definition and is echoed
 in the summary row.  An annotation above index_bound is a failure row.
 
+A learner reads an entry only through its window values (up to the
+first partial position) and its m= and k=, so `learn` runs it once per
+distinct (window values, m, k), keeping the results in a dict of that
+command alone.  Rows and trace files are still one per entry, each row
+under its own instance, as if the entry had been learned alone.
+
 The enum-total learner's class is a small standard library of loop
 programs (identity, constants 0..2, add one to three, doubling): `learn`
 compiles it and passes its indices in, so loops compiled earlier in the
@@ -40,7 +46,6 @@ import time
 from .corpus import (
     CORPUS_KINDS,
     DEFAULT_SIZE,
-    CorpusEntry,
     format_entry,
     read_corpus,
     to_reduction_instance,
@@ -68,7 +73,13 @@ from .numbering import (
     evaluate,
     format_program,
 )
-from .oracles import OracleConfig, min_index, total_on_window, window_verify
+from .oracles import (
+    OracleConfig,
+    min_index,
+    total_on_window,
+    universe,
+    window_verify,
+)
 from .problems import ProblemConfig
 from .reductions import (
     MUTATION_MODES,
@@ -187,36 +198,36 @@ _STANDARD_LOOPS = (
 )
 
 
-def _failure_row(name: str, learner: str, reason: str, **extra) -> dict:
-    row = {"instance": name, "learner": learner, "converged": False,
-           "verified": False, "error": reason}
+def _failure_row(learner: str, reason: str, **extra) -> dict:
+    row = {"learner": learner, "converged": False, "verified": False,
+           "error": reason}
     row.update(extra)
     return row
 
 
-def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
-               candidates):
-    """One corpus run: (summary row, trace or None); candidates is the
-    enumeration learners' class."""
-    d = entry.descriptor
-    name = format_entry(entry)
+def _learn_one(d, m: int | None, k: int | None, learner: str,
+               lcfg: LearnerConfig, candidates):
+    """One learner run on d under the entry's bounds m and k: (summary
+    row, trace or None), the row's instance left to the caller;
+    candidates is the enumeration learners' class.  d is read only
+    through its window values, so equal values give equal runs."""
     oracle = lcfg.oracle
     if learner in ("enum-full", "enum-total"):
         trace = enum_learner(d, candidates, lcfg)
         verified = trace.converged and window_verify(
             trace.guesses[-1], d, oracle)
-        return run_summary(name, learner, trace, verified), trace
+        return run_summary(None, learner, trace, verified), trace
     if learner == "liminf":
         stages = kol_liminf_enumerator(d, lcfg)
         mins = [min(stage) for stage in stages if stage]
         trace = run_to_limit(mins, lcfg.stability_window, max(len(mins), 1))
         verified = bool(mins) and mins[-1] == min_index(d, oracle)
-        return run_summary(name, learner, trace, verified), trace
+        return run_summary(None, learner, trace, verified), trace
     # the promise learners: the bound is the entry's annotation or else
     # the least index; the table is built per call so that it reads the
     # module's current bindings, which godelbench's tracer rebinds
-    key, bound, learn = {"amalgamation": ("m", entry.m, amalgamation_learn),
-                         "bounded-min": ("k", entry.k, bounded_min_learner)}[learner]
+    key, bound, learn = {"amalgamation": ("m", m, amalgamation_learn),
+                         "bounded-min": ("k", k, bounded_min_learner)}[learner]
     if bound is None:
         bound = min_index(d, oracle)
     elif bound > oracle.index_bound:
@@ -224,11 +235,11 @@ def _learn_one(entry: CorpusEntry, learner: str, lcfg: LearnerConfig,
         raise ValueError(f"{key}={bound} is above index_bound "
                          f"{oracle.index_bound}")
     if bound is None:
-        return _failure_row(name, learner, "no index inside the universe"), None
+        return _failure_row(learner, "no index inside the universe"), None
     got = learn(d, bound, lcfg)
     if isinstance(got, PromiseViolation):
-        return _failure_row(name, learner, got.reason, **{key: bound}), None
-    row = run_summary(name, learner, got.trace, got.verified)
+        return _failure_row(learner, got.reason, **{key: bound}), None
+    row = run_summary(None, learner, got.trace, got.verified)
     row[key] = bound
     return row, got.trace
 
@@ -242,15 +253,27 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
+    # (window values, m, k) -> (row, trace or None): each distinct key
+    # is learned once, for this command only, and each entry's row is a
+    # copy that takes the entry's own instance
+    learned = {}
     for idx, entry in enumerate(entries):
+        key = None
         try:
-            row, trace = _learn_one(entry, args.learner, lcfg, candidates)
+            key = (universe(lcfg.oracle).prefix(entry.descriptor),
+                   entry.m, entry.k)
+            got = learned.get(key)
+            if got is None:
+                got = _learn_one(entry.descriptor, entry.m, entry.k,
+                                 args.learner, lcfg, candidates)
         except ValueError as err:
             # emitters refuse unrepresentable programs, and the promise
             # learners a bound past the universe; record and move on
-            row, trace = _failure_row(format_entry(entry), args.learner,
-                                      str(err)), None
-        rows.append(row)
+            got = _failure_row(args.learner, str(err)), None
+        if key is not None:
+            learned[key] = got
+        row, trace = got
+        rows.append({**row, "instance": format_entry(entry)})
         if trace is not None:
             csv_path = os.path.join(args.out_dir, f"trace_{idx:04d}.csv")
             write_text(csv_path, trace_to_csv(trace))

@@ -15,11 +15,12 @@ import pytest
 from godellab import cli, numbering
 from godellab.cli import (
     DEFAULTS, build_parser, main, problem_config, read_config, resolve_config)
-from godellab.corpus import CORPUS_KINDS, CorpusEntry, write_corpus
+from godellab.corpus import (
+    CORPUS_KINDS, CorpusEntry, parse_corpus_line, write_corpus)
 from godellab.numbering import Copy, Inc, Loop, clear_eval_cache, compile_loop
 from godellab.oracles import clear_oracle_cache
 from godellab.reductions import MUTATION_MODES, reduction_registry
-from godellab.spaces import Generated
+from godellab.spaces import Generated, descriptor_get
 
 
 def run(*argv):
@@ -305,6 +306,80 @@ def test_learn_refuses_a_bound_above_index_bound(tmp_path, learner, key):
                        "verified": False,
                        "error": f"{key}=41 is above index_bound 40"}
     assert rows[1]["verified"] is True and rows[1][key] == 1
+
+
+_DOUBLING = compile_loop([Loop(0, (Inc(1), Inc(1))), Copy(1, 0)])
+
+# entries whose window values, m and k repeat: `learn` runs each
+# distinct (values, m, k) once, and every entry must still read as if it
+# had been learned alone
+REPEATS = (
+    # budget variants of constant 0, and literal paddings of the same
+    "gen index=1 budget=3", "gen index=1 budget=90",
+    "lit tail=const:0", "lit prefix=0,0,0 tail=const:0",
+    # budget variants of successor
+    "gen index=2 budget=3", "gen index=2 budget=77",
+    # constant 0 under other bounds, the last two above index_bound 40
+    "lit tail=const:0 m=1 k=1", "lit prefix=0 tail=const:0 m=3 k=3",
+    "lit tail=const:0 m=41 k=41", "gen index=1 budget=5 m=41 k=41",
+    # the doubling loop, partial from position 4 at both budgets
+    f"gen index={_DOUBLING} budget=20", f"gen index={_DOUBLING} budget=23",
+    # add two, whose pocket and set dovetail past the emission ceiling
+    "gen index=9 budget=30", "gen index=9 budget=31",
+)
+
+
+def _window_key(e, window=8):
+    """(window values before the first partial position, m, k) of an entry."""
+    values = []
+    for n in range(window + 1):
+        v = descriptor_get(e.descriptor, n)
+        if v is None:
+            break
+        values.append(v)
+    return tuple(values), e.m, e.k
+
+
+def _learn_files(corpus, rundir, learner):
+    """A cold `learn` run: its summary rows and every trace file's bytes."""
+    clear_eval_cache()
+    clear_oracle_cache()
+    run("learn", "--learner", learner, "--corpus", corpus,
+        "--index-bound", 40, "--out-dir", rundir)
+    rows = json.loads((rundir / "summary.json").read_text())["runs"]
+    traces = {p.name: p.read_bytes() for p in rundir.glob("trace_*.csv")}
+    return rows, traces
+
+
+@pytest.mark.parametrize("learner", cli.LEARNERS)
+def test_learn_runs_each_window_key_once_and_matches_lone_runs(
+        tmp_path, monkeypatch, learner):
+    keys = [_window_key(parse_corpus_line(line)) for line in REPEATS]
+    assert len(set(keys)) == 7 < len(keys)
+    learned = []
+    learn_one = cli._learn_one
+
+    def spy(d, m, k, *rest):
+        learned.append(_window_key(CorpusEntry(d, m, k)))
+        return learn_one(d, m, k, *rest)
+
+    monkeypatch.setattr(cli, "_learn_one", spy)
+    corpus = tmp_path / "repeats.corpus"
+    corpus.write_text("".join(line + "\n" for line in REPEATS))
+    rows, traces = _learn_files(corpus, tmp_path / "all", learner)
+    # one learner run per distinct key, none twice
+    assert len(learned) == 7 and set(learned) == set(keys)
+
+    lone_traces = {}
+    for idx, line in enumerate(REPEATS):
+        lone = tmp_path / f"lone{idx}.corpus"
+        lone.write_text(line + "\n")
+        [row], trace = _learn_files(lone, tmp_path / f"lone{idx}", learner)
+        assert rows[idx] == row, line
+        if trace:
+            lone_traces[f"trace_{idx:04d}.csv"] = trace["trace_0000.csv"]
+    assert traces == lone_traces
+    assert len(traces) > 0
 
 
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys):
