@@ -26,8 +26,9 @@ in the summary row.  An annotation above index_bound is a failure row.
 A learner reads an entry only through its window values (up to the
 first partial position) and its m= and k=, so `learn` runs it once per
 distinct (window values, m, k), keeping the results in a dict of that
-command alone.  Rows and trace files are still one per entry, each row
-under its own instance, as if the entry had been learned alone.
+command alone, with its trace formatted once.  Rows and trace files are
+still one per entry, each row under its own instance, as if the entry
+had been learned alone.
 
 The enum-total learner's class is a small standard library of loop
 programs (identity, constants 0..2, add one to three, doubling): `learn`
@@ -70,7 +71,7 @@ from .numbering import (
     ZeroR,
     compile_loop,
     decode,
-    evaluate,
+    evaluate_window,
     format_program,
 )
 from .oracles import (
@@ -177,11 +178,9 @@ def cmd_enumerate(args, values) -> tuple[int, list[str]]:
         # the program runs as its index does, keyed by its codes alone
         program = decode(index)
         text = format_program(program).replace("\n", "; ") or "(empty)"
-        cells = []
-        for n in range(values["window"] + 1):
-            out = evaluate(program, n, values["cap"])
-            cells.append("?" if out is None else str(out.value))
-        print(f"{index}\t{text}\t{','.join(cells)}")
+        outs = evaluate_window(program, values["window"], values["cap"])
+        cells = ",".join("?" if out is None else str(out.value) for out in outs)
+        print(f"{index}\t{text}\t{cells}")
     return 0, []
 
 
@@ -253,9 +252,10 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
-    # (window values, m, k) -> (row, trace or None): each distinct key
-    # is learned once, for this command only, and each entry's row is a
-    # copy that takes the entry's own instance
+    # (window values, m, k) -> (row, trace CSV text or None): each
+    # distinct key is learned and its trace formatted once, for this
+    # command only, and each entry's row is a copy that takes the entry's
+    # own instance
     learned = {}
     for idx, entry in enumerate(entries):
         key = None
@@ -264,19 +264,20 @@ def cmd_learn(args, values) -> tuple[int, list[str]]:
                    entry.m, entry.k)
             got = learned.get(key)
             if got is None:
-                got = _learn_one(entry.descriptor, entry.m, entry.k,
-                                 args.learner, lcfg, candidates)
+                row, trace = _learn_one(entry.descriptor, entry.m, entry.k,
+                                        args.learner, lcfg, candidates)
+                got = row, None if trace is None else trace_to_csv(trace)
         except ValueError as err:
             # emitters refuse unrepresentable programs, and the promise
             # learners a bound past the universe; record and move on
             got = _failure_row(args.learner, str(err)), None
         if key is not None:
             learned[key] = got
-        row, trace = got
+        row, csv = got
         rows.append({**row, "instance": format_entry(entry)})
-        if trace is not None:
+        if csv is not None:
             csv_path = os.path.join(args.out_dir, f"trace_{idx:04d}.csv")
-            write_text(csv_path, trace_to_csv(trace))
+            write_text(csv_path, csv)
             outputs.append(csv_path)
     done = [r for r in rows if "error" not in r]
     summary = {

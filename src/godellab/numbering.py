@@ -17,9 +17,10 @@ length halts the machine.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import inf, isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 Nat = int
 ProgramIndex = int
@@ -224,7 +225,8 @@ class Halted:
 # A program the lab builds runs as it is.  `evaluate` takes a Program as
 # well as an index and runs it under the record keyed by its codes tuple,
 # lowered from the codes, so the evaluator never decodes an index the lab
-# emitted.  An index is decoded to its codes on first use (corpus files,
+# emitted; `evaluate_window` runs a Program on inputs 0..w from one fetch
+# of that record.  An index is decoded to its codes on first use (corpus files,
 # universe scans, command-line arguments, EVB index registers) and keys
 # the record those codes have, which a program the lab built may have made
 # already.  `index_of` (and `operator.index`, through `Program.__index__`)
@@ -271,16 +273,42 @@ class _Record:
 
 # codes tuple -> the program's one record, lowered on first use, and index
 # -> the same record once the index is decoded or `index_of` reads it.  The
-# only cache of this module.
+# only cache of this module, capped at _RECORD_CAP records: `_order` holds
+# (codes, record) in the order the records were made, and `_trim` evicts
+# the oldest, both keys of a record at once.  Eviction runs only outside
+# the evaluator's runs: when `evaluate`, `index_of` or an emitter makes a
+# record, and after a run of `evaluate` that may have made records below
+# it (any run but a free record's), never while a run is open, since the
+# chain holds records and a record evicted and lowered again mid-run
+# would not be the one on the chain.  A hit runs no eviction test.  Every
+# entry is exact, so eviction changes no outcome, only what is computed
+# again.
+_RECORD_CAP = 4096
 _records: dict[int | tuple, _Record] = {}
+_order: deque[tuple[tuple, _Record]] = deque()
+# the chain of a run below no EVB run; `_eval`'s chain is None only for
+# a call from outside the evaluator
+_NO_CHAIN: frozenset = frozenset()
+
+
+def _trim() -> None:
+    """Evict the oldest records until at most _RECORD_CAP are left."""
+    while len(_order) > _RECORD_CAP:
+        codes, rec = _order.popleft()
+        # an entry below the top of an EVB chain is keyed by the chain's
+        # records, so a program that runs itself holds its own record;
+        # clearing the entries first leaves no cycle for the collector
+        rec.outcomes.clear()
+        del _records[codes]
+        if rec.index is not None:
+            del _records[rec.index]
 
 
 def clear_eval_cache() -> None:
-    # an entry below the top of an EVB chain is keyed by the chain's
-    # records, so a program that runs itself holds its own record; clearing
-    # the entries first leaves no cycle for the collector
-    for rec in _records.values():
+    # the entries first, as in `_trim`
+    for _, rec in _order:
         rec.outcomes.clear()
+    _order.clear()
     _records.clear()
 
 
@@ -345,9 +373,19 @@ def _record(key: ProgramIndex | tuple) -> _Record:
     if rec is None:
         if type(key) is tuple:
             rec = _records[key] = _Record(_lower(key))
+            _order.append((key, rec))
         else:
             rec = _records[key] = _record(tuple(decode_list(key)))
             rec.index = key
+    return rec
+
+
+def _held(key: ProgramIndex | tuple) -> _Record:
+    """`_record(key)` for a caller outside the evaluator, which may make
+    the record: the store is trimmed to its cap after, and the record,
+    the newest, stays."""
+    rec = _record(key)
+    _trim()
     return rec
 
 
@@ -355,7 +393,7 @@ def index_of(program: Program) -> ProgramIndex:
     """encode(program), kept in the program's record, which the first read
     also keys by the index: an index the lab emits is never decoded, and a
     program emitted twice is encoded once."""
-    rec = _record(program.codes)
+    rec = _held(program.codes)
     if rec.index is None:
         rec.index = encode(program)
         _records[rec.index] = rec
@@ -384,11 +422,24 @@ def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> Halted | N
         if type(index) is not Program:
             raise
         index = index.codes
-    return _eval(_records.get(index) or _record(index), arg, budget)
+    return _eval(_records.get(index) or _held(index), arg, budget)
 
 
-def _eval(rec: _Record, arg: int, budget: int, chain=frozenset()) -> Halted | None:
-    """`chain` holds the (record, input) pairs of the EVB runs above."""
+def evaluate_window(program: Program, window: Nat, budget: Nat) -> list[Halted | None]:
+    """[evaluate(program, n, budget) for n in 0..window], from one fetch
+    of the program's record; the store is trimmed once, after the last."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rec = _records.get(program.codes) or _record(program.codes)
+    outs = [_eval(rec, n, budget, _NO_CHAIN) for n in range(window + 1)]
+    _trim()
+    return outs
+
+
+def _eval(rec: _Record, arg: int, budget: int, chain=None) -> Halted | None:
+    """`chain` holds the (record, input) pairs of the EVB runs above; it is
+    None for a call from `evaluate`, whose run may make records below it
+    and so trims the store after."""
     key = (arg, chain) if rec.evb and chain else arg
     ent = rec.outcomes.get(key)
     if ent is not None:
@@ -397,7 +448,12 @@ def _eval(rec: _Record, arg: int, budget: int, chain=frozenset()) -> Halted | No
         if budget <= ent:
             return None
     if rec.path is not None:
+        # a free record holds no EVB, so this makes no record
         ent = rec.outcomes[key] = _follow(rec, arg, budget)
+    elif chain is None:
+        ent = rec.outcomes[key] = _run(rec, arg, budget, _NO_CHAIN)
+        if len(_order) > _RECORD_CAP:
+            _trim()
     else:
         ent = rec.outcomes[key] = _run(rec, arg, budget, chain)
     return ent if type(ent) is Halted else None
@@ -408,7 +464,7 @@ def _follow(rec: _Record, arg: int, budget: int):
     path = rec.path
     if type(path) is int and budget > path:
         probe = budget + 1
-        path = _run(rec, probe, budget, frozenset())
+        path = _run(rec, probe, budget, _NO_CHAIN)
         if type(path) is Halted and path.value >= probe:
             path = (path.value - probe, path.steps)
         rec.path = path
@@ -466,7 +522,7 @@ def _run(rec: _Record, arg: int, budget: int, chain: frozenset):
             if not deep:
                 sub = _records.get(regs[ins[1]]) or _record(regs[ins[1]])
                 if not sub.evb:
-                    out = _eval(sub, regs[ins[2]], regs[ins[3]])
+                    out = _eval(sub, regs[ins[2]], regs[ins[3]], _NO_CHAIN)
                 else:
                     if below is None:
                         below = chain | {(rec, arg)}
@@ -567,7 +623,7 @@ def s_const(index: ProgramIndex, const: Nat) -> ProgramIndex:
     if const < 0:
         raise ValueError("const must be a natural")
     suffix = decode(index)
-    base = _record(suffix.codes).top + 1
+    base = _held(suffix.codes).top + 1
     k, b, acc, i = base, base + 1, base + 2, base + 3
     a = _Asm(f"s_const(..., {const})")
     a.emit("S", b, times=const + 2)
@@ -608,7 +664,7 @@ def precompose_affine(index: ProgramIndex, mul: Nat, add: Nat) -> Program:
     if mul == 1:
         a.emit("S", 0, times=add)
     else:
-        base = _record(suffix.codes).top + 1
+        base = _held(suffix.codes).top + 1
         k, acc = base, base + 1
         a.label("lp")
         a.emit("J", k, 0, "done")
@@ -722,7 +778,7 @@ class Loop:
     body: tuple
 
 
-LoopStmt = Union[Inc, ZeroR, Copy, Loop]
+LoopStmt = Inc | ZeroR | Copy | Loop
 
 
 def _loop_regs(stmts: Iterable[LoopStmt]) -> set[int]:

@@ -35,6 +35,14 @@ Cells outside a table, at indices above index_bound (emitted programs)
 or positions above the window (`in_R` at a large k), are evaluated
 directly and never stored.
 
+Every store is bounded, so a long run keeps flat memory.  A table's
+`rows` and `inverted` hold at most one row per index of
+0..index_bound, which the config sets.  `prefixes` keeps the last
+_QUERY_CAP descriptors read and `answers` the last _QUERY_CAP rows of
+values verified, and `_universes` the last _TABLE_CAP tables made; each
+drops its oldest entry first.  Every stored value is exact, so a
+dropped entry is only computed again, never answered otherwise.
+
 All range bounds in this module are inclusive: window w means arguments
 0..w, index_bound b means candidates 0..b.
 """
@@ -68,6 +76,20 @@ class OracleConfig:
 
 Row = tuple[Optional[Nat], ...]
 
+# the stores' caps: the tables kept, and the descriptors and the rows of
+# values each table keeps
+_TABLE_CAP = 8
+_QUERY_CAP = 4096
+
+
+def _kept(store: dict, cap: int, key, value):
+    """Store value under key and return it; a store already holding cap
+    entries drops its oldest first (a dict keeps insertion order)."""
+    if len(store) >= cap:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
+
 
 class Universe:
     """The capped universe 0..index_bound of one config.
@@ -81,7 +103,7 @@ class Universe:
     indices in increasing order.  `prefixes` keeps the values of each
     queried descriptor, and `_last` the last one read with its values.
     `answers` keeps the verified set of each queried row of values, made
-    once the table is whole.
+    once the table is whole.  Each keeps the last _QUERY_CAP queried.
     """
 
     def __init__(self, cfg: OracleConfig):
@@ -161,13 +183,15 @@ class Universe:
         """Every index whose row is targets; completes the whole table.
 
         The answer is kept once the table is whole, when it can no
-        longer change, so every later query for targets gets that object.
+        longer change, so every later query for targets gets that object
+        while it is kept.
         """
         out = self.answers.get(targets)
         if out is None:
             for i in range(self.done, self.cfg.index_bound + 1):
                 self.value(i, self.cfg.window)
-            out = self.answers[targets] = frozenset(self.inverted.get(targets, ()))
+            out = _kept(self.answers, _QUERY_CAP, targets,
+                        frozenset(self.inverted.get(targets, ())))
         return out
 
     def prefix(self, d: SeqDescriptor) -> tuple[Nat, ...]:
@@ -187,7 +211,7 @@ class Universe:
                 if v is None:
                     break
                 values.append(v)
-            out = self.prefixes[d] = tuple(values)
+            out = _kept(self.prefixes, _QUERY_CAP, d, tuple(values))
         self._last = (d, out)
         return out
 
@@ -203,7 +227,8 @@ def clear_oracle_cache() -> None:
 
 
 def universe(cfg: OracleConfig) -> Universe:
-    """The table of cfg, shared by every query until clear_oracle_cache.
+    """The table of cfg, shared by every query until clear_oracle_cache,
+    or until _TABLE_CAP newer tables are made.
 
     The last lookup's config is checked by identity before the dict, in
     which equal configs share one table; clear_oracle_cache drops both.
@@ -213,7 +238,7 @@ def universe(cfg: OracleConfig) -> Universe:
     if cfg is not last:
         table = _universes.get(cfg)
         if table is None:
-            table = _universes[cfg] = Universe(cfg)
+            table = _kept(_universes, _TABLE_CAP, cfg, Universe(cfg))
         _last = (cfg, table)
     return table
 

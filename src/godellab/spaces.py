@@ -12,7 +12,7 @@ exhaustion surfacing as None rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .numbering import (
     Nat,
@@ -48,7 +48,7 @@ class Periodic:
             raise ValueError("periodic word must hold naturals")
 
 
-Tail = Union[Constant, Periodic]
+Tail = Constant | Periodic
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class Generated:
             raise ValueError("budget must be >= 1")
 
 
-SeqDescriptor = Union[Literal, Generated]
+SeqDescriptor = Literal | Generated
 
 
 def tail_word(tail: Tail) -> tuple[Nat, ...]:

@@ -68,6 +68,127 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(tree) == ["Optional (line 2)", "os (line 1)"]
 
 
+def import_time_nodes(tree: ast.Module):
+    """The expressions that run when the module is imported: every
+    top-level and class-body statement, the decorators, bases and default
+    values of each definition, but no function body, and no annotation in
+    a module that imports `annotations` from `__future__`."""
+    lazy = any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(a.name == "annotations" for a in node.names)
+               for node in tree.body)
+
+    def walk(stmts):
+        for node in stmts:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from node.decorator_list
+                yield from node.args.defaults
+                yield from (d for d in node.args.kw_defaults if d is not None)
+                if not lazy:
+                    yield from (a.annotation for a in ast.walk(node.args)
+                                if isinstance(a, ast.arg) and a.annotation)
+                    if node.returns:
+                        yield node.returns
+            elif isinstance(node, ast.ClassDef):
+                yield from node.decorator_list
+                yield from node.bases
+                yield from (k.value for k in node.keywords)
+                yield from walk(node.body)
+            elif isinstance(node, ast.AnnAssign):
+                if node.value:
+                    yield node.value
+                if not lazy:
+                    yield node.annotation
+            else:
+                yield node
+
+    return walk(tree.body)
+
+
+def lab_class_names(trees) -> set[str]:
+    """The classes defined at the top of the given modules, and the
+    top-level aliases whose value names one (`Tail = Constant | Periodic`)."""
+    names = {node.name for tree in trees for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+    grown = True
+    while grown:
+        grown = False
+        for tree in trees:
+            for node in tree.body:
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and node.targets[0].id not in names
+                        and names & set(references(node.value))):
+                    names.add(node.targets[0].id)
+                    grown = True
+    return names
+
+
+def cached_typing_forms(tree: ast.Module, classes: set[str]) -> list[str]:
+    """The subscriptions of a `typing` name (`Union[...]`, `Optional[...]`,
+    `typing.Callable[...]`) run at import whose arguments name one of
+    `classes`.  `typing` memoizes each such form in a process-wide cache,
+    which keeps the classes, and through their methods the whole module,
+    alive after the module is imported again; a PEP 604 union
+    (`A | B`) or a builtin generic (`tuple[A, ...]`) is not memoized."""
+    typing_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "typing"
+                    for alias in node.names}
+
+    def is_typing(func):
+        return (isinstance(func, ast.Name) and func.id in typing_names
+                or isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "typing")
+
+    found = {(sub.lineno, ast.unparse(sub))
+             for top in import_time_nodes(tree) for sub in ast.walk(top)
+             if isinstance(sub, ast.Subscript) and is_typing(sub.value)
+             and classes & set(references(sub.slice))}
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_no_typing_form_of_a_lab_class_runs_at_import():
+    # a benchmark or a test that imports the lab afresh must free the old
+    # copy, `_records` and the universe tables with it
+    paths = [p for p in FILES if p.relative_to(ROOT).parts[0] != "tests"]
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p)) for p in paths}
+    classes = lab_class_names([t for path, t in trees.items() if path.startswith("src/")])
+    assert {"Program", "Literal", "SeqDescriptor", "LoopStmt"} <= classes
+    assert {path: found for path, tree in trees.items()
+            if (found := cached_typing_forms(tree, classes))} == {}
+
+
+def test_the_check_sees_a_cached_typing_form():
+    lab = ast.parse("class Node:\n    pass\n\n"
+                    "Alias = Node | int\n")
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import typing\n"
+        "from typing import Callable, Optional, Union as U\n"
+        "from m import Alias, Node\n"
+        "Either = U[Node, int]\n"
+        "Plain = Optional[int]\n"
+        "Pep = Node | None\n"
+        "Rows = tuple[Node, ...]\n"
+        "Dotted = typing.Optional[Alias]\n"
+        "def f(x: Optional[Node] = None, y=Optional[Node]) -> U[Node, int]:\n"
+        "    return Optional[Node]\n"
+        "class C(typing.Generic[typing.TypeVar('T')]):\n"
+        "    field: Optional[Node] = None\n"
+        "    hook = Callable[[Node], int]\n")
+    classes = lab_class_names([lab])
+    assert classes == {"Node", "Alias"}
+    # annotations are lazy here, a function body runs later, and a PEP 604
+    # union or a builtin generic is not memoized
+    assert cached_typing_forms(tree, classes) == [
+        "U[Node, int] (line 5)", "typing.Optional[Alias] (line 9)",
+        "Optional[Node] (line 10)", "Callable[[Node], int] (line 14)"]
+    # without the __future__ import the annotations run at import too
+    eager = ast.parse("from typing import Optional\n"
+                      "def f(x: Optional[Node]) -> Optional[int]:\n"
+                      "    pass\n")
+    assert cached_typing_forms(eager, classes) == ["Optional[Node] (line 2)"]
+
+
 def private_imports(tree: ast.Module) -> list[str]:
     """The `from <module> import _name` imports: a private name read
     from another module."""
