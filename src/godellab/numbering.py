@@ -17,7 +17,6 @@ length halts the machine.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import inf, isqrt
 from typing import Iterable, Sequence
@@ -273,42 +272,35 @@ class _Record:
 
 # codes tuple -> the program's one record, lowered on first use, and index
 # -> the same record once the index is decoded or `index_of` reads it.  The
-# only cache of this module, capped at _RECORD_CAP records: `_order` holds
-# (codes, record) in the order the records were made, and `_trim` evicts
-# the oldest, both keys of a record at once.  Eviction runs only outside
-# the evaluator's runs: when `evaluate`, `index_of` or an emitter makes a
-# record, and after a run of `evaluate` that may have made records below
-# it (any run but a free record's), never while a run is open, since the
-# chain holds records and a record evicted and lowered again mid-run
-# would not be the one on the chain.  A hit runs no eviction test.  Every
-# entry is exact, so eviction changes no outcome, only what is computed
-# again.
-_RECORD_CAP = 4096
+# only cache of this module.  A record has one or two keys, and the cap
+# counts keys: a store past _KEY_CAP keys is emptied whole by `_bound`,
+# and only between the evaluator's runs: before `evaluate`, `index_of` or
+# an emitter makes a record (never after, so the new record stays), after
+# a run of `evaluate` that may have made records below it (any run but a
+# free record's, a hit on the top record included), and once after
+# `evaluate_window`.  Never while a run is open, since the chain holds
+# records and a record emptied and lowered again mid-run would not be the
+# one on the chain.  A hit runs no test.  Every entry is exact, so
+# emptying changes no outcome, only what is computed again.
+_KEY_CAP = 4096
 _records: dict[int | tuple, _Record] = {}
-_order: deque[tuple[tuple, _Record]] = deque()
 # the chain of a run below no EVB run; `_eval`'s chain is None only for
 # a call from outside the evaluator
 _NO_CHAIN: frozenset = frozenset()
 
 
-def _trim() -> None:
-    """Evict the oldest records until at most _RECORD_CAP are left."""
-    while len(_order) > _RECORD_CAP:
-        codes, rec = _order.popleft()
-        # an entry below the top of an EVB chain is keyed by the chain's
-        # records, so a program that runs itself holds its own record;
-        # clearing the entries first leaves no cycle for the collector
-        rec.outcomes.clear()
-        del _records[codes]
-        if rec.index is not None:
-            del _records[rec.index]
+def _bound() -> None:
+    """Empty the store if it holds more than _KEY_CAP keys."""
+    if len(_records) > _KEY_CAP:
+        clear_eval_cache()
 
 
 def clear_eval_cache() -> None:
-    # the entries first, as in `_trim`
-    for _, rec in _order:
+    # an entry below the top of an EVB chain is keyed by the chain's
+    # records, so a program that runs itself holds its own record; clearing
+    # the entries first leaves no cycle for the collector
+    for rec in _records.values():
         rec.outcomes.clear()
-    _order.clear()
     _records.clear()
 
 
@@ -373,7 +365,6 @@ def _record(key: ProgramIndex | tuple) -> _Record:
     if rec is None:
         if type(key) is tuple:
             rec = _records[key] = _Record(_lower(key))
-            _order.append((key, rec))
         else:
             rec = _records[key] = _record(tuple(decode_list(key)))
             rec.index = key
@@ -382,11 +373,11 @@ def _record(key: ProgramIndex | tuple) -> _Record:
 
 def _held(key: ProgramIndex | tuple) -> _Record:
     """`_record(key)` for a caller outside the evaluator, which may make
-    the record: the store is trimmed to its cap after, and the record,
-    the newest, stays."""
-    rec = _record(key)
-    _trim()
-    return rec
+    the record: a full store is emptied before, never after, so the record
+    just made stays and `index_of` keys its index to the record its codes
+    reach."""
+    _bound()
+    return _record(key)
 
 
 def index_of(program: Program) -> ProgramIndex:
@@ -427,19 +418,21 @@ def evaluate(index: ProgramIndex | Program, arg: Nat, budget: Nat) -> Halted | N
 
 def evaluate_window(program: Program, window: Nat, budget: Nat) -> list[Halted | None]:
     """[evaluate(program, n, budget) for n in 0..window], from one fetch
-    of the program's record; the store is trimmed once, after the last."""
+    of the program's record; a full store is emptied once, after the
+    last."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rec = _records.get(program.codes) or _record(program.codes)
     outs = [_eval(rec, n, budget, _NO_CHAIN) for n in range(window + 1)]
-    _trim()
+    _bound()
     return outs
 
 
 def _eval(rec: _Record, arg: int, budget: int, chain=None) -> Halted | None:
     """`chain` holds the (record, input) pairs of the EVB runs above; it is
-    None for a call from `evaluate`, whose run may make records below it
-    and so trims the store after."""
+    None for a call from `evaluate`, whose run may make records below it,
+    even when its own record was a hit, and so empties a full store
+    after.  A run below never empties it: the chain holds its records."""
     key = (arg, chain) if rec.evb and chain else arg
     ent = rec.outcomes.get(key)
     if ent is not None:
@@ -452,8 +445,7 @@ def _eval(rec: _Record, arg: int, budget: int, chain=None) -> Halted | None:
         ent = rec.outcomes[key] = _follow(rec, arg, budget)
     elif chain is None:
         ent = rec.outcomes[key] = _run(rec, arg, budget, _NO_CHAIN)
-        if len(_order) > _RECORD_CAP:
-            _trim()
+        _bound()
     else:
         ent = rec.outcomes[key] = _run(rec, arg, budget, chain)
     return ent if type(ent) is Halted else None

@@ -2,8 +2,10 @@
 evaluator's and the oracles' stores keep to their caps without changing
 an answer or a result byte.
 
-The caps are patched small here, so that every store evicts; with the
-shipped caps the benchmark and the tests evict nothing.
+The evaluator's store is emptied whole once it holds more than its cap of
+keys, and only between runs; the oracles' stores evict their oldest
+entries.  The caps are patched small here, so that every store is emptied
+or evicts; with the shipped caps the benchmark and the tests do neither.
 """
 
 import gc
@@ -74,34 +76,48 @@ def test_a_replaced_import_of_the_lab_is_collected():
 
 
 def _store_is_consistent() -> int:
-    """The number of records; checks that `_order` and the keys of
-    `_records` name the same records, each under its codes and its index."""
-    records = {id(rec): rec for rec in numbering._records.values()}
-    assert sorted(records) == sorted(id(rec) for _, rec in numbering._order)
-    for codes, rec in numbering._order:
-        assert numbering._records[codes] is rec
-        if rec.index is not None:
-            assert numbering._records[rec.index] is rec
-    return len(records)
+    """The number of keys; checks that each record is under exactly one
+    codes tuple, its own, under its index once it has one, and under no
+    other key."""
+    keys = {}
+    for key, rec in numbering._records.items():
+        keys.setdefault(rec, []).append(key)
+    for rec, held in keys.items():
+        codes = [key for key in held if type(key) is tuple]
+        assert len(codes) == 1 and numbering._lower(codes[0])[0] == rec.code
+        assert set(held) == set(codes if rec.index is None else codes + [rec.index])
+    return len(numbering._records)
+
+
+def _emptied(monkeypatch) -> list[int]:
+    """The size of the store each time the evaluator empties it, from
+    now on."""
+    sizes = []
+    monkeypatch.setattr(numbering, "clear_eval_cache",
+                        lambda: sizes.append(len(numbering._records)) or clear_eval_cache())
+    return sizes
 
 
 def test_a_capped_evaluator_keeps_its_cap_and_its_outcomes(monkeypatch):
     # indices 0..400 hold EVB programs (11 is EVB 0 0 0 0) whose steps
-    # reach records evicted long before; every cell must read as it does
-    # uncapped, and the store must be within the cap after every call
+    # reach records emptied long before; every cell must read as it does
+    # uncapped, only a store past the cap is emptied, and a call leaves
+    # the store past the cap only by the two keys of a free record it made
     cells = [(i, n, cap) for cap in (400, 10**4) for i in range(401)
              for n in range(9)]
     clear_eval_cache()
     want = [evaluate(*cell) for cell in cells]
-    made = _store_is_consistent()
-    assert made > 4 * SMALL_CAP
-    monkeypatch.setattr(numbering, "_RECORD_CAP", SMALL_CAP)
+    assert _store_is_consistent() > 8 * SMALL_CAP
+    monkeypatch.setattr(numbering, "_KEY_CAP", SMALL_CAP)
+    emptied = _emptied(monkeypatch)
     clear_eval_cache()
-    most = 0
     for cell, out in zip(cells, want):
+        before = len(numbering._records)
         assert evaluate(*cell) == out, cell
-        most = max(most, len(numbering._order))
-    assert most == SMALL_CAP and _store_is_consistent() == SMALL_CAP
+        after = _store_is_consistent()
+        assert after <= SMALL_CAP or after == before or (
+            after <= before + 2 and numbering._records[cell[0]].path is not None), cell
+    assert len(emptied) > 10 and min(emptied) > SMALL_CAP
     # the Program path, one window at a time, and the emitters' records
     for i in range(300, 401):
         got = numbering.evaluate_window(numbering.decode(i), 8, 400)
@@ -109,7 +125,8 @@ def test_a_capped_evaluator_keeps_its_cap_and_its_outcomes(monkeypatch):
         assert _store_is_consistent() <= SMALL_CAP
     numbering.s_const(2, 1)
     numbering.precompose_affine(98, 2, 1)
-    assert _store_is_consistent() <= SMALL_CAP
+    assert _store_is_consistent() <= SMALL_CAP + 2
+    assert min(emptied) > SMALL_CAP
     clear_eval_cache()
 
 
@@ -118,7 +135,8 @@ def test_an_evicted_record_leaves_no_cycle_for_the_collector(monkeypatch):
     # whose 62 programs run themselves on their own index and so hold their
     # own record: with the collector off, every record still allocated is
     # in the store or on a chain that a stored entry's key holds
-    monkeypatch.setattr(numbering, "_RECORD_CAP", SMALL_CAP)
+    monkeypatch.setattr(numbering, "_KEY_CAP", SMALL_CAP)
+    emptied = _emptied(monkeypatch)
     gc.collect()
     gc.disable()
     try:
@@ -126,11 +144,11 @@ def test_an_evicted_record_leaves_no_cycle_for_the_collector(monkeypatch):
         for i in range(2000):
             for n in (*range(17), i):
                 evaluate(i, n, 400)
-        stored = {rec for _, rec in numbering._order}
+        stored = set(numbering._records.values())
         reachable = stored | {r for rec in stored for key in rec.outcomes
                               if type(key) is tuple for r, _ in key[1]}
         allocated = [o for o in gc.get_objects() if type(o) is numbering._Record]
-        assert len(stored) == SMALL_CAP and len(allocated) == len(reachable)
+        assert stored and len(emptied) > 10 and len(allocated) == len(reachable)
         assert set(allocated) == reachable
         clear_eval_cache()
     finally:
@@ -140,8 +158,8 @@ def test_an_evicted_record_leaves_no_cycle_for_the_collector(monkeypatch):
 def test_no_record_is_evicted_while_a_run_is_open(monkeypatch):
     # the program runs 11 (EVB 0 0 0 0, which runs the empty program),
     # making records below it, then itself on its own index, which the
-    # re-entrance cut answers 0; had a record made below evicted the
-    # program's own, the second step would run a new record of it, which
+    # re-entrance cut answers 0; had a record made below emptied the
+    # store, the second step would run a new record of the program, which
     # is on no chain, and read more
     program = numbering.parse_program(
         "\n".join(["S 1"] * 11 + ["EVB 1 2 0 3", "EVB 0 0 0 3", "T 3 0"]))
@@ -149,7 +167,7 @@ def test_no_record_is_evicted_while_a_run_is_open(monkeypatch):
     index = numbering.index_of(program)
     want = evaluate(index, index, 20)
     assert want == Halted(0, 14)
-    monkeypatch.setattr(numbering, "_RECORD_CAP", 1)
+    monkeypatch.setattr(numbering, "_KEY_CAP", 1)
     for run in (lambda: evaluate(index, index, 20),
                 lambda: evaluate(program, index, 20)):
         clear_eval_cache()
@@ -159,14 +177,18 @@ def test_no_record_is_evicted_while_a_run_is_open(monkeypatch):
 
 
 def test_a_hit_evicts_nothing_and_a_new_record_trims(monkeypatch):
+    # 12, 13 and 14 are free records, so no run follows the one that
+    # makes 14's record
     clear_eval_cache()
     first = [evaluate(i, 3, 50) for i in (12, 13)]
-    monkeypatch.setattr(numbering, "_RECORD_CAP", 1)
+    monkeypatch.setattr(numbering, "_KEY_CAP", 1)
+    emptied = _emptied(monkeypatch)
     assert [evaluate(i, 3, 50) for i in (12, 13)] == first
-    assert len(numbering._order) == 2
+    assert len(numbering._records) == 4 and emptied == []
     evaluate(14, 3, 50)
-    assert [rec.index for _, rec in numbering._order] == [14]
+    assert emptied == [4]
     assert set(numbering._records) == {14, numbering.decode(14).codes}
+    assert numbering._records[14].index == 14
     clear_eval_cache()
 
 
@@ -249,17 +271,16 @@ def test_capped_commands_in_one_process_write_what_fresh_processes_do(
                               capture_output=True, text=True)
         assert proc.returncode in (0, 1), proc.stderr
         fresh[k] = proc.returncode, _results(out)
-    monkeypatch.setattr(numbering, "_RECORD_CAP", SMALL_CAP)
+    monkeypatch.setattr(numbering, "_KEY_CAP", SMALL_CAP)
     monkeypatch.setattr(oracles, "_TABLE_CAP", 1)
     monkeypatch.setattr(oracles, "_QUERY_CAP", 4)
+    emptied = _emptied(monkeypatch)
     clear_eval_cache()
     clear_oracle_cache()
-    most = 0
     for k in order + order:
         out = tmp_path / f"one{k}"
         code = main([*commands[k], "--out-dir", str(out)])
         assert (code, _results(out)) == fresh[k], commands[k]
-        most = max(most, len(numbering._order))
-    assert most == SMALL_CAP
+    assert emptied and min(emptied) > SMALL_CAP
     clear_eval_cache()
     clear_oracle_cache()

@@ -13,6 +13,7 @@ import operator
 import random
 import time
 import tracemalloc
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -419,12 +420,13 @@ def test_an_evb_probe_program_matches_host_evaluator():
 
 
 def test_clear_eval_cache_empties_every_cache_of_numbering():
-    # every module-level dict of numbering but a CONSTANT is a cache, and
-    # a cache left out of the clear would carry one run into the next;
-    # `_records` is the only one, the one store whose size a bound needs
+    # every module-level mutable container of numbering but a CONSTANT is
+    # a cache, and a cache left out of the clear would carry one run into
+    # the next; `_records` is the only one, the one store whose size a
+    # bound needs
     caches = {name: value for name, value in vars(numbering).items()
-              if isinstance(value, dict) and not name.startswith("__")
-              and not name.isupper()}
+              if isinstance(value, (MutableMapping, MutableSequence, MutableSet))
+              and not name.startswith("__") and not name.isupper()}
     assert set(caches) == {"_records"}
     clear_eval_cache()
     evaluate(s_const(2, 1), 0, 100)
@@ -466,6 +468,10 @@ def test_evaluator_state_of_a_universe_scan_stays_small():
                 for i in range(1001) for n in range(17)]
         del outs
         retained, _ = tracemalloc.get_traced_memory()
+        # the shipped cap leaves the scan alone: every index is still
+        # keyed, each record under two keys (2,002 of 4,096)
+        assert all(i in _records for i in range(1001))
+        assert len(_records) < numbering._KEY_CAP
     finally:
         tracemalloc.stop()
         clear_eval_cache()
